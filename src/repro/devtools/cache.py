@@ -9,9 +9,10 @@ re-extracted.  The cache file is written atomically (temp +
 ``os.replace``) and any unreadable/stale/foreign cache is treated as
 empty — a corrupt cache can cost time, never correctness.
 
-Extraction is parallelized across files with a thread pool: the work
-is a mix of file IO and C-level ``ast.parse``, and determinism is kept
-by sorting outcomes by path after the pool drains.
+Extraction runs serially.  CPython 3.11's ``ast.parse`` is not
+thread-safe (concurrent parses fail with ``SystemError: AST
+constructor recursion depth mismatch``), and a thread pool was slower
+than the serial loop anyway.  Outcomes are sorted by path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import ast
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -211,13 +211,12 @@ def extract_outcomes(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     cache: Optional[FactCache] = None,
-    jobs: Optional[int] = None,
 ) -> Tuple[List[FileOutcome], int, int]:
     """Phase 1 over every file: (outcomes sorted by path, hits, misses).
 
     Cached files are reused when both the content hash and the
-    rule-set signature match; everything else is (re)processed on a
-    thread pool and written back to the cache.
+    rule-set signature match; everything else is (re)processed and
+    written back to the cache.
     """
     files = list(iter_python_files(paths))
     signature = ruleset_signature(rules)
@@ -241,19 +240,11 @@ def extract_outcomes(
         else:
             misses.append(path)
 
-    if misses:
-        workers = jobs if jobs and jobs > 0 else min(8, (os.cpu_count() or 2))
-        if workers > 1 and len(misses) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(
-                    pool.map(_process_one, misses, [rules] * len(misses))
-                )
-        else:
-            fresh = [_process_one(p, rules) for p in misses]
-        for outcome in fresh:
-            if cache is not None and outcome.content_hash:
-                cache.put(outcome, signature)
-        outcomes.extend(fresh)
+    for path in misses:
+        outcome = _process_one(path, rules)
+        if cache is not None and outcome.content_hash:
+            cache.put(outcome, signature)
+        outcomes.append(outcome)
 
     if cache is not None:
         cache.prune([str(p) for p in files])

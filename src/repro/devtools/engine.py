@@ -242,15 +242,13 @@ def analyze_paths(
     *,
     layers=None,
     cache_path: Optional[Path] = None,
-    jobs: Optional[int] = None,
     baseline=None,
 ) -> LintResult:
     """Two-phase whole-program analysis over every file under ``paths``.
 
     Phase 1 runs the per-file rules and extracts a
     :class:`repro.devtools.facts.ModuleFacts` summary per file —
-    cached by content hash when ``cache_path`` is given, parallelized
-    across files.  Phase 2 assembles the project fact base (import
+    cached by content hash when ``cache_path`` is given.  Phase 2 assembles the project fact base (import
     graph + layer map) and runs the cross-module rules over it.
     Inline ``# emlint: disable=`` suppressions apply to cross findings
     through the cached suppression maps; an optional adopt-now
@@ -267,7 +265,6 @@ def analyze_paths(
             falling back to the built-in repository map.
         cache_path: location of the incremental cache; ``None``
             disables caching.
-        jobs: phase-1 worker threads (default: min(8, cpu count)).
         baseline: adopt-now suppression file, already loaded.
     """
     from .cache import FactCache, extract_outcomes
@@ -282,7 +279,7 @@ def analyze_paths(
 
     cache = FactCache(cache_path) if cache_path is not None else None
     outcomes, hits, misses = extract_outcomes(
-        [Path(p) for p in paths], active, cache=cache, jobs=jobs
+        [Path(p) for p in paths], active, cache=cache
     )
 
     result = LintResult(

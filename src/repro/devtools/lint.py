@@ -99,13 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the incremental cache (cold run)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="extraction worker threads (default: min(8, cpu count))",
-    )
-    parser.add_argument(
         "--config",
         default=None,
         metavar="PYPROJECT",
@@ -176,10 +169,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro-lint: path does not exist: {path}", file=sys.stderr)
         return 2
 
-    if args.jobs is not None and args.jobs < 1:
-        print("repro-lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     try:
         layers = load_layer_config(
             Path(args.config) if args.config is not None else None
@@ -206,7 +195,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cross_rules=cross_rules,
         layers=layers,
         cache_path=cache_path,
-        jobs=args.jobs,
         baseline=None if args.write_baseline else baseline,
     )
 

@@ -4,7 +4,8 @@
   drivers (the Section V-B and V-C measurement paths) plus
   retry-with-backoff acquisition.
 * :mod:`repro.experiments.campaign` - checkpointed multi-run
-  campaigns with resume, supervised across forked workers.
+  campaigns with resume: one supervised job queue, in-process at one
+  worker and across forked workers beyond.
 * :mod:`repro.experiments.service` - the ``repro-campaignd`` daemon:
   a fault-tolerant job queue over supervised campaigns.
 * :mod:`repro.experiments.tables` - Tables I-V row generators plus the

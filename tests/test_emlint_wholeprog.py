@@ -44,6 +44,35 @@ def write_module(root: Path, name: str, source: str) -> Path:
 # -- cache ------------------------------------------------------------------
 
 
+def test_cold_extraction_of_the_tree_is_repeatable(monkeypatch):
+    # Concurrent ast.parse calls used to fail with "SystemError: AST
+    # constructor recursion depth mismatch", but only when the whole
+    # suite ran.  Pin the cause directly - every file is parsed on the
+    # calling thread - and run repeated cold passes over the real tree.
+    import threading
+
+    from repro.devtools import cache as cache_module
+
+    threads = set()
+    process_one = cache_module._process_one
+
+    def recording(path, rules):
+        threads.add(threading.get_ident())
+        return process_one(path, rules)
+
+    monkeypatch.setattr(cache_module, "_process_one", recording)
+    passes = [extract_outcomes([SRC], RULES)[0] for _ in range(2)]
+    assert threads == {threading.get_ident()}
+    for outcomes in passes:
+        assert len(outcomes) > 50
+        assert not [
+            f for o in outcomes for f in o.findings if f.rule == "parse-error"
+        ]
+    first = [(o.path, o.content_hash, o.findings) for o in passes[0]]
+    for outcomes in passes[1:]:
+        assert [(o.path, o.content_hash, o.findings) for o in outcomes] == first
+
+
 def test_cache_warm_run_hits_everything(tmp_path):
     write_module(tmp_path, "a.py", "x = 1\n")
     cache_file = tmp_path / DEFAULT_CACHE_NAME

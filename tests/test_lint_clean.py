@@ -116,11 +116,6 @@ def test_cli_rejects_missing_path(capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
-def test_cli_rejects_bad_jobs(tmp_path, capsys):
-    assert main(["--jobs", "0", str(tmp_path)]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
 def test_cli_rejects_broken_baseline(tmp_path, capsys):
     bogus = tmp_path / "base.json"
     bogus.write_text("{broken")

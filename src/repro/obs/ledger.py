@@ -400,15 +400,20 @@ class LedgerAppender:
         self._handle = open(ledger.path, "a", encoding="utf-8")
         self._wrote = False
 
-    def append(self, entry: RunRecord) -> RunRecord:
-        """Append one record through the persistent handle."""
+    def append(self, entry: RunRecord, sync: bool = False) -> RunRecord:
+        """Append one record through the persistent handle.
+
+        ``sync=True`` fsyncs this record now even when ``fsync_each``
+        is off - unless the ledger's fsync policy is off, exactly as
+        :meth:`RunLedger.append` would.
+        """
         if self._handle is None:
             raise ValueError("appender is closed")
         line = json.dumps(entry.to_dict(), sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
         self._wrote = True
-        if self.fsync_each:
+        if self.fsync_each or (sync and self.ledger.fsync):
             os.fsync(self._handle.fileno())
         return entry
 

@@ -204,6 +204,29 @@ def test_hung_run_hits_its_lease_deadline_and_quarantines(tmp_path):
     assert any("timeout" in r.extra["reason"] for r in records)
 
 
+def test_worker_exits_once_its_supervisor_end_is_gone(tmp_path):
+    # Every forked worker must close the supervisor-side pipe ends it
+    # inherited (its own and its siblings'); otherwise a worker whose
+    # supervisor died would never read EOF and would linger forever.
+    campaign = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        workers=2,
+        heartbeat_interval_s=0.05,
+    )
+    execution = campaign.start(slow_specs(2, delay_s=0.2))
+    try:
+        # Drop the supervisor's end of worker0's pipe, as its death would.
+        execution._channels.pop("worker0").close()
+        worker0 = execution.processes["worker0"]
+        worker0.join(10.0)
+        assert worker0.exitcode == 0
+    finally:
+        result = execution.join(timeout_s=60.0)
+    # Its run committed before the worker left, so nothing is lost.
+    assert result.counts() == {"done": 2, "failed": 0, "skipped": 0}
+
+
 def test_drain_finishes_leased_runs_only(tmp_path):
     campaign = Campaign(
         tmp_path / "camp",

@@ -66,6 +66,21 @@ def test_deferred_fsync_happens_once_at_close(tmp_path):
     assert fsync.call_count == 1
 
 
+def test_synced_append_fsyncs_now_under_the_ledger_policy(tmp_path):
+    with mock.patch("repro.obs.ledger.os.fsync") as fsync:
+        ledger = RunLedger(tmp_path / "ledger.jsonl", fsync=True)
+        with ledger.appender(fsync_each=False) as sink:
+            sink.append(make_record())
+            sink.append(make_record(), sync=True)
+            assert fsync.call_count == 1
+        quiet = RunLedger(tmp_path / "quiet.jsonl", fsync=False)
+        with quiet.appender(fsync_each=False) as sink:
+            sink.append(make_record(), sync=True)
+    # One synced record, then the deferred close-time fsync; a ledger
+    # whose policy is off never fsyncs.
+    assert fsync.call_count == 2
+
+
 def test_deferred_fsync_skipped_when_nothing_written(tmp_path):
     ledger = RunLedger(tmp_path / "ledger.jsonl")
     with mock.patch("repro.obs.ledger.os.fsync") as fsync:

@@ -162,6 +162,22 @@ def test_submitted_job_runs_to_completion(tmp_path):
         assert all(e["status"] == "done" for e in manifest["runs"].values())
 
 
+def test_single_worker_daemon_still_forks_supervised_workers(tmp_path):
+    # The daemon must survive any job, so even --workers 1 runs every
+    # lease in a forked, supervised worker, never on its runner thread.
+    with small_service(tmp_path, workers=1) as svc:
+        query(svc, {"req": "submit", "matrix": {"seed": [0, 1]}})
+        poll_status(
+            svc,
+            lambda r: job_table(r).get("job0001", {}).get("state") == "done",
+        )
+        manifest = json.loads(
+            (tmp_path / "svc" / "job0001" / "manifest.json").read_text()
+        )
+        workers = {e["worker"] for e in manifest["runs"].values()}
+        assert workers == {"worker0"}
+
+
 def test_submit_requires_exactly_one_payload_shape(tmp_path):
     with small_service(tmp_path) as svc:
         for request in (

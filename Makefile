@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-cold regress check dashboard chaos chaos-service bench bench-all bench-engine trace watch-demo explain-demo reproduce examples selftest clean
+.PHONY: install test lint lint-cold regress check dashboard chaos chaos-service bench bench-all bench-e2e bench-engine trace watch-demo explain-demo reproduce examples selftest clean
 
 install:
 	pip install -e .
@@ -26,11 +26,12 @@ regress:
 	PYTHONPATH=src $(PYTHON) -m repro obs regress LEDGER_obs.jsonl --allow-missing
 
 # The default verification flow: static analysis + perf history +
-# the engine differential harness (docs/engine.md equivalence
-# contract: the vectorized engine is bit-identical to the seed) +
+# the engine and simulator differential harnesses (docs/engine.md and
+# docs/simulator.md equivalence contracts: the vectorized engine and
+# the block simulator are bit-identical to their frozen references) +
 # the supervised-service chaos suite (docs/service.md invariants).
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_sim_equivalence.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:
@@ -55,6 +56,18 @@ bench:
 # The full figure/table regeneration suite (slow).
 bench-all:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The repository benchmark (BENCHMARK.json): every workload once, end
+# to end, into results/bench-e2e/ for benchmarks/e2e/compare.py, e.g.
+#   make bench-e2e SEED=0 && mv results/bench-e2e results/before
+SEED ?= 0
+BENCH_E2E_WORKLOADS = device-micro-boot sim-spec signal-sweep campaign-replay
+bench-e2e:
+	mkdir -p results/bench-e2e
+	@for w in $(BENCH_E2E_WORKLOADS); do \
+		$(PYTHON) benchmarks/e2e/run.py --workload $$w --seed $(SEED) --seconds 15 --trace 0 \
+			--out results/bench-e2e/$$w-seed$(SEED).json || exit 1; \
+	done
 
 # Engine throughput: batch vs streaming vs chunked vs the frozen seed
 # per-sample loop; records the >=5x speedup claim into the ledger.

@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator
 
+import numpy as np
+
 from ..sim.config import MachineConfig
-from ..sim.isa import ALU, Instr, LOAD, NO_CONSUMER, STORE, instruction_bytes
+from ..sim.isa import ALU, Block, LOAD, NO_CONSUMER, STORE, blocks, instruction_bytes
 from ..sim.trace import GroundTruth
 from ..workloads.base import Workload
 
@@ -91,39 +93,47 @@ class InstrumentedWorkload:
         )
         self.region_names[INTERRUPT_REGION] = "profiler_interrupt"
 
-    def _handler(self, invocation: int) -> Iterator[Instr]:
+    def _handler(self, invocation: int) -> Block:
         cfg = self.config
         code_instrs = cfg.handler_code_bytes // _IB
         data_base = _HANDLER_DATA + (
             (invocation * cfg.handler_data_lines) % 4096
         ) * 64
-        touched = 0
-        for j in range(cfg.handler_instructions):
-            pc = _HANDLER_PC + (j % code_instrs) * _IB
-            # Interleave data touches through the handler body.
-            if touched < cfg.handler_data_lines and j % max(
-                1, cfg.handler_instructions // max(1, cfg.handler_data_lines)
-            ) == 0:
-                addr = data_base + touched * 64
-                op = STORE if touched % 2 else LOAD
-                dep = NO_CONSUMER if op == STORE else 4
-                yield Instr(op, pc, addr, dep, 0.15, INTERRUPT_REGION)
-                touched += 1
-            else:
-                yield Instr(ALU, pc, 0, NO_CONSUMER, 0.12, INTERRUPT_REGION)
+        n = cfg.handler_instructions
+        j = np.arange(n)
+        op = np.full(n, ALU)
+        addr = np.zeros(n, dtype=np.int64)
+        dep = np.full(n, NO_CONSUMER)
+        weight = np.full(n, 0.12)
+        # Interleave data touches through the handler body: every
+        # ``step``-th instruction until the data lines are used up.
+        step = max(1, n // max(1, cfg.handler_data_lines))
+        touch = j[::step][: cfg.handler_data_lines]
+        touched = np.arange(len(touch))
+        is_store = touched % 2 == 1
+        op[touch] = np.where(is_store, STORE, LOAD)
+        addr[touch] = data_base + touched * 64
+        dep[touch] = np.where(is_store, NO_CONSUMER, 4)
+        weight[touch] = 0.15
+        pc = _HANDLER_PC + (j % code_instrs) * _IB
+        return Block(op, pc, addr, dep, weight, np.full(n, INTERRUPT_REGION))
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
         """The wrapped stream with handlers injected."""
-        cfg = self.config
+        period = self.config.period_instructions
         count = 0
         invocation = 0
-        for ins in self.inner.instructions(config):
-            yield ins
-            count += 1
-            if count >= cfg.period_instructions:
-                count = 0
-                yield from self._handler(invocation)
-                invocation += 1
+        for block in blocks(self.inner.instructions(config)):
+            at = 0
+            while at < len(block):
+                take = min(len(block) - at, period - count)
+                yield block[at : at + take]
+                at += take
+                count += take
+                if count >= period:
+                    count = 0
+                    yield self._handler(invocation)
+                    invocation += 1
 
 
 @dataclass(frozen=True)

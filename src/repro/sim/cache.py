@@ -64,6 +64,24 @@ class Cache:
         self._insert(index, tag)
         return False
 
+    def locate(self, addrs: np.ndarray) -> tuple:
+        """``(set indices, tags)`` of ``addrs``, as Python lists.
+
+        Together with :attr:`ways` this lets a caller check residency of
+        many addresses without a method call each.
+        """
+        lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
+        if self._power_of_two_sets:
+            index = lines & self._set_mask
+        else:
+            index = lines % self._num_sets
+        return index.tolist(), lines.tolist()
+
+    @property
+    def ways(self) -> List[List[int]]:
+        """Per-set lists of resident tags (read them, do not modify)."""
+        return self._sets
+
     def probe(self, addr: int) -> bool:
         """Check residency without updating state or statistics."""
         index, tag = self._index_tag(addr)

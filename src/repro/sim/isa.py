@@ -5,13 +5,23 @@ needs from the substrate is the *timing-relevant* content of a program:
 which instructions touch memory and where, how soon a load's value is
 consumed (this bounds how long the core can keep busy past a miss), and
 how much switching activity each instruction contributes to the power
-side-channel.  An :class:`Instr` captures exactly that, and workloads
-in :mod:`repro.workloads` generate streams of them.
+side-channel.  An :class:`Instr` captures exactly that for one
+instruction.
+
+Workloads in :mod:`repro.workloads` emit their streams as
+:class:`Block` s: the same six fields stored column-wise in NumPy
+arrays, at most :data:`BLOCK_SIZE` instructions each, so a whole
+program never sits in memory at once and the core can advance runs of
+non-memory instructions without touching them one by one.  Plain
+:class:`Instr` iterables (tests, ad-hoc streams) are packed into
+blocks by :func:`blocks`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Union
+
+import numpy as np
 
 # Operation kinds.  Values are dense small ints so they can be used as
 # array indices in power weight tables.
@@ -103,15 +113,84 @@ def instruction_bytes() -> int:
     return 4
 
 
-def straightline(
-    pc: int, count: int, region: int = 0, weight: float = DEFAULT_WEIGHTS[ALU]
-) -> Iterator[Instr]:
-    """Yield ``count`` sequential ALU instructions starting at ``pc``.
+# Instructions per emitted block: large enough that per-block overhead
+# vanishes, small enough that a long program (boot is ~1.5 M
+# instructions) streams through a few MB instead of ~70 MB of columns.
+BLOCK_SIZE = 1 << 15
 
-    PCs advance by 4 bytes each, so long straight-line stretches sweep
-    through I-cache lines (and can themselves cause I-fetch misses for
-    large code footprints).
+
+class Block:
+    """A bounded run of dynamic instructions, one NumPy column per field.
+
+    The columns mirror :class:`Instr`: ``op``, ``pc``, ``addr``,
+    ``dep`` and ``region`` are int64, ``weight`` is float64; all have
+    the same length.
     """
-    step = instruction_bytes()
-    for i in range(count):
-        yield Instr(ALU, pc + i * step, 0, NO_CONSUMER, weight, region)
+
+    __slots__ = ("op", "pc", "addr", "dep", "weight", "region")
+
+    def __init__(self, op, pc, addr, dep, weight, region):
+        self.op = np.asarray(op, dtype=np.int64)
+        self.pc = np.asarray(pc, dtype=np.int64)
+        self.addr = np.asarray(addr, dtype=np.int64)
+        self.dep = np.asarray(dep, dtype=np.int64)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        self.region = np.asarray(region, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def __getitem__(self, index: slice) -> "Block":
+        """The instructions in ``index`` (a slice), as a block of views."""
+        return Block(*(c[index] for c in self.columns()))
+
+    def columns(self) -> tuple:
+        """``(op, pc, addr, dep, weight, region)``."""
+        return (self.op, self.pc, self.addr, self.dep, self.weight, self.region)
+
+    @classmethod
+    def from_instrs(cls, instrs: Sequence) -> "Block":
+        """Pack a sequence of :class:`Instr` (or 6-tuples) into one block."""
+        if not instrs:
+            return cls(*([] for _ in range(6)))
+        return cls(*zip(*instrs))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Block"]) -> "Block":
+        """Join blocks end to end (no size bound is applied)."""
+        columns = zip(*(b.columns() for b in parts))
+        return cls(*(np.concatenate(c) for c in columns))
+
+    def instrs(self) -> Iterator[Instr]:
+        """The block as :class:`Instr` tuples of plain Python scalars."""
+        for row in zip(*(c.tolist() for c in self.columns())):
+            yield Instr(*row)
+
+
+def blocks(stream: Iterable[Union[Block, Instr]]) -> Iterator[Block]:
+    """Normalize a stream to non-empty blocks of at most ``BLOCK_SIZE``.
+
+    Blocks pass through unchanged; runs of :class:`Instr` (or any
+    6-tuples) between them are packed, in order.
+    """
+    buf: List = []
+    for item in stream:
+        if isinstance(item, Block):
+            if buf:
+                yield Block.from_instrs(buf)
+                buf = []
+            if len(item):
+                yield item
+        else:
+            buf.append(item)
+            if len(buf) >= BLOCK_SIZE:
+                yield Block.from_instrs(buf)
+                buf = []
+    if buf:
+        yield Block.from_instrs(buf)
+
+
+def unpack(stream: Iterable[Union[Block, Instr]]) -> Iterator[Instr]:
+    """Flatten a block stream back into :class:`Instr` tuples."""
+    for block in blocks(stream):
+        yield from block.instrs()

@@ -1,7 +1,8 @@
 """Machine assembly: config -> caches + DRAM + core, and the run loop.
 
 :class:`Machine` is the top-level simulator object.  Given a workload
-(anything exposing ``instructions(config) -> iterable of Instr``), it
+(anything exposing ``instructions(config)``, yielding
+:class:`~repro.sim.isa.Block` s or :class:`~repro.sim.isa.Instr` s), it
 returns a :class:`SimulationResult` holding the power side-channel
 trace and the ground-truth miss/stall records - the two artifacts the
 EMPROF validation methodology needs (Section V-C).
@@ -21,7 +22,7 @@ from ..workloads.base import Workload
 from .cache import CacheHierarchy
 from .config import MachineConfig
 from .dram import MainMemory
-from .isa import Instr
+from .isa import Block, Instr
 from .pipeline import Pipeline
 from .power import PowerAccumulator
 from .prefetcher import StridePrefetcher
@@ -105,7 +106,9 @@ class Machine:
             tlb_walk_cycles=config.tlb_walk_cycles,
         )
 
-    def run(self, workload: Union[Workload, Iterable[Instr]]) -> SimulationResult:
+    def run(
+        self, workload: Union[Workload, Iterable[Union[Block, Instr]]]
+    ) -> SimulationResult:
         """Execute ``workload`` from cold caches and collect results."""
         if not obs_enabled():
             return self._run_impl(workload)
@@ -124,7 +127,9 @@ class Machine:
             _SIM_CPS.set(truth.total_cycles / elapsed)
         return result
 
-    def _run_impl(self, workload: Union[Workload, Iterable[Instr]]) -> SimulationResult:
+    def _run_impl(
+        self, workload: Union[Workload, Iterable[Union[Block, Instr]]]
+    ) -> SimulationResult:
         """The uninstrumented run loop (see :meth:`run`)."""
         region_names: Dict[int, str] = {}
         if isinstance(workload, Workload) or hasattr(workload, "instructions"):
@@ -138,8 +143,18 @@ class Machine:
         truth.region_names = region_names
         trace = power.finalize(truth.total_cycles)
 
+        return SimulationResult(
+            power_trace=trace,
+            sample_rate_hz=self.config.sample_rate_hz,
+            ground_truth=truth,
+            config=self.config,
+            stats=self.stats(),
+        )
+
+    def stats(self) -> Dict[str, float]:
+        """This machine's cache, memory, prefetcher and TLB counters."""
         llc = self.hierarchy.llc
-        stats = {
+        return {
             "l1i_misses": float(self.hierarchy.l1i.misses),
             "l1d_misses": float(self.hierarchy.l1d.misses),
             "llc_misses": float(llc.misses),
@@ -151,13 +166,6 @@ class Machine:
             "prefetches": float(self.prefetcher.issued) if self.prefetcher else 0.0,
             "tlb_misses": float(self.tlb.misses) if self.tlb else 0.0,
         }
-        return SimulationResult(
-            power_trace=trace,
-            sample_rate_hz=self.config.sample_rate_hz,
-            ground_truth=truth,
-            config=self.config,
-            stats=stats,
-        )
 
     def reset(self) -> None:
         """Cold-restart caches and memory for an independent run."""
@@ -170,7 +178,7 @@ class Machine:
 
 
 def simulate(
-    workload: Union[Workload, Iterable[Instr]],
+    workload: Union[Workload, Iterable[Union[Block, Instr]]],
     config: Optional[MachineConfig] = None,
     seed: int = 0,
 ) -> SimulationResult:

@@ -33,17 +33,35 @@ behaviours the paper depends on are modelled explicitly:
 * **DRAM refresh** - a miss that lands in a refresh window is blocked,
   stretching its stall to a few microseconds (Fig. 5); such stalls are
   flagged ``refresh=True``.
+
+Execution
+---------
+
+The stream arrives as :class:`~repro.sim.isa.Block` s.  Most
+instructions are non-memory work whose timing depends only on the
+issue slot, so the core advances a *run* of them in closed form: cycle
+``cur + (slot + k) // width`` for the k-th, one vectorized power
+deposit for the whole run, and one L1I hit counted per I-line crossing
+(a hit changes no cache state, so residency is checked up front).  A
+run ends before the next memory op, region change or L1I-missing line,
+and before the first instruction at which an outstanding access could
+block (its consumer, or the runahead limit of the oldest miss).  That
+instruction, and every memory op, goes through the scalar path one at
+a time and in program order, so random replacement, DRAM contention
+and the prefetcher see exactly the same calls as a one-instruction-at-
+a-time core would make.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .cache import CacheHierarchy, L1, LLC, MEM
 from .config import CoreConfig, PowerConfig
 from .dram import MainMemory
-from .isa import Instr, LOAD, STORE
-from .power import PowerAccumulator
+from .isa import Block, Instr, LOAD, STORE, blocks
 from .prefetcher import StridePrefetcher
 from .trace import (
     CAUSE_DATA_MEM,
@@ -87,9 +105,16 @@ class Pipeline:
         self._line_shift = line_bytes.bit_length() - 1
 
     def run(
-        self, instructions: Iterable[Instr], power: PowerAccumulator
+        self, instructions: Iterable[Union[Block, Instr]], power
     ) -> GroundTruth:
-        """Execute the stream, filling ``power`` and returning ground truth."""
+        """Execute the stream, filling ``power`` and returning ground truth.
+
+        ``instructions`` yields blocks or :class:`Instr` tuples (packed
+        into blocks on the way in).  ``power`` is a
+        :class:`~repro.sim.power.PowerAccumulator` or any object with
+        ``add_issue``, ``add_busy_span`` and ``note_cycle``; the latter
+        gets one ``add_issue`` per instruction, in issue order.
+        """
         core = self.core
         width = core.width
         runahead = core.runahead
@@ -105,6 +130,8 @@ class Pipeline:
         llc_front_pen = max(0, llc_lat - fetch_drain)
         line_shift = self._line_shift
 
+        l1i = self.hierarchy.l1i
+        l1i_ways = l1i.ways
         lookup_i = self.hierarchy.lookup_instruction
         lookup_d = self.hierarchy.lookup_data
         mem_access = self.memory.access
@@ -112,12 +139,14 @@ class Pipeline:
         tlb = self.tlb
         tlb_walk = self.tlb_walk_cycles
         add_issue = power.add_issue
+        add_issues = getattr(power, "add_issues", None)
         add_busy_span = power.add_busy_span
         fetch_share = self.power_config.fetch_level / width
         # Activity level while draining buffered work after an I-miss:
         # the back end is still completing instructions, a bit below
         # full-rate switching.
         drain_level = self.power_config.fetch_level + 0.4
+        slot_cycles = np.arange(0)  # slot_cycles[s] = s // width
 
         cur = 0  # current cycle
         slot = 0  # instructions already issued this cycle
@@ -131,50 +160,280 @@ class Pipeline:
         region_cycles: dict = {}
         cur_region = 0
         region_mark = 0
-        count = 0
+        base = 0  # stream index of the current block's first instruction
 
-        for i, ins in enumerate(instructions):
-            op, pc, addr, dep, weight, region = ins
-            count += 1
+        for block in blocks(instructions):
+            n = len(block)
+            op_a, pc_a, addr_a, dep_a, weight_a, region_a = block.columns()
+            if len(slot_cycles) < n + width:
+                slot_cycles = np.arange(n + width) // width
+            issued = weight_a + fetch_share
+            # Scalar stops: memory ops and region changes.
+            stop = (op_a == LOAD) | (op_a == STORE)
+            stop[1:] |= region_a[1:] != region_a[:-1]
+            stop[0] |= region_a.item(0) != cur_region
+            stops = np.flatnonzero(stop).tolist()
+            stops.append(n)
+            # I-line crossings (the line of the previous instruction is
+            # always ``cur_line``, whatever path issued it).
+            lines = pc_a >> line_shift
+            cross = np.empty(n, dtype=bool)
+            cross[0] = lines.item(0) != cur_line
+            cross[1:] = lines[1:] != lines[:-1]
+            xpos = np.flatnonzero(cross)
+            xset, xtag = l1i.locate(pc_a[xpos])
+            xpos = xpos.tolist()
+            xpos.append(n)
+            si = 0
+            xi = 0
+            at = 0
+            while at < n:
+                end = stops[si]
+                if at < end:
+                    # ---- closed-form run of non-memory instructions ----
+                    if pending:
+                        j = 0
+                        for e in pending:
+                            if e[0] > cur:
+                                pending[j] = e
+                                j += 1
+                        del pending[j:]
+                        # First index at which an outstanding access
+                        # could block: its consumer (in order) or the
+                        # runahead limit past a miss.
+                        for e in pending:
+                            if in_order and e[1] - base < end:
+                                end = e[1] - base
+                            if e[3] is not None and e[2] + runahead - base < end:
+                                end = e[2] + runahead - base
+                    hits = 0
+                    while xpos[xi] < end:
+                        if xtag[xi] in l1i_ways[xset[xi]]:
+                            hits += 1
+                            xi += 1
+                        else:
+                            end = xpos[xi]
+                    if at < end:
+                        l1i.hits += hits
+                        run = end - at
+                        cycles = slot_cycles[slot : slot + run] + cur
+                        if add_issues is not None:
+                            add_issues(cycles, issued[at:end])
+                        else:
+                            for c, w in zip(cycles.tolist(), issued[at:end].tolist()):
+                                add_issue(c, w)
+                        slot += run
+                        cur += slot // width
+                        slot %= width
+                        cur_line = lines.item(end - 1)
+                        at = end
+                        continue
 
-            if region != cur_region:
-                region_cycles[cur_region] = (
-                    region_cycles.get(cur_region, 0) + cur - region_mark
-                )
-                cur_region = region
-                region_mark = cur
+                # ---- scalar path: one instruction ------------------------
+                i = base + at
+                op = op_a.item(at)
+                pc = pc_a.item(at)
+                addr = addr_a.item(at)
+                dep = dep_a.item(at)
+                weight = weight_a.item(at)
+                region = region_a.item(at)
+                if xpos[xi] == at:
+                    xi += 1
+                if stops[si] == at:
+                    si += 1
+                at += 1
+                if region != cur_region:
+                    region_cycles[cur_region] = (
+                        region_cycles.get(cur_region, 0) + cur - region_mark
+                    )
+                    cur_region = region
+                    region_mark = cur
 
-            # ---- instruction fetch --------------------------------------
-            line = pc >> line_shift
-            if line != cur_line:
-                cur_line = line
-                level = lookup_i(pc)
-                if level is not L1:
-                    if level is LLC:
-                        if llc_front_pen:
-                            stalls.append(
-                                StallRecord(
-                                    len(stalls),
+                # ---- instruction fetch --------------------------------------
+                line = pc >> line_shift
+                if line != cur_line:
+                    cur_line = line
+                    level = lookup_i(pc)
+                    if level is not L1:
+                        if level is LLC:
+                            if llc_front_pen:
+                                stalls.append(
+                                    StallRecord(
+                                        len(stalls),
+                                        cur,
+                                        cur + llc_front_pen,
+                                        CAUSE_LLC_HIT,
+                                        [],
+                                        False,
+                                        region,
+                                    )
+                                )
+                                cur += llc_front_pen
+                                slot = 0
+                        else:  # MEM: instruction line comes from DRAM
+                            if prefetcher is not None:
+                                prefetcher.on_llc_miss(pc)
+                            resp = mem_access(cur, pc)
+                            mid = len(misses)
+                            misses.append(
+                                MissRecord(
+                                    mid,
+                                    IFETCH,
+                                    pc,
                                     cur,
-                                    cur + llc_front_pen,
-                                    CAUSE_LLC_HIT,
-                                    [],
-                                    False,
+                                    resp.ready_cycle,
+                                    None,
+                                    resp.refresh_blocked,
                                     region,
                                 )
                             )
-                            cur += llc_front_pen
-                            slot = 0
-                    else:  # MEM: instruction line comes from DRAM
+                            begin = cur + fetch_drain
+                            if resp.ready_cycle > begin:
+                                add_busy_span(cur, begin, drain_level)
+                                contrib = [mid]
+                                refresh = resp.refresh_blocked
+                                for e in pending:
+                                    e_mid = e[3]
+                                    if e_mid is not None and e[0] > begin:
+                                        contrib.append(e_mid)
+                                        if misses[e_mid].refresh_blocked:
+                                            refresh = True
+                                sid = len(stalls)
+                                stalls.append(
+                                    StallRecord(
+                                        sid,
+                                        begin,
+                                        resp.ready_cycle,
+                                        CAUSE_IFETCH_MEM,
+                                        contrib,
+                                        refresh,
+                                        region,
+                                    )
+                                )
+                                for m in contrib:
+                                    if misses[m].stall_id is None:
+                                        misses[m].stall_id = sid
+                                cur = resp.ready_cycle
+                                slot = 0
+
+                # ---- resolve data-side blocking ------------------------------
+                if pending:
+                    # Drop completed accesses.
+                    j = 0
+                    for e in pending:
+                        if e[0] > cur:
+                            pending[j] = e
+                            j += 1
+                    del pending[j:]
+                    while pending:
+                        block_end = 0
+                        block_is_mem = False
+                        oldest_issue = -1
+                        oldest_entry = None
+                        for e in pending:
+                            if e[3] is not None and (
+                                oldest_entry is None or e[2] < oldest_issue
+                            ):
+                                oldest_issue = e[2]
+                                oldest_entry = e
+                            if in_order and e[1] <= i and e[0] > block_end:
+                                block_end = e[0]
+                                block_is_mem = e[3] is not None
+                        cause = CAUSE_DATA_MEM if block_is_mem else CAUSE_LLC_HIT
+                        if (
+                            block_end == 0
+                            and oldest_entry is not None
+                            and i - oldest_issue >= runahead
+                        ):
+                            block_end = oldest_entry[0]
+                            cause = CAUSE_RUNAHEAD
+                        if block_end <= cur:
+                            break
+                        sid = len(stalls)
+                        if cause is CAUSE_LLC_HIT:
+                            contrib = []
+                            refresh = False
+                        else:
+                            contrib = [e[3] for e in pending if e[3] is not None]
+                            refresh = any(misses[m].refresh_blocked for m in contrib)
+                        stalls.append(
+                            StallRecord(sid, cur, block_end, cause, contrib, refresh, region)
+                        )
+                        for m in contrib:
+                            if misses[m].stall_id is None:
+                                misses[m].stall_id = sid
+                        cur = block_end
+                        slot = 0
+                        j = 0
+                        for e in pending:
+                            if e[0] > cur:
+                                pending[j] = e
+                                j += 1
+                        del pending[j:]
+
+                # ---- issue ----------------------------------------------------
+                add_issue(cur, weight + fetch_share)
+                slot += 1
+                if slot >= width:
+                    cur += 1
+                    slot = 0
+
+                # ---- data access ----------------------------------------------
+                if op == LOAD:
+                    # Address translation first: a data-TLB miss delays the
+                    # access by the hardware page-walk latency.
+                    walk = 0
+                    if tlb is not None and not tlb.access(addr):
+                        walk = tlb_walk
+                    level = lookup_d(addr)
+                    if level is L1:
+                        if walk:
+                            pending.append([cur + walk, i + 1 + dep, i, None])
+                    elif level is LLC:
+                        pending.append([cur + llc_lat + walk, i + 1 + dep, i, None])
+                    elif level is MEM:
                         if prefetcher is not None:
-                            prefetcher.on_llc_miss(pc)
-                        resp = mem_access(cur, pc)
+                            prefetcher.on_llc_miss(addr)
+                        # MSHR pressure: block until an entry frees.  The
+                        # issue step may have advanced past some entries'
+                        # ready cycles, so drop completed ones first.
+                        while True:
+                            j = 0
+                            for e in pending:
+                                if e[0] > cur:
+                                    pending[j] = e
+                                    j += 1
+                            del pending[j:]
+                            mem_entries = [e for e in pending if e[3] is not None]
+                            if len(mem_entries) < mshr_limit:
+                                break
+                            free_at = min(e[0] for e in mem_entries)
+                            contrib = [e[3] for e in mem_entries]
+                            refresh = any(misses[m].refresh_blocked for m in contrib)
+                            sid = len(stalls)
+                            stalls.append(
+                                StallRecord(
+                                    sid, cur, free_at, CAUSE_MSHR_FULL, contrib, refresh, region
+                                )
+                            )
+                            for m in contrib:
+                                if misses[m].stall_id is None:
+                                    misses[m].stall_id = sid
+                            cur = free_at
+                            slot = 0
+                            j = 0
+                            for e in pending:
+                                if e[0] > cur:
+                                    pending[j] = e
+                                    j += 1
+                            del pending[j:]
+                        resp = mem_access(cur + walk, addr)
                         mid = len(misses)
                         misses.append(
                             MissRecord(
                                 mid,
-                                IFETCH,
-                                pc,
+                                DLOAD,
+                                addr,
                                 cur,
                                 resp.ready_cycle,
                                 None,
@@ -182,206 +441,54 @@ class Pipeline:
                                 region,
                             )
                         )
-                        begin = cur + fetch_drain
-                        if resp.ready_cycle > begin:
-                            add_busy_span(cur, begin, drain_level)
-                            contrib = [mid]
-                            refresh = resp.refresh_blocked
-                            for e in pending:
-                                e_mid = e[3]
-                                if e_mid is not None and e[0] > begin:
-                                    contrib.append(e_mid)
-                                    if misses[e_mid].refresh_blocked:
-                                        refresh = True
+                        pending.append([resp.ready_cycle, i + 1 + dep, i, mid])
+                elif op == STORE:
+                    walk = 0
+                    if tlb is not None and not tlb.access(addr):
+                        walk = tlb_walk
+                    level = lookup_d(addr)
+                    if level is MEM:
+                        if prefetcher is not None:
+                            prefetcher.on_llc_miss(addr)
+                        k = 0
+                        for s in store_q:
+                            if s[0] > cur:
+                                store_q[k] = s
+                                k += 1
+                        del store_q[k:]
+                        if len(store_q) >= store_limit:
+                            free_at = min(s[0] for s in store_q)
+                            contrib = [s[1] for s in store_q if s[0] <= free_at]
+                            refresh = any(misses[m].refresh_blocked for m in contrib)
                             sid = len(stalls)
                             stalls.append(
                                 StallRecord(
-                                    sid,
-                                    begin,
-                                    resp.ready_cycle,
-                                    CAUSE_IFETCH_MEM,
-                                    contrib,
-                                    refresh,
-                                    region,
+                                    sid, cur, free_at, CAUSE_STOREBUF, contrib, refresh, region
                                 )
                             )
                             for m in contrib:
                                 if misses[m].stall_id is None:
                                     misses[m].stall_id = sid
-                            cur = resp.ready_cycle
+                            cur = free_at
                             slot = 0
-
-            # ---- resolve data-side blocking ------------------------------
-            if pending:
-                # Drop completed accesses.
-                j = 0
-                for e in pending:
-                    if e[0] > cur:
-                        pending[j] = e
-                        j += 1
-                del pending[j:]
-                while pending:
-                    block_end = 0
-                    block_is_mem = False
-                    oldest_issue = -1
-                    oldest_entry = None
-                    for e in pending:
-                        if e[3] is not None and (
-                            oldest_entry is None or e[2] < oldest_issue
-                        ):
-                            oldest_issue = e[2]
-                            oldest_entry = e
-                        if in_order and e[1] <= i and e[0] > block_end:
-                            block_end = e[0]
-                            block_is_mem = e[3] is not None
-                    cause = CAUSE_DATA_MEM if block_is_mem else CAUSE_LLC_HIT
-                    if (
-                        block_end == 0
-                        and oldest_entry is not None
-                        and i - oldest_issue >= runahead
-                    ):
-                        block_end = oldest_entry[0]
-                        cause = CAUSE_RUNAHEAD
-                    if block_end <= cur:
-                        break
-                    sid = len(stalls)
-                    if cause is CAUSE_LLC_HIT:
-                        contrib = []
-                        refresh = False
-                    else:
-                        contrib = [e[3] for e in pending if e[3] is not None]
-                        refresh = any(misses[m].refresh_blocked for m in contrib)
-                    stalls.append(
-                        StallRecord(sid, cur, block_end, cause, contrib, refresh, region)
-                    )
-                    for m in contrib:
-                        if misses[m].stall_id is None:
-                            misses[m].stall_id = sid
-                    cur = block_end
-                    slot = 0
-                    j = 0
-                    for e in pending:
-                        if e[0] > cur:
-                            pending[j] = e
-                            j += 1
-                    del pending[j:]
-
-            # ---- issue ----------------------------------------------------
-            add_issue(cur, weight + fetch_share)
-            slot += 1
-            if slot >= width:
-                cur += 1
-                slot = 0
-
-            # ---- data access ----------------------------------------------
-            if op == LOAD:
-                # Address translation first: a data-TLB miss delays the
-                # access by the hardware page-walk latency.
-                walk = 0
-                if tlb is not None and not tlb.access(addr):
-                    walk = tlb_walk
-                level = lookup_d(addr)
-                if level is L1:
-                    if walk:
-                        pending.append([cur + walk, i + 1 + dep, i, None])
-                elif level is LLC:
-                    pending.append([cur + llc_lat + walk, i + 1 + dep, i, None])
-                elif level is MEM:
-                    if prefetcher is not None:
-                        prefetcher.on_llc_miss(addr)
-                    # MSHR pressure: block until an entry frees.  The
-                    # issue step may have advanced past some entries'
-                    # ready cycles, so drop completed ones first.
-                    while True:
-                        j = 0
-                        for e in pending:
-                            if e[0] > cur:
-                                pending[j] = e
-                                j += 1
-                        del pending[j:]
-                        mem_entries = [e for e in pending if e[3] is not None]
-                        if len(mem_entries) < mshr_limit:
-                            break
-                        free_at = min(e[0] for e in mem_entries)
-                        contrib = [e[3] for e in mem_entries]
-                        refresh = any(misses[m].refresh_blocked for m in contrib)
-                        sid = len(stalls)
-                        stalls.append(
-                            StallRecord(
-                                sid, cur, free_at, CAUSE_MSHR_FULL, contrib, refresh, region
+                            store_q = [s for s in store_q if s[0] > cur]
+                        resp = mem_access(cur + walk, addr)
+                        mid = len(misses)
+                        misses.append(
+                            MissRecord(
+                                mid,
+                                DSTORE,
+                                addr,
+                                cur,
+                                resp.ready_cycle,
+                                None,
+                                resp.refresh_blocked,
+                                region,
                             )
                         )
-                        for m in contrib:
-                            if misses[m].stall_id is None:
-                                misses[m].stall_id = sid
-                        cur = free_at
-                        slot = 0
-                        j = 0
-                        for e in pending:
-                            if e[0] > cur:
-                                pending[j] = e
-                                j += 1
-                        del pending[j:]
-                    resp = mem_access(cur + walk, addr)
-                    mid = len(misses)
-                    misses.append(
-                        MissRecord(
-                            mid,
-                            DLOAD,
-                            addr,
-                            cur,
-                            resp.ready_cycle,
-                            None,
-                            resp.refresh_blocked,
-                            region,
-                        )
-                    )
-                    pending.append([resp.ready_cycle, i + 1 + dep, i, mid])
-            elif op == STORE:
-                walk = 0
-                if tlb is not None and not tlb.access(addr):
-                    walk = tlb_walk
-                level = lookup_d(addr)
-                if level is MEM:
-                    if prefetcher is not None:
-                        prefetcher.on_llc_miss(addr)
-                    k = 0
-                    for s in store_q:
-                        if s[0] > cur:
-                            store_q[k] = s
-                            k += 1
-                    del store_q[k:]
-                    if len(store_q) >= store_limit:
-                        free_at = min(s[0] for s in store_q)
-                        contrib = [s[1] for s in store_q if s[0] <= free_at]
-                        refresh = any(misses[m].refresh_blocked for m in contrib)
-                        sid = len(stalls)
-                        stalls.append(
-                            StallRecord(
-                                sid, cur, free_at, CAUSE_STOREBUF, contrib, refresh, region
-                            )
-                        )
-                        for m in contrib:
-                            if misses[m].stall_id is None:
-                                misses[m].stall_id = sid
-                        cur = free_at
-                        slot = 0
-                        store_q = [s for s in store_q if s[0] > cur]
-                    resp = mem_access(cur + walk, addr)
-                    mid = len(misses)
-                    misses.append(
-                        MissRecord(
-                            mid,
-                            DSTORE,
-                            addr,
-                            cur,
-                            resp.ready_cycle,
-                            None,
-                            resp.refresh_blocked,
-                            region,
-                        )
-                    )
-                    store_q.append([resp.ready_cycle, mid])
+                        store_q.append([resp.ready_cycle, mid])
+
+            base += n
 
         total_cycles = cur + (1 if slot else 0)
         region_cycles[cur_region] = (
@@ -393,6 +500,6 @@ class Pipeline:
             misses=misses,
             stalls=stalls,
             total_cycles=total_cycles,
-            total_instructions=count,
+            total_instructions=base,
             region_cycles=region_cycles,
         )

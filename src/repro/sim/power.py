@@ -26,32 +26,50 @@ class PowerAccumulator:
     """Builds the binned power trace during simulation.
 
     Written for a single forward pass through time: activity is folded
-    into a growing list of bins indexed by ``cycle // bin_cycles``.
-    Plain Python lists are used in the hot path (the pipeline calls
-    :meth:`add_issue` once per instruction); the result is converted to
-    a numpy array once at :meth:`finalize`.
+    into a growing float64 bin array indexed by ``cycle // bin_cycles``.
+    The pipeline deposits each run of issued instructions with one
+    :meth:`add_issues` call; :meth:`add_issue` is the one-instruction
+    form for the scalar path.  Both add to a bin in issue order
+    (``np.add.at`` is unbuffered and applies its indices in sequence),
+    so the trace is bit-identical to one ``+=`` per instruction.
+    Single-bin updates go through a ``memoryview`` of the array, which
+    reads and writes plain floats without creating NumPy scalars.
     """
 
     def __init__(self, config: PowerConfig):
         self.config = config
         self._bin_cycles = config.bin_cycles
-        self._bins: list = [0.0] * 4096
+        self._bins = np.zeros(4096, dtype=np.float64)
+        self._cells = memoryview(self._bins)
         self._max_cycle = 0
 
     def _ensure(self, bin_index: int) -> None:
-        if bin_index >= len(self._bins):
-            grow = max(len(self._bins), bin_index + 1 - len(self._bins))
-            self._bins.extend([0.0] * grow)
+        size = len(self._bins)
+        if bin_index >= size:
+            grow = max(size, bin_index + 1 - size)
+            self._bins = np.concatenate([self._bins, np.zeros(grow, dtype=np.float64)])
+            self._cells = memoryview(self._bins)
 
     def add_issue(self, cycle: int, weight: float) -> None:
         """Record one instruction issued at ``cycle`` with ``weight``."""
         idx = cycle // self._bin_cycles
-        bins = self._bins
-        if idx >= len(bins):
+        if idx >= len(self._bins):
             self._ensure(idx)
-        bins[idx] += weight
+        self._cells[idx] += weight
         if cycle >= self._max_cycle:
             self._max_cycle = cycle + 1
+
+    def add_issues(self, cycles: np.ndarray, weights: np.ndarray) -> None:
+        """Record a run of instructions: ``weights[k]`` issued at ``cycles[k]``.
+
+        ``cycles`` must be non-decreasing (issue order).
+        """
+        last = cycles.item(-1)
+        if last // self._bin_cycles >= len(self._bins):
+            self._ensure(last // self._bin_cycles)
+        np.add.at(self._bins, cycles // self._bin_cycles, weights)
+        if last >= self._max_cycle:
+            self._max_cycle = last + 1
 
     def add_busy_span(self, begin: int, end: int, level: float) -> None:
         """Add ``level`` activity per cycle over cycles [begin, end).
@@ -66,15 +84,13 @@ class PowerAccumulator:
         first = begin // bc
         last = (end - 1) // bc
         self._ensure(last)
-        bins = self._bins
+        cells = self._cells
         if first == last:
-            bins[first] += (end - begin) * level
+            cells[first] += (end - begin) * level
         else:
-            bins[first] += (bc * (first + 1) - begin) * level
-            full = bc * level
-            for idx in range(first + 1, last):
-                bins[idx] += full
-            bins[last] += (end - bc * last) * level
+            cells[first] += (bc * (first + 1) - begin) * level
+            self._bins[first + 1 : last] += bc * level
+            cells[last] += (end - bc * last) * level
         if end > self._max_cycle:
             self._max_cycle = end
 
@@ -89,13 +105,14 @@ class PowerAccumulator:
 
         A fully-stalled bin sits exactly at ``idle_level``; a saturated
         busy bin sits near ``idle_level + fetch_level + width * mean
-        instruction weight``.
+        instruction weight``.  The result is a fresh C-contiguous
+        float64 array.
         """
         if total_cycles < self._max_cycle:
             total_cycles = self._max_cycle
         nbins = max(1, -(-total_cycles // self._bin_cycles))
         self._ensure(nbins - 1)
-        trace = np.asarray(self._bins[:nbins], dtype=np.float64) / self._bin_cycles
+        trace = self._bins[:nbins] / self._bin_cycles
         return trace + self.config.idle_level
 
     @property

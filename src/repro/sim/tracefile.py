@@ -6,6 +6,11 @@ e.g. a binary-instrumentation run on real hardware), dynamic
 instruction streams can be recorded to a columnar ``.npz`` file and
 replayed later.  A :class:`TraceWorkload` replays a file through the
 standard :class:`~repro.sim.machine.Machine` interface.
+
+The file holds one array per :class:`~repro.sim.isa.Instr` field
+(format ``emprof-trace-v1``), which is exactly the column layout of a
+:class:`~repro.sim.isa.Block`: recording concatenates the stream's
+blocks and replay hands out slices of the loaded arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Dict, Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .config import MachineConfig
-from .isa import Instr
+from .isa import BLOCK_SIZE, Block, Instr, blocks
 
 _TRACE_FORMAT = "emprof-trace-v1"
 
@@ -26,32 +31,26 @@ PathLike = Union[str, Path]
 
 def save_trace(
     path: PathLike,
-    instructions: Iterable[Instr],
+    instructions: Iterable[Union[Block, Instr]],
     region_names: Optional[Dict[int, str]] = None,
     name: str = "trace",
 ) -> int:
     """Record an instruction stream to ``path``; returns the count."""
-    ops, pcs, addrs, deps, weights, regions = [], [], [], [], [], []
-    for ins in instructions:
-        ops.append(ins.op)
-        pcs.append(ins.pc)
-        addrs.append(ins.addr)
-        deps.append(ins.dep)
-        weights.append(ins.weight)
-        regions.append(ins.region)
+    parts = list(blocks(instructions))
+    whole = Block.concat(parts) if parts else Block.from_instrs([])
     np.savez_compressed(
         path,
         format=_TRACE_FORMAT,
         name=name,
-        op=np.asarray(ops, dtype=np.int8),
-        pc=np.asarray(pcs, dtype=np.int64),
-        addr=np.asarray(addrs, dtype=np.int64),
-        dep=np.asarray(deps, dtype=np.int64),
-        weight=np.asarray(weights, dtype=np.float64),
-        region=np.asarray(regions, dtype=np.int32),
+        op=whole.op.astype(np.int8),
+        pc=whole.pc,
+        addr=whole.addr,
+        dep=whole.dep,
+        weight=whole.weight,
+        region=whole.region.astype(np.int32),
         region_names=json.dumps({str(k): v for k, v in (region_names or {}).items()}),
     )
-    return len(ops)
+    return len(whole)
 
 
 def record_workload(path: PathLike, workload, config: MachineConfig) -> int:
@@ -68,9 +67,9 @@ def record_workload(path: PathLike, workload, config: MachineConfig) -> int:
 class TraceWorkload:
     """Replay a recorded trace through the simulator.
 
-    The trace is loaded once into columnar numpy arrays;
-    :meth:`instructions` materializes :class:`Instr` tuples lazily, so
-    replay costs the same as generating the original stream.
+    The trace is loaded once into one :class:`Block`;
+    :meth:`instructions` yields it in ``BLOCK_SIZE`` slices (views, no
+    copies), so replay costs no generation work.
     """
 
     def __init__(self, path: PathLike):
@@ -79,27 +78,18 @@ class TraceWorkload:
             if fmt != _TRACE_FORMAT:
                 raise ValueError(f"not an EMPROF trace file (format={fmt!r})")
             self.name = str(data["name"])
-            self._op = np.asarray(data["op"], dtype=np.int64)
-            self._pc = np.asarray(data["pc"], dtype=np.int64)
-            self._addr = np.asarray(data["addr"], dtype=np.int64)
-            self._dep = np.asarray(data["dep"], dtype=np.int64)
-            self._weight = np.asarray(data["weight"], dtype=np.float64)
-            self._region = np.asarray(data["region"], dtype=np.int64)
+            self._block = Block(
+                *(data[key] for key in ("op", "pc", "addr", "dep", "weight", "region"))
+            )
             self.region_names: Dict[int, str] = {
                 int(k): v for k, v in json.loads(str(data["region_names"])).items()
             }
 
     def __len__(self) -> int:
-        return len(self._op)
+        return len(self._block)
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
         """Replay the recorded stream (``config`` is ignored: the trace
         is already concrete)."""
-        op = self._op.tolist()
-        pc = self._pc.tolist()
-        addr = self._addr.tolist()
-        dep = self._dep.tolist()
-        weight = self._weight.tolist()
-        region = self._region.tolist()
-        for i in range(len(op)):
-            yield Instr(op[i], pc[i], addr[i], dep[i], weight[i], region[i])
+        for lo in range(0, len(self._block), BLOCK_SIZE):
+            yield self._block[lo : lo + BLOCK_SIZE]

@@ -3,17 +3,14 @@
 * :class:`Microbenchmark` - the TM/CM validation microbenchmark (Fig. 6)
 * :mod:`repro.workloads.spec` - synthetic SPEC CPU2000 behaviour models
 * :mod:`repro.workloads.boot` - device boot sequence (Fig. 13)
-* :mod:`repro.workloads.base` - the Workload protocol + stream builders
+* :mod:`repro.workloads.base` - the Workload protocol + block builders
 """
 
 from .base import (
     StreamWorkload,
     Workload,
-    code_sweep,
     compute_block,
-    pointer_chase_loop,
-    random_access_loop,
-    streaming_loop,
+    repeat,
     tight_loop,
 )
 from .boot import BootWorkload
@@ -38,10 +35,7 @@ __all__ = [
     "Workload",
     "StreamWorkload",
     "Microbenchmark",
+    "repeat",
     "tight_loop",
     "compute_block",
-    "streaming_loop",
-    "random_access_loop",
-    "pointer_chase_loop",
-    "code_sweep",
 ]

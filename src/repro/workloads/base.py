@@ -1,23 +1,27 @@
-"""Workload protocol and reusable instruction-stream builders.
+"""Workload protocol and reusable block builders.
 
 A workload is any object that can emit a dynamic instruction stream for
-a given machine configuration.  The builders here are the vocabulary
-all concrete workloads (microbenchmark, SPEC models, boot sequence) are
-written in: tight marker loops, strided streams, random-access loops,
-and pointer chases, each with controllable memory behaviour and a
-distinctive activity texture for spectral attribution.
+a given machine configuration.  Streams are emitted as columnar
+:class:`~repro.sim.isa.Block` s of at most
+:data:`~repro.sim.isa.BLOCK_SIZE` instructions.  The builders here are
+the loop vocabulary the concrete workloads (microbenchmark, SPEC
+models, boot sequence) are written in: a loop body repeated with fresh
+memory addresses each iteration (:func:`repeat`), tight marker loops
+and straight-line compute blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Protocol, runtime_checkable
+from typing import Dict, Iterable, Iterator, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
 from ..sim.config import MachineConfig
 from ..sim.isa import (
     ALU,
+    BLOCK_SIZE,
     BRANCH,
+    Block,
     DEFAULT_WEIGHTS,
     Instr,
     LOAD,
@@ -43,9 +47,50 @@ class Workload(Protocol):
     name: str
     region_names: Dict[int, str]
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
-        """Yield the dynamic instruction stream for ``config``."""
+    def instructions(self, config: MachineConfig) -> Iterable[Union[Block, Instr]]:
+        """Yield the dynamic instruction stream for ``config``.
+
+        Built-in workloads yield :class:`Block` s; plain :class:`Instr`
+        items are accepted too and packed by the simulator.
+        """
         ...  # pragma: no cover - protocol
+
+
+def repeat(
+    body: Block,
+    iterations: int,
+    addrs: Optional[np.ndarray] = None,
+    stores: Optional[np.ndarray] = None,
+) -> Iterator[Block]:
+    """Run ``body`` ``iterations`` times, in blocks of whole iterations.
+
+    ``body``'s memory instructions (its LOAD/STORE slots, in order) take
+    their addresses from row ``k`` of ``addrs`` (shape ``(iterations,
+    slots)``; 1-D when the body has one slot) in iteration ``k``.
+    Where ``stores`` (same shape) is true, that access becomes a store:
+    op STORE, no consumer, store weight.
+    """
+    size = len(body)
+    if iterations <= 0 or size == 0:
+        return
+    slots = np.flatnonzero((body.op == LOAD) | (body.op == STORE))
+    if addrs is not None:
+        addrs = np.asarray(addrs, dtype=np.int64).reshape(iterations, len(slots))
+    if stores is not None:
+        stores = np.asarray(stores, dtype=bool).reshape(iterations, len(slots))
+    per_block = max(1, BLOCK_SIZE // size)
+    for lo in range(0, iterations, per_block):
+        m = min(per_block, iterations - lo)
+        op, pc, addr, dep, weight, region = (np.tile(c, m) for c in body.columns())
+        where = (np.arange(m)[:, None] * size + slots).ravel()
+        if addrs is not None:
+            addr[where] = addrs[lo : lo + m].ravel()
+        if stores is not None:
+            st = where[stores[lo : lo + m].ravel()]
+            op[st] = STORE
+            dep[st] = NO_CONSUMER
+            weight[st] = DEFAULT_WEIGHTS[STORE]
+        yield Block(op, pc, addr, dep, weight, region)
 
 
 def tight_loop(
@@ -54,7 +99,7 @@ def tight_loop(
     body_alu: int = 3,
     region: int = 0,
     weight: float = DEFAULT_WEIGHTS[ALU],
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     """A marker loop: ``body_alu`` ALU ops + a backward branch.
 
     The PCs repeat every iteration, so after the first pass the loop
@@ -69,8 +114,7 @@ def tight_loop(
         for k in range(body_alu)
     ]
     body.append(Instr(BRANCH, pc + body_alu * _IB, 0, NO_CONSUMER, 0.10, region))
-    for _ in range(iterations):
-        yield from body
+    return repeat(Block.from_instrs(body), iterations)
 
 
 def compute_block(
@@ -80,7 +124,7 @@ def compute_block(
     mul_every: int = 5,
     pattern_period: int = 0,
     pattern_depth: float = 0.0,
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     """Straight-line compute: ALU ops with MULs sprinkled in.
 
     ``pattern_period``/``pattern_depth`` superimpose a periodic weight
@@ -90,151 +134,41 @@ def compute_block(
     if count < 0:
         raise ValueError("count cannot be negative")
     base_alu = DEFAULT_WEIGHTS[ALU]
-    for k in range(count):
+    base_mul = DEFAULT_WEIGHTS[MUL]
+    if pattern_period:
+        # One weight per (op, phase), computed with the scalar formula.
+        phase_w = [
+            [
+                max(0.02, float(w + pattern_depth * np.sin(2 * np.pi * j / pattern_period)))
+                for j in range(pattern_period)
+            ]
+            for w in (base_alu, base_mul)
+        ]
+    for lo in range(0, count, BLOCK_SIZE):
+        k = np.arange(lo, min(count, lo + BLOCK_SIZE))
         # 1 KB code footprint: the block is an I-cache-resident loop,
         # not a straight-line sweep through cold code.
-        addr_pc = pc + (k % 256) * _IB
-        if mul_every and k % mul_every == mul_every - 1:
-            op, w = MUL, DEFAULT_WEIGHTS[MUL]
-        else:
-            op, w = ALU, base_alu
+        is_mul = k % mul_every == mul_every - 1 if mul_every else np.zeros(len(k), bool)
         if pattern_period:
-            w += pattern_depth * np.sin(2 * np.pi * (k % pattern_period) / pattern_period)
-            w = max(0.02, float(w))
-        yield Instr(op, addr_pc, 0, NO_CONSUMER, w, region)
-
-
-def streaming_loop(
-    pc: int,
-    base_addr: int,
-    bytes_total: int,
-    stride: int = 64,
-    work_per_access: int = 8,
-    region: int = 0,
-    dep: int = 2,
-    store_ratio: float = 0.0,
-    rng: np.random.Generator = None,
-) -> Iterator[Instr]:
-    """Sequential sweep over ``bytes_total`` with ``stride`` spacing.
-
-    Models scan/compress phases (gzip/bzip2-like): every access hits a
-    new line in order, which a stride prefetcher can cover.
-    """
-    if stride <= 0:
-        raise ValueError("stride must be positive")
-    if bytes_total < 0:
-        raise ValueError("bytes_total cannot be negative")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    n_accesses = bytes_total // stride
-    loop_pc = pc
-    for k in range(n_accesses):
-        addr = base_addr + k * stride
-        for j in range(work_per_access):
-            yield Instr(ALU, loop_pc + j * _IB, 0, NO_CONSUMER, 0.12, region)
-        if store_ratio > 0.0 and rng.random() < store_ratio:
-            yield Instr(STORE, loop_pc + work_per_access * _IB, addr, NO_CONSUMER, 0.15, region)
+            weight = np.asarray(phase_w)[is_mul.astype(np.int64), k % pattern_period]
         else:
-            yield Instr(LOAD, loop_pc + work_per_access * _IB, addr, dep, 0.16, region)
-        yield Instr(BRANCH, loop_pc + (work_per_access + 1) * _IB, 0, NO_CONSUMER, 0.10, region)
-
-
-def random_access_loop(
-    pc: int,
-    base_addr: int,
-    working_set_bytes: int,
-    accesses: int,
-    rng: np.random.Generator,
-    work_per_access: int = 10,
-    region: int = 0,
-    dep: int = 2,
-    line_bytes: int = 64,
-    store_ratio: float = 0.0,
-) -> Iterator[Instr]:
-    """Uniform random line accesses over a working set.
-
-    When the working set exceeds the LLC this produces a steady LLC
-    miss stream immune to stride prefetching; when it fits, it warms up
-    and then hits.  The random address sequence is generated up front
-    (one vectorized draw) to keep the per-instruction path cheap.
-    """
-    if accesses < 0:
-        raise ValueError("accesses cannot be negative")
-    if working_set_bytes < line_bytes:
-        raise ValueError("working set smaller than one cache line")
-    n_lines = working_set_bytes // line_bytes
-    lines = rng.integers(0, n_lines, size=accesses)
-    is_store = (
-        rng.random(accesses) < store_ratio
-        if store_ratio > 0.0
-        else np.zeros(accesses, dtype=bool)
-    )
-    loop_pc = pc
-    for k in range(accesses):
-        addr = base_addr + int(lines[k]) * line_bytes
-        for j in range(work_per_access):
-            yield Instr(ALU, loop_pc + j * _IB, 0, NO_CONSUMER, 0.12, region)
-        if is_store[k]:
-            yield Instr(STORE, loop_pc + work_per_access * _IB, addr, NO_CONSUMER, 0.15, region)
-        else:
-            yield Instr(LOAD, loop_pc + work_per_access * _IB, addr, dep, 0.16, region)
-        yield Instr(BRANCH, loop_pc + (work_per_access + 1) * _IB, 0, NO_CONSUMER, 0.10, region)
-
-
-def pointer_chase_loop(
-    pc: int,
-    base_addr: int,
-    working_set_bytes: int,
-    accesses: int,
-    rng: np.random.Generator,
-    work_per_access: int = 4,
-    region: int = 0,
-    line_bytes: int = 64,
-) -> Iterator[Instr]:
-    """Dependent-load chain over a random permutation (mcf-like).
-
-    Every load's address comes from the previous load (dep=0), so no
-    memory-level parallelism is possible: each LLC miss exposes its
-    full latency as a stall.  This is the workload shape that gives
-    mcf its long stall tail (Fig. 11).
-    """
-    if accesses < 0:
-        raise ValueError("accesses cannot be negative")
-    n_lines = max(2, working_set_bytes // line_bytes)
-    order = rng.permutation(n_lines)
-    loop_pc = pc
-    for k in range(accesses):
-        addr = base_addr + int(order[k % n_lines]) * line_bytes
-        # dep=0: the very next instruction consumes the pointer.
-        yield Instr(LOAD, loop_pc, addr, 0, 0.16, region)
-        for j in range(work_per_access):
-            yield Instr(ALU, loop_pc + (1 + j) * _IB, 0, NO_CONSUMER, 0.12, region)
-        yield Instr(BRANCH, loop_pc + (1 + work_per_access) * _IB, 0, NO_CONSUMER, 0.10, region)
-
-
-def code_sweep(
-    pc: int,
-    footprint_bytes: int,
-    passes: int = 1,
-    region: int = 0,
-) -> Iterator[Instr]:
-    """Straight-line execution across a large code footprint.
-
-    Sweeping more code than the L1 I-cache holds produces
-    instruction-fetch misses - the I-side stall source of Fig. 3b.
-    """
-    if footprint_bytes < _IB:
-        raise ValueError("footprint must hold at least one instruction")
-    count = footprint_bytes // _IB
-    for _ in range(max(1, passes)):
-        for k in range(count):
-            yield Instr(ALU, pc + k * _IB, 0, NO_CONSUMER, 0.12, region)
+            weight = np.where(is_mul, base_mul, base_alu)
+        yield Block(
+            np.where(is_mul, MUL, ALU),
+            pc + (k % 256) * _IB,
+            np.zeros(len(k)),
+            np.full(len(k), NO_CONSUMER),
+            weight,
+            np.full(len(k), region),
+        )
 
 
 class StreamWorkload:
     """Adapter turning a prebuilt iterable factory into a Workload.
 
     ``factory`` is called with the machine config and must return an
-    iterator of instructions; used by tests and ad-hoc experiments.
+    iterator of :class:`Instr` (or blocks); used by tests and ad-hoc
+    experiments.
     """
 
     def __init__(self, name: str, factory, region_names: Dict[int, str] = None):
@@ -242,6 +176,6 @@ class StreamWorkload:
         self._factory = factory
         self.region_names = dict(region_names or {})
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
+    def instructions(self, config: MachineConfig) -> Iterable[Union[Block, Instr]]:
         """Delegate to the wrapped factory."""
         return self._factory(config)

@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List
 import numpy as np
 
 from ..sim.config import MachineConfig
-from ..sim.isa import Instr
+from ..sim.isa import Block
 from .spec import (
     CHASE,
     CODESWEEP,
@@ -125,6 +125,6 @@ class BootWorkload:
             Phase("idle_services", COMPUTE, n_instructions=jitter(1_200_000)),
         ]
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
         """Yield the boot instruction stream."""
         return self._inner.instructions(config)

@@ -26,8 +26,18 @@ from typing import Dict, Iterator
 import numpy as np
 
 from ..sim.config import MachineConfig
-from ..sim.isa import ALU, BRANCH, Instr, LOAD, MUL, NO_CONSUMER, instruction_bytes
-from .base import compute_block, tight_loop
+from ..sim.isa import (
+    ALU,
+    BLOCK_SIZE,
+    BRANCH,
+    Block,
+    Instr,
+    LOAD,
+    MUL,
+    NO_CONSUMER,
+    instruction_bytes,
+)
+from .base import compute_block, repeat, tight_loop
 
 _IB = instruction_bytes()
 
@@ -114,22 +124,24 @@ class Microbenchmark:
         line_offsets = rng.integers(1, lines_per_page, size=self.total_misses)
         return _ARRAY_BASE + pages * _PAGE_SIZE + line_offsets * line_bytes
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
-        """Yield the full microbenchmark instruction stream."""
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
+        """Yield the full microbenchmark instruction stream as blocks."""
         line_bytes = config.line_bytes
         targets = self._target_addresses(line_bytes)
         gap = self.gap_instructions
+        cm = self.consecutive_misses
 
         # 1. Page touch: load line 0 of every page, sequentially.
-        for p in range(self.total_misses):
-            addr = _ARRAY_BASE + p * _PAGE_SIZE
-            yield Instr(ALU, _PC_PAGE_TOUCH, 0, NO_CONSUMER, 0.12, REGION_PAGE_TOUCH)
-            yield Instr(
-                LOAD, _PC_PAGE_TOUCH + _IB, addr, NO_CONSUMER, 0.16, REGION_PAGE_TOUCH
-            )
-            yield Instr(
-                BRANCH, _PC_PAGE_TOUCH + 2 * _IB, 0, NO_CONSUMER, 0.10, REGION_PAGE_TOUCH
-            )
+        pt = REGION_PAGE_TOUCH
+        touch = Block.from_instrs(
+            [
+                Instr(ALU, _PC_PAGE_TOUCH, 0, NO_CONSUMER, 0.12, pt),
+                Instr(LOAD, _PC_PAGE_TOUCH + _IB, 0, NO_CONSUMER, 0.16, pt),
+                Instr(BRANCH, _PC_PAGE_TOUCH + 2 * _IB, 0, NO_CONSUMER, 0.10, pt),
+            ]
+        )
+        pages = _ARRAY_BASE + np.arange(self.total_misses, dtype=np.int64) * _PAGE_SIZE
+        yield from repeat(touch, self.total_misses, pages)
 
         # 2. Start marker.
         yield from tight_loop(
@@ -137,46 +149,47 @@ class Microbenchmark:
         )
 
         # 3. Access section: TM loads in groups of CM.
-        for k in range(self.total_misses):
-            # Address generation: the rand()+mul+add work between
-            # loads.  MULs every few ops keep the busy level high so
-            # the inter-miss gap is visible in the signal.
-            # PCs wrap every 128 instructions: the address-generation
-            # work is a small loop (rand() + arithmetic), not a cold
-            # straight-line code sweep.
-            for j in range(gap):
-                op = MUL if j % 6 == 5 else ALU
-                w = 0.20 if op == MUL else 0.12
-                yield Instr(
-                    op, _PC_ACCESS + (j % 128) * _IB, 0, NO_CONSUMER, w, REGION_ACCESSES
+        # Address generation: the rand()+mul+add work between loads.
+        # MULs every few ops keep the busy level high so the inter-miss
+        # gap is visible in the signal.  PCs wrap every 128
+        # instructions: the address-generation work is a small loop
+        # (rand() + arithmetic), not a cold straight-line code sweep.
+        ra = REGION_ACCESSES
+        access = Block.from_instrs(
+            [
+                Instr(
+                    MUL if j % 6 == 5 else ALU,
+                    _PC_ACCESS + (j % 128) * _IB,
+                    0,
+                    NO_CONSUMER,
+                    0.20 if j % 6 == 5 else 0.12,
+                    ra,
                 )
-            # The engineered miss; its value feeds a checksum two
-            # instructions later (dep=2).
-            yield Instr(
-                LOAD,
-                _PC_ACCESS + gap * _IB,
-                int(targets[k]),
-                2,
-                0.16,
-                REGION_ACCESSES,
-            )
-            yield Instr(
-                ALU, _PC_ACCESS + (gap + 1) * _IB, 0, NO_CONSUMER, 0.12, REGION_ACCESSES
-            )
-            yield Instr(
-                ALU, _PC_ACCESS + (gap + 2) * _IB, 0, NO_CONSUMER, 0.12, REGION_ACCESSES
-            )
-            yield Instr(
-                BRANCH, _PC_ACCESS + (gap + 3) * _IB, 0, NO_CONSUMER, 0.10, REGION_ACCESSES
-            )
-            # Micro function call after every CM misses.
-            if (k + 1) % self.consecutive_misses == 0:
-                yield from compute_block(
-                    _PC_MICRO_FN,
-                    self.micro_fn_instructions,
-                    region=REGION_ACCESSES,
-                    mul_every=7,
-                )
+                for j in range(gap)
+            ]
+            + [
+                # The engineered miss; its value feeds a checksum two
+                # instructions later (dep=2).
+                Instr(LOAD, _PC_ACCESS + gap * _IB, 0, 2, 0.16, ra),
+                Instr(ALU, _PC_ACCESS + (gap + 1) * _IB, 0, NO_CONSUMER, 0.12, ra),
+                Instr(ALU, _PC_ACCESS + (gap + 2) * _IB, 0, NO_CONSUMER, 0.12, ra),
+                Instr(BRANCH, _PC_ACCESS + (gap + 3) * _IB, 0, NO_CONSUMER, 0.10, ra),
+            ]
+        )
+        # Micro function call after every CM misses.
+        micro_fn = list(
+            compute_block(_PC_MICRO_FN, self.micro_fn_instructions, region=ra, mul_every=7)
+        )
+        groups, rest = divmod(self.total_misses, cm)
+        if cm * len(access) + self.micro_fn_instructions <= BLOCK_SIZE:
+            # Small groups: tile whole groups into each block.
+            group = Block.concat([access] * cm + micro_fn)
+            yield from repeat(group, groups, targets[: groups * cm])
+        else:
+            for g in range(groups):
+                yield from repeat(access, cm, targets[g * cm : (g + 1) * cm])
+                yield from micro_fn
+        yield from repeat(access, rest, targets[groups * cm :])
 
         # 4. End marker.
         yield from tight_loop(

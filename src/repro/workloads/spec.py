@@ -35,7 +35,18 @@ from typing import Dict, Iterator, List, Optional
 import numpy as np
 
 from ..sim.config import MachineConfig
-from ..sim.isa import ALU, BRANCH, Instr, LOAD, MUL, NO_CONSUMER, STORE, instruction_bytes
+from ..sim.isa import (
+    ALU,
+    BLOCK_SIZE,
+    BRANCH,
+    Block,
+    Instr,
+    LOAD,
+    MUL,
+    NO_CONSUMER,
+    instruction_bytes,
+)
+from .base import repeat
 
 _IB = instruction_bytes()
 KB = 1024
@@ -121,8 +132,8 @@ class SpecWorkload:
         """Region id assigned to ``region`` (raises for unknown names)."""
         return self._region_ids[region]
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
-        """Yield the full phase sequence."""
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
+        """Yield the full phase sequence as blocks."""
         rng = np.random.default_rng(self.seed)
         data_base = 0x2000_0000
         pc_base = 0x0001_0000
@@ -151,7 +162,7 @@ class SpecWorkload:
         pc: int,
         rng: np.random.Generator,
         config: MachineConfig,
-    ) -> Iterator[Instr]:
+    ) -> Iterator[Block]:
         line = config.line_bytes
         if phase.kind == COMPUTE:
             yield from _compute(pc, phase.n_instructions, rid)
@@ -167,12 +178,29 @@ class SpecWorkload:
             yield from _codesweep(phase, rid, pc)
 
 
-def _compute(pc: int, count: int, rid: int) -> Iterator[Instr]:
-    for k in range(count):
-        if k % 6 == 5:
-            yield Instr(MUL, pc + (k % 128) * _IB, 0, NO_CONSUMER, 0.20, rid)
-        else:
-            yield Instr(ALU, pc + (k % 128) * _IB, 0, NO_CONSUMER, 0.12, rid)
+def _straight(pc: np.ndarray, rid: int, op=ALU, weight=0.12) -> Block:
+    """Non-memory instructions at ``pc`` (ops/weights scalar or per-pc)."""
+    n = len(pc)
+    return Block(
+        np.broadcast_to(op, n),
+        pc,
+        np.zeros(n),
+        np.full(n, NO_CONSUMER),
+        np.broadcast_to(weight, n),
+        np.full(n, rid),
+    )
+
+
+def _compute(pc: int, count: int, rid: int) -> Iterator[Block]:
+    for lo in range(0, count, BLOCK_SIZE):
+        k = np.arange(lo, min(count, lo + BLOCK_SIZE))
+        is_mul = k % 6 == 5
+        yield _straight(
+            pc + (k % 128) * _IB,
+            rid,
+            np.where(is_mul, MUL, ALU),
+            np.where(is_mul, 0.20, 0.12),
+        )
 
 
 def _access_loop_body(
@@ -200,27 +228,20 @@ def _emit_accesses(
     wpa: int,
     dep: int,
     rid: int,
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     """Common loop: work body + one memory access + loop branch."""
-    body = _access_loop_body(pc, wpa, rid)
     # The access and loop branch sit just past the (wrapped) body
     # footprint, keeping the whole loop inside ~520 bytes of code.
-    mem_pc = pc + 128 * _IB
-    br_pc = pc + 129 * _IB
-    branch = Instr(BRANCH, br_pc, 0, NO_CONSUMER, 0.10, rid)
-    for k in range(len(addrs)):
-        yield from body
-        addr = int(addrs[k])
-        if stores is not None and stores[k]:
-            yield Instr(STORE, mem_pc, addr, NO_CONSUMER, 0.15, rid)
-        else:
-            yield Instr(LOAD, mem_pc, addr, dep, 0.16, rid)
-        yield branch
+    body = _access_loop_body(pc, wpa, rid) + [
+        Instr(LOAD, pc + 128 * _IB, 0, dep, 0.16, rid),
+        Instr(BRANCH, pc + 129 * _IB, 0, NO_CONSUMER, 0.10, rid),
+    ]
+    return repeat(Block.from_instrs(body), len(addrs), addrs, stores)
 
 
 def _stream(
     phase: Phase, rid: int, base: int, pc: int, rng: np.random.Generator
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     n = max(1, phase.bytes_total // max(phase.stride, 1))
     offsets = np.arange(n, dtype=np.int64) * phase.stride
     if phase.shuffle:
@@ -231,23 +252,23 @@ def _stream(
     stores = (
         rng.random(len(addrs)) < phase.store_ratio if phase.store_ratio else None
     )
-    yield from _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
+    return _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
 
 
 def _random(
     phase: Phase, rid: int, base: int, pc: int, rng: np.random.Generator, line: int
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     n_lines = max(1, phase.working_set // line)
     addrs = base + rng.integers(0, n_lines, size=phase.accesses) * line
     stores = (
         rng.random(phase.accesses) < phase.store_ratio if phase.store_ratio else None
     )
-    yield from _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
+    return _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
 
 
 def _hotcold(
     phase: Phase, rid: int, base: int, pc: int, rng: np.random.Generator, line: int
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     hot_lines = max(1, phase.hot_bytes // line)
     cold_lines = max(1, phase.cold_bytes // line)
     cold_base = base + hot_lines * line
@@ -258,30 +279,30 @@ def _hotcold(
     stores = (
         rng.random(phase.accesses) < phase.store_ratio if phase.store_ratio else None
     )
-    yield from _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
+    return _emit_accesses(addrs, stores, pc, phase.work_per_access, phase.dep, rid)
 
 
 def _chase(
     phase: Phase, rid: int, base: int, pc: int, rng: np.random.Generator, line: int
-) -> Iterator[Instr]:
+) -> Iterator[Block]:
     n_lines = max(2, phase.working_set // line)
     order = rng.permutation(n_lines)
     wpa = phase.work_per_access
-    body = _access_loop_body(pc + _IB, wpa, rid)
-    branch = Instr(BRANCH, pc + (1 + wpa) * _IB, 0, NO_CONSUMER, 0.10, rid)
-    for k in range(phase.accesses):
-        addr = base + int(order[k % n_lines]) * line
-        # dep=0: the pointer is needed immediately - no MLP.
-        yield Instr(LOAD, pc, addr, 0, 0.16, rid)
-        yield from body
-        yield branch
+    # dep=0: the pointer is needed immediately - no MLP.
+    body = (
+        [Instr(LOAD, pc, 0, 0, 0.16, rid)]
+        + _access_loop_body(pc + _IB, wpa, rid)
+        + [Instr(BRANCH, pc + (1 + wpa) * _IB, 0, NO_CONSUMER, 0.10, rid)]
+    )
+    addrs = base + order[np.arange(phase.accesses) % n_lines] * line
+    return repeat(Block.from_instrs(body), phase.accesses, addrs)
 
 
-def _codesweep(phase: Phase, rid: int, pc: int) -> Iterator[Instr]:
+def _codesweep(phase: Phase, rid: int, pc: int) -> Iterator[Block]:
     count = max(1, phase.footprint // _IB)
     for _ in range(max(1, phase.passes)):
-        for k in range(count):
-            yield Instr(ALU, pc + k * _IB, 0, NO_CONSUMER, 0.12, rid)
+        for lo in range(0, count, BLOCK_SIZE):
+            yield _straight(pc + np.arange(lo, min(count, lo + BLOCK_SIZE)) * _IB, rid)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List
 import numpy as np
 
 from ..sim.config import MachineConfig
-from ..sim.isa import Instr
+from ..sim.isa import Block
 from .spec import CHASE, COMPUTE, KB, MB, Phase, RANDOM, STREAM, SpecWorkload
 
 
@@ -107,6 +107,6 @@ class RandomWorkload:
         """The drawn phases (replayable program description)."""
         return self._inner.phases
 
-    def instructions(self, config: MachineConfig) -> Iterator[Instr]:
+    def instructions(self, config: MachineConfig) -> Iterator[Block]:
         """Yield the drawn program's stream."""
         return self._inner.instructions(config)

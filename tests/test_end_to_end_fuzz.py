@@ -19,6 +19,7 @@ from repro.core.profiler import Emprof
 from repro.core.validate import validate_profile
 from repro.devices import olimex, sesc
 from repro.experiments.runner import run_device, run_simulator
+from repro.sim.isa import unpack
 from repro.workloads.synthetic import RandomWorkload
 
 SEEDS = list(range(8))
@@ -62,7 +63,7 @@ class TestRandomWorkload:
         b = RandomWorkload(seed=3)
         assert [p.kind for p in a.phases] == [p.kind for p in b.phases]
         cfg = sesc()
-        assert list(a.instructions(cfg))[:100] == list(b.instructions(cfg))[:100]
+        assert list(unpack(a.instructions(cfg)))[:100] == list(unpack(b.instructions(cfg)))[:100]
 
     def test_seeds_differ(self):
         kinds = {tuple(p.kind for p in RandomWorkload(seed=s).phases) for s in range(10)}

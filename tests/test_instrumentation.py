@@ -13,7 +13,7 @@ from repro.sim.machine import simulate
 from repro.sim.trace import GroundTruth
 from repro.workloads import Microbenchmark
 from repro.workloads.base import StreamWorkload
-from repro.sim.isa import alu
+from repro.sim.isa import alu, unpack
 
 
 def tiny_workload(n=5000):
@@ -29,7 +29,7 @@ class TestInstrumentedWorkload:
         iw = InstrumentedWorkload(
             tiny_workload(), InstrumentationConfig(period_instructions=1000)
         )
-        regions = [i.region for i in iw.instructions(sesc())]
+        regions = [i.region for i in unpack(iw.instructions(sesc()))]
         assert INTERRUPT_REGION in regions
         assert regions.count(1) == 5000  # app stream untouched
 
@@ -38,7 +38,7 @@ class TestInstrumentedWorkload:
             period_instructions=1000, handler_instructions=100
         )
         iw = InstrumentedWorkload(tiny_workload(5000), cfg)
-        stream = list(iw.instructions(sesc()))
+        stream = list(unpack(iw.instructions(sesc())))
         handler = sum(1 for i in stream if i.region == INTERRUPT_REGION)
         assert handler == 5 * 100
 
@@ -57,7 +57,7 @@ class TestInstrumentedWorkload:
         cfg = InstrumentationConfig(period_instructions=500, handler_data_lines=8)
         iw = InstrumentedWorkload(tiny_workload(2000), cfg)
         mem_ops = [
-            i for i in iw.instructions(sesc())
+            i for i in unpack(iw.instructions(sesc()))
             if i.region == INTERRUPT_REGION and i.addr
         ]
         assert len(mem_ops) == 4 * 8

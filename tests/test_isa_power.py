@@ -34,10 +34,6 @@ class TestInstructionBuilders:
         assert isa.DEFAULT_WEIGHTS[isa.MUL] > isa.DEFAULT_WEIGHTS[isa.ALU]
         assert isa.DEFAULT_WEIGHTS[isa.ALU] > isa.DEFAULT_WEIGHTS[isa.NOP]
 
-    def test_straightline_pcs_advance(self):
-        seq = list(isa.straightline(0x0, 5))
-        assert [i.pc for i in seq] == [0, 4, 8, 12, 16]
-
     def test_op_names_cover_all(self):
         for op in (isa.ALU, isa.LOAD, isa.STORE, isa.BRANCH, isa.MUL, isa.NOP):
             assert op in isa.OP_NAMES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.devices import sesc
-from repro.sim.isa import Instr, alu, load
+from repro.sim.isa import Instr, alu, load, unpack
 from repro.sim.machine import simulate
 from repro.sim.tracefile import TraceWorkload, record_workload, save_trace
 from repro.workloads import Microbenchmark
@@ -19,7 +19,7 @@ class TestSaveLoad:
         replay = TraceWorkload(path)
         assert replay.name == "mini"
         assert replay.region_names == {2: "main"}
-        out = list(replay.instructions(sesc()))
+        out = list(unpack(replay.instructions(sesc())))
         assert out == instrs
 
     def test_len(self, tmp_path):

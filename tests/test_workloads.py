@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.devices import sesc
-from repro.sim.isa import BRANCH, Instr, LOAD, NO_CONSUMER, STORE
+from repro.sim.isa import BLOCK_SIZE, BRANCH, Block, Instr, LOAD, NO_CONSUMER, STORE, unpack
 from repro.workloads.base import (
     StreamWorkload,
     Workload,
-    code_sweep,
     compute_block,
-    pointer_chase_loop,
-    random_access_loop,
-    streaming_loop,
+    repeat,
     tight_loop,
 )
 from repro.workloads.boot import BootWorkload
@@ -33,14 +30,24 @@ from repro.workloads.spec import (
 CFG = sesc()
 
 
+def instrs(workload):
+    """The workload's stream for ``CFG`` as Instr tuples."""
+    return list(unpack(workload.instructions(CFG)))
+
+
+def one_phase(phase: Phase) -> list:
+    """Instr stream of a one-phase SPEC model."""
+    return instrs(SpecWorkload("one", [phase], seed=5))
+
+
 class TestBaseBuilders:
     def test_tight_loop_repeats_pcs(self):
-        seq = list(tight_loop(0x100, iterations=3, body_alu=2))
+        seq = list(unpack(tight_loop(0x100, iterations=3, body_alu=2)))
         assert len(seq) == 9
         assert seq[0].pc == seq[3].pc
 
     def test_tight_loop_ends_with_branch(self):
-        seq = list(tight_loop(0x100, 1, body_alu=2))
+        seq = list(unpack(tight_loop(0x100, 1, body_alu=2)))
         assert seq[-1].op == BRANCH
 
     def test_tight_loop_rejects_negative(self):
@@ -48,51 +55,33 @@ class TestBaseBuilders:
             list(tight_loop(0x100, -1))
 
     def test_compute_block_count(self):
-        assert len(list(compute_block(0, 57))) == 57
+        assert len(list(unpack(compute_block(0, 57)))) == 57
 
     def test_compute_block_pattern_modulates_weights(self):
-        plain = [i.weight for i in compute_block(0, 64)]
-        pat = [i.weight for i in compute_block(0, 64, pattern_period=16, pattern_depth=0.05)]
+        plain = [i.weight for i in unpack(compute_block(0, 64))]
+        pat = [
+            i.weight
+            for i in unpack(compute_block(0, 64, pattern_period=16, pattern_depth=0.05))
+        ]
         assert np.std(pat) > np.std(plain)
 
-    def test_streaming_loop_addresses_sequential(self):
-        seq = [i for i in streaming_loop(0, 0x1000, 64 * 8, stride=64) if i.op == LOAD]
-        addrs = [i.addr for i in seq]
-        assert addrs == sorted(addrs)
-        assert len(addrs) == 8
-
-    def test_streaming_loop_store_ratio(self, rng):
-        seq = list(
-            streaming_loop(0, 0x1000, 64 * 200, stride=64, store_ratio=1.0, rng=rng)
+    def test_repeat_patches_addresses_and_stores(self):
+        body = Block.from_instrs(
+            [Instr(0, 0x10, 0, NO_CONSUMER, 0.12, 1), Instr(LOAD, 0x14, 0, 3, 0.16, 1)]
         )
-        assert all(i.op != LOAD for i in seq if i.op in (LOAD, STORE) and i.op == LOAD)
-        assert any(i.op == STORE for i in seq)
+        seq = list(unpack(repeat(body, 3, [64, 128, 192], [False, True, False])))
+        assert [i.addr for i in seq] == [0, 64, 0, 128, 0, 192]
+        assert [i.op for i in seq[1::2]] == [LOAD, STORE, LOAD]
+        assert seq[3].dep == NO_CONSUMER and seq[5].dep == 3
+        assert seq[3].weight == 0.15
 
-    def test_random_access_loop_within_working_set(self, rng):
-        ws = 64 * 128
-        seq = [
-            i
-            for i in random_access_loop(0, 0x1000, ws, 50, rng)
-            if i.op in (LOAD, STORE)
-        ]
-        assert all(0x1000 <= i.addr < 0x1000 + ws for i in seq)
-
-    def test_random_access_rejects_tiny_ws(self, rng):
-        with pytest.raises(ValueError):
-            list(random_access_loop(0, 0, 32, 10, rng))
-
-    def test_pointer_chase_deps_are_zero(self, rng):
-        loads = [
-            i
-            for i in pointer_chase_loop(0, 0x1000, 64 * 64, 20, rng)
-            if i.op == LOAD
-        ]
-        assert all(i.dep == 0 for i in loads)
-
-    def test_code_sweep_covers_footprint(self):
-        seq = list(code_sweep(0x0, 1024, passes=2))
-        assert len(seq) == 2 * 256
-        assert max(i.pc for i in seq) == 1020
+    def test_repeat_blocks_are_bounded(self):
+        body = Block.from_instrs(
+            [Instr(0, 4 * k, 0, NO_CONSUMER, 0.12, 0) for k in range(100)]
+        )
+        sizes = [len(b) for b in repeat(body, 2000)]
+        assert sum(sizes) == 200_000
+        assert max(sizes) <= BLOCK_SIZE
 
     def test_stream_workload_protocol(self):
         wl = StreamWorkload("x", lambda cfg: iter([]), {1: "a"})
@@ -103,7 +92,7 @@ class TestBaseBuilders:
 class TestMicrobenchmark:
     def test_structure_regions_in_order(self):
         wl = Microbenchmark(total_misses=8, consecutive_misses=2, blank_iterations=10)
-        regions = [i.region for i in wl.instructions(CFG)]
+        regions = [i.region for i in instrs(wl)]
         first_seen = list(dict.fromkeys(regions))
         assert first_seen == [
             REGION_PAGE_TOUCH,
@@ -116,7 +105,7 @@ class TestMicrobenchmark:
         wl = Microbenchmark(total_misses=32, consecutive_misses=4, blank_iterations=5)
         loads = [
             i.addr
-            for i in wl.instructions(CFG)
+            for i in instrs(wl)
             if i.op == LOAD and i.region == REGION_ACCESSES
         ]
         assert len(loads) == 32
@@ -127,13 +116,19 @@ class TestMicrobenchmark:
         wl = Microbenchmark(total_misses=16, consecutive_misses=4, blank_iterations=5)
         touched = set()
         access = []
-        for i in wl.instructions(CFG):
+        for i in instrs(wl):
             if i.op == LOAD:
                 if i.region == REGION_PAGE_TOUCH:
                     touched.add(i.addr // 64)
                 elif i.region == REGION_ACCESSES:
                     access.append(i.addr // 64)
         assert not touched.intersection(access)
+
+    def test_blocks_are_bounded_for_long_groups(self):
+        wl = Microbenchmark(40, 40, gap_instructions=1000, blank_iterations=5)
+        sizes = [len(b) for b in wl.instructions(CFG)]
+        assert max(sizes) <= BLOCK_SIZE
+        assert sum(1 for i in instrs(wl) if i.op == LOAD and i.region == REGION_ACCESSES) == 40
 
     def test_expected_counts(self):
         wl = Microbenchmark(total_misses=100, consecutive_misses=10)
@@ -146,8 +141,8 @@ class TestMicrobenchmark:
     def test_seed_changes_addresses(self):
         a = Microbenchmark(16, 4, blank_iterations=5, seed=1)
         b = Microbenchmark(16, 4, blank_iterations=5, seed=2)
-        addrs_a = [i.addr for i in a.instructions(CFG) if i.op == LOAD]
-        addrs_b = [i.addr for i in b.instructions(CFG) if i.op == LOAD]
+        addrs_a = [i.addr for i in instrs(a) if i.op == LOAD]
+        addrs_b = [i.addr for i in instrs(b) if i.op == LOAD]
         assert addrs_a != addrs_b
 
     def test_validation(self):
@@ -180,8 +175,8 @@ class TestSpecModels:
         assert wl.region_names[rid] == "batch_process"
 
     def test_scale_shrinks_stream(self):
-        full = sum(1 for _ in spec_workload("vpr").instructions(CFG))
-        small = sum(1 for _ in spec_workload("vpr", scale=0.2).instructions(CFG))
+        full = sum(len(b) for b in spec_workload("vpr").instructions(CFG))
+        small = sum(len(b) for b in spec_workload("vpr", scale=0.2).instructions(CFG))
         assert small < full * 0.5
 
     def test_scale_rejects_nonpositive(self):
@@ -190,13 +185,60 @@ class TestSpecModels:
 
     def test_mcf_has_dependent_loads(self):
         wl = spec_workload("mcf", scale=0.2)
-        deps = [i.dep for i in wl.instructions(CFG) if i.op == LOAD]
+        deps = [i.dep for i in instrs(wl) if i.op == LOAD]
         assert 0 in deps  # the pointer chase
+
+    def test_stream_phase_addresses_sequential(self):
+        seq = one_phase(Phase("s", "stream", bytes_total=64 * 8, stride=64))
+        addrs = [i.addr for i in seq if i.op == LOAD]
+        assert addrs == sorted(addrs)
+        assert len(addrs) == 8
+        assert np.all(np.diff(addrs) == 64)
+
+    def test_stream_phase_store_ratio(self):
+        seq = one_phase(
+            Phase("s", "stream", bytes_total=64 * 200, stride=64, store_ratio=1.0)
+        )
+        assert not any(i.op == LOAD for i in seq)
+        assert sum(i.op == STORE for i in seq) == 200
+        assert all(i.dep == NO_CONSUMER for i in seq if i.op == STORE)
+
+    def test_random_phase_within_working_set(self):
+        ws = 64 * 128
+        seq = one_phase(Phase("r", "random", working_set=ws, accesses=50))
+        addrs = [i.addr for i in seq if i.op in (LOAD, STORE)]
+        assert len(addrs) == 50
+        assert max(addrs) - min(addrs) < ws
+        assert all(a % 64 == 0 for a in addrs)
+
+    def test_chase_phase_deps_are_zero(self):
+        seq = one_phase(
+            Phase("c", "chase", working_set=64 * 64, accesses=20, work_per_access=4)
+        )
+        loads = [i for i in seq if i.op == LOAD]
+        assert len(loads) == 20
+        assert all(i.dep == 0 for i in loads)
+
+    def test_codesweep_phase_covers_footprint(self):
+        seq = one_phase(Phase("x", "codesweep", footprint=1024, passes=2))
+        assert len(seq) == 2 * 256
+        assert max(i.pc for i in seq) - min(i.pc for i in seq) == 1020
+
+    def test_codesweep_phase_pcs_advance(self):
+        seq = one_phase(Phase("x", "codesweep", footprint=20))
+        assert np.all(np.diff([i.pc for i in seq]) == 4)
+        assert len(seq) == 5
+
+    def test_blocks_are_bounded(self):
+        sizes = [len(b) for b in BootWorkload(seed=0, scale=0.2).instructions(CFG)]
+        assert max(sizes) <= BLOCK_SIZE
+        small = BootWorkload(seed=0, scale=0.05).instructions(CFG)
+        assert all(isinstance(b, Block) for b in small)
 
     def test_phases_use_disjoint_address_spaces(self):
         wl = spec_workload("twolf", scale=0.3)
         by_region = {}
-        for i in wl.instructions(CFG):
+        for i in instrs(wl):
             if i.op in (LOAD, STORE):
                 by_region.setdefault(i.region, []).append(i.addr)
         spans = {
@@ -227,13 +269,13 @@ class TestBootWorkload:
         assert "userspace_init" in names
 
     def test_seeds_differ(self):
-        a = sum(1 for _ in BootWorkload(seed=0, scale=0.1).instructions(CFG))
-        b = sum(1 for _ in BootWorkload(seed=1, scale=0.1).instructions(CFG))
+        a = sum(len(b) for b in BootWorkload(seed=0, scale=0.1).instructions(CFG))
+        b = sum(len(b) for b in BootWorkload(seed=1, scale=0.1).instructions(CFG))
         assert a != b
 
     def test_same_seed_reproducible(self):
-        a = sum(1 for _ in BootWorkload(seed=3, scale=0.1).instructions(CFG))
-        b = sum(1 for _ in BootWorkload(seed=3, scale=0.1).instructions(CFG))
+        a = sum(len(b) for b in BootWorkload(seed=3, scale=0.1).instructions(CFG))
+        b = sum(len(b) for b in BootWorkload(seed=3, scale=0.1).instructions(CFG))
         assert a == b
 
     def test_scale_validation(self):

@@ -146,13 +146,15 @@ def sequence_accuracy(result: ZopResult, expected: Sequence[str]) -> float:
     got = result.sequence()
     if not expected:
         return 1.0 if not got else 0.0
-    # Classic LCS DP (sequences here are short).
-    m, n = len(got), len(expected)
-    dp = np.zeros((m + 1, n + 1), dtype=np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if got[i - 1] == expected[j - 1]:
-                dp[i, j] = dp[i - 1, j - 1] + 1
-            else:
-                dp[i, j] = max(dp[i - 1, j], dp[i, j - 1])
-    return float(dp[m, n]) / n
+    # Bit-parallel LCS length (Hyyro 2004): bit i of ``row`` is cleared
+    # once got[i] is matched; each expected block updates the whole row
+    # with a few big-integer operations instead of a row of DP cells.
+    masks: Dict[str, int] = {}
+    for i, block in enumerate(got):
+        masks[block] = masks.get(block, 0) | (1 << i)
+    full = (1 << len(got)) - 1
+    row = full
+    for block in expected:
+        matched = row & masks.get(block, 0)
+        row = ((row + matched) | (row - matched)) & full
+    return (len(got) - bin(row).count("1")) / len(expected)

@@ -10,8 +10,10 @@ Signal in, profile out:
 6. :mod:`repro.core.markers` - microbenchmark window isolation
 7. :mod:`repro.core.validate` - accuracy metrics vs. ground truth
 
-Both the batch and the streaming paths share one vectorized chunked
-core, :mod:`repro.core.engine` (see ``docs/engine.md``).
+Every profiling mode - batch, windowed, chunked and streaming - is a
+use of one :class:`~repro.core.pipeline.ProfilePipeline` over the
+vectorized chunked core, :mod:`repro.core.engine` (see
+``docs/engine.md``).
 """
 
 from .calibrate import (
@@ -25,14 +27,10 @@ from .engine import ChunkDetector, ChunkNormalizer, SampleRing, finite_segments
 from .events import DetectedStall, ProfileReport
 from .markers import MarkerWindow, find_marker_window
 from .normalize import NormalizerConfig, moving_average, moving_extrema, normalize
+from .pipeline import ProfilePipeline
 from .profiler import Emprof, EmprofConfig
 from .refresh import RefreshStats, refresh_stats, split_by_refresh
-from .streaming import (
-    OnlineNormalizer,
-    StreamingDetector,
-    StreamingEmprof,
-    profile_chunks,
-)
+from .streaming import StreamingEmprof, profile_chunks
 from .stats import LatencySummary, latency_histogram, stalls_summary, tail_fraction
 from .validate import (
     MatchResult,
@@ -46,8 +44,7 @@ from .validate import (
 __all__ = [
     "Emprof",
     "StreamingEmprof",
-    "StreamingDetector",
-    "OnlineNormalizer",
+    "ProfilePipeline",
     "profile_chunks",
     "ChunkDetector",
     "ChunkNormalizer",

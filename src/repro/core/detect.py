@@ -15,37 +15,24 @@ Detection runs in three stages:
    so measured durations are not quantized to whole sample periods.
 
 The numerical work is done by the vectorized chunked engine
-(:mod:`repro.core.engine`, see ``docs/engine.md``): the batch path is
-one whole-signal chunk through :class:`repro.core.engine.ChunkDetector`
-plus a flush, which is proven bit-identical to the historical per-run
-implementation by ``tests/test_engine_equivalence.py``.  This module
-keeps the configuration, the quality flagging, and the obs/contract
-adapter around that engine.
+(:mod:`repro.core.engine`, see ``docs/engine.md``): batch detection is
+one whole-signal :meth:`repro.core.pipeline.ProfilePipeline.detect`,
+which is proven bit-identical to the historical per-run implementation
+by ``tests/test_engine_equivalence.py``.  This module keeps the
+configuration and the batch entry point.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..devtools.contracts import stall_sequence_result
-from ..obs import metrics as _metrics, trace as _trace
-from ..obs.runtime import obs_enabled
-from .engine import detect_all
+from ..faults.quality import overlaps
 from .events import DetectedStall
-
-_STALLS_TOTAL = _metrics.counter(
-    "stalls_detected_total", "LLC-miss stalls detected (batch + streaming)"
-)
-_REFRESH_TOTAL = _metrics.counter(
-    "refresh_stalls_total", "detected stalls classified refresh-coincident"
-)
-_DETECT_LATENCY = _metrics.histogram(
-    "detect_latency_seconds", "wall time of one batch detect_stalls() call"
-)
+from .pipeline import ProfilePipeline
 
 
 @dataclass(frozen=True)
@@ -111,17 +98,12 @@ def flag_low_confidence(
     results are never altered, only annotated.
     """
     spans = sorted(impaired_intervals)
-    out: List[DetectedStall] = []
-    for stall in stalls:
-        flagged = False
-        for begin, end in spans:
-            if begin > stall.end_sample:
-                break
-            if stall.begin_sample <= end and stall.end_sample >= begin:
-                flagged = True
-                break
-        out.append(stall.flagged(True) if flagged else stall)
-    return out
+    return [
+        stall.flagged(True)
+        if overlaps(spans, stall.begin_sample, stall.end_sample)
+        else stall
+        for stall in stalls
+    ]
 
 
 @stall_sequence_result
@@ -151,41 +133,11 @@ def detect_stalls(
         Detected stalls in time order, with fractional boundaries and
         refresh classification applied.
     """
-    cfg = config if config is not None else DetectorConfig()
-    if not obs_enabled():
-        stalls = _detect_stalls_impl(
-            normalized, sample_period_cycles, cfg, flight=flight
-        )
-        if quality_intervals:
-            stalls = flag_low_confidence(stalls, quality_intervals)
-        return stalls
-    t0 = time.perf_counter()
-    with _trace.span("detect", samples=len(normalized)) as span:
-        stalls = _detect_stalls_impl(
-            normalized, sample_period_cycles, cfg, flight=flight
-        )
-        span.set_attr(stalls=len(stalls))
-    if quality_intervals:
-        stalls = flag_low_confidence(stalls, quality_intervals)
-    _DETECT_LATENCY.observe(time.perf_counter() - t0)
-    _STALLS_TOTAL.inc(len(stalls))
-    _REFRESH_TOTAL.inc(sum(1 for s in stalls if s.is_refresh))
-    return stalls
-
-
-def _detect_stalls_impl(
-    normalized: np.ndarray,
-    sample_period_cycles: float,
-    cfg: DetectorConfig,
-    flight=None,
-) -> List[DetectedStall]:
-    """The uninstrumented detection pipeline (see :func:`detect_stalls`).
-
-    One whole-signal chunk through the vectorized engine: the run
-    extraction, gap-merge and hysteresis passes of the historical
-    implementation collapse into the engine's single grouped pass.
-    """
     x = np.asarray(normalized, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
-    return detect_all(x, sample_period_cycles, cfg, flight=flight)
+    cfg = config if config is not None else DetectorConfig()
+    stalls = ProfilePipeline(sample_period_cycles, cfg, flight=flight).detect(x)
+    if quality_intervals:
+        stalls = flag_low_confidence(stalls, quality_intervals)
+    return stalls

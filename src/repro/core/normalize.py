@@ -16,14 +16,13 @@ its moving maximum is therefore treated as dip-free (normalized to 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d, uniform_filter1d
 
 from ..devtools.contracts import unit_interval_result
 from ..obs import metrics as _metrics, trace as _trace
-from ..obs.runtime import obs_enabled
 
 _NORMALIZE_SAMPLES = _metrics.counter(
     "normalize_samples_total", "magnitude samples normalized by the batch path"
@@ -80,43 +79,44 @@ def moving_extrema(signal: np.ndarray, window: int):
     return mmin, mmax
 
 
+def presmooth(signal: np.ndarray, config: NormalizerConfig):
+    """Apply ``config``'s pre-smoothing up front.
+
+    Returns the (possibly smoothed) signal and the config with
+    smoothing switched off - the form the chunked normalizer accepts.
+    """
+    x = np.asarray(signal, dtype=np.float64)
+    if config.smooth_samples == 1:
+        return x, config
+    return moving_average(x, config.smooth_samples), replace(config, smooth_samples=1)
+
+
+def _count_normalize(out, _elapsed_s, _attrs) -> None:
+    _NORMALIZE_CALLS.inc()
+    _NORMALIZE_SAMPLES.inc(len(out))
+
+
 @unit_interval_result
+@_trace.instrumented(
+    "normalize",
+    attrs=lambda signal, config: {"samples": int(np.size(signal))},
+    on_exit=_count_normalize,
+)
 def normalize(signal: np.ndarray, config: NormalizerConfig = None) -> np.ndarray:
     """Normalize magnitude to [0, 1] against moving extrema.
 
     0 corresponds to the moving minimum (a stalled processor), 1 to the
     moving maximum (full-rate switching).  Windows whose dynamic range
     is too small to contain a stall are returned as 1 everywhere (see
-    module docstring).
+    module docstring).  The whole signal goes through the chunked
+    engine's normalizer as one push plus flush, so batch and streaming
+    share one normalization expression.
     """
-    if not obs_enabled():
-        return _normalize_impl(signal, config)
-    x = np.asarray(signal)
-    with _trace.span("normalize", samples=int(x.size)):
-        out = _normalize_impl(signal, config)
-    _NORMALIZE_CALLS.inc()
-    _NORMALIZE_SAMPLES.inc(int(x.size))
-    return out
+    from .engine import ChunkNormalizer  # the engine imports this module
 
-
-def _normalize_impl(signal: np.ndarray, config: NormalizerConfig = None) -> np.ndarray:
-    """The uninstrumented normalization pipeline (see :func:`normalize`)."""
-    cfg = config if config is not None else NormalizerConfig()
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("signal must be one-dimensional")
-    if len(x) == 0:
-        return x.copy()
-    if cfg.smooth_samples > 1:
-        x = moving_average(x, cfg.smooth_samples)
-    mmin, mmax = moving_extrema(x, cfg.window_samples)
-    span = mmax - mmin
-    # Engage only where the window plausibly contains a stall.  The
-    # guard must be purely relative (no absolute floor) so that the
-    # result is invariant under a multiplicative gain change - probe
-    # repositioning scales the whole signal, and a floor would make
-    # engagement depend on absolute magnitude.
-    engaged = span > cfg.min_range_ratio * mmax
-    out = np.ones_like(x)
-    np.divide(x - mmin, span, out=out, where=engaged & (span > 0))
-    return np.clip(out, 0.0, 1.0)
+    x, cfg = presmooth(x, config if config is not None else NormalizerConfig())
+    engine = ChunkNormalizer(cfg)
+    return np.concatenate((engine.push(x), engine.flush()))

@@ -1,0 +1,248 @@
+"""The one EMPROF pipeline behind every profiling mode."""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+import numpy as np
+
+from ..devtools.contracts import (
+    monotonic_stall_stream,
+    report_result,
+    unit_interval_result,
+)
+from ..obs import metrics as _metrics, trace as _trace
+from ..obs.events import bus as _event_bus
+from ..obs.flight import FLIGHT_SCHEMA_VERSION, FlightEvent, build_evidence
+from ..obs.runtime import obs_enabled
+from .engine import ChunkDetector, ChunkNormalizer
+from .events import DetectedStall, ProfileReport
+
+_STALLS = _metrics.counter(
+    "stalls_detected_total", "LLC-miss stalls detected (every profiling mode)"
+)
+_REFRESH = _metrics.counter(
+    "refresh_stalls_total", "detected stalls classified refresh-coincident"
+)
+_LOW_CONFIDENCE = _metrics.counter(
+    "low_confidence_stalls_total",
+    "detected stalls flagged as overlapping impaired signal",
+)
+_DETECT_LATENCY = _metrics.histogram(
+    "detect_latency_seconds", "wall time of one whole-signal detection"
+)
+_GAPS = _metrics.counter(
+    "signal_gaps_total",
+    "stream discontinuities handled (overruns + non-finite runs)",
+)
+_DROPPED = _metrics.counter(
+    "dropped_samples_total", "samples lost across all stream gaps"
+)
+_NORMALIZED_SAMPLES = _metrics.counter(
+    "streaming_normalize_samples_total",
+    "magnitude samples consumed by the chunked normalizer",
+)
+_DETECTED_SAMPLES = _metrics.counter(
+    "streaming_detect_samples_total",
+    "normalized samples the chunked normalizer passed to the detector",
+)
+
+
+def _detect_done(stalls, elapsed_s, _attrs):
+    _DETECT_LATENCY.observe(elapsed_s)
+    return {"stalls": len(stalls)}
+
+
+class ProfilePipeline:
+    """One EMPROF run: samples in, stalls and a report out.
+
+    Section IV's algorithm - moving min/max normalization, dip
+    detection with a duration threshold, report - runs the same way on
+    a whole MXA capture and on the streamed captures of Section VI, so
+    every profiling mode is a use of this object:
+
+    * batch (``Emprof.profile``, ``detect_stalls``) and windowed
+      (``Emprof.profile_window``): one :meth:`detect` over normalized
+      samples;
+    * chunked (``Emprof.profile_chunked``): :meth:`push` per chunk,
+      then :meth:`finish`;
+    * streaming (``StreamingEmprof``): the same, with :meth:`resync`
+      at every stream discontinuity.
+
+    Every stall leaves through one emission point, which applies the
+    quality flags, checks the monotonic-stream contract and feeds the
+    stall counters and ``stall_detected`` events.
+
+    Args:
+        sample_period_cycles: processor cycles per signal sample.
+        detector: a :class:`~repro.core.detect.DetectorConfig`.
+        normalizer: a :class:`~repro.core.normalize.NormalizerConfig`
+            without pre-smoothing, or None when :meth:`push` receives
+            normalized samples.
+        quality: a :class:`~repro.faults.quality.QualityMonitor` that
+            watches every pushed chunk and whose impaired intervals
+            flag stalls.
+        flight: a :class:`~repro.obs.flight.FlightRecorder` for every
+            engine decision.
+        offset_samples: position of the first pushed sample in the
+            coordinates stalls are reported in.
+    """
+
+    def __init__(
+        self,
+        sample_period_cycles: float,
+        detector,
+        normalizer=None,
+        quality=None,
+        flight=None,
+        offset_samples: int = 0,
+    ):
+        self.period = float(sample_period_cycles)
+        self.detector_config = detector
+        self.quality = quality
+        self.flight = flight
+        self.offset_samples = offset_samples
+        #: Every stall emitted so far, in order.
+        self.stalls: List[DetectedStall] = []
+        #: Samples pushed, and samples lost to gaps, so far.
+        self.samples_seen = 0
+        self.samples_dropped = 0
+        self._detector = ChunkDetector(sample_period_cycles, detector, flight=flight)
+        self._normalizer = (
+            None if normalizer is None else ChunkNormalizer(normalizer, flight=flight)
+        )
+
+    def push(self, samples: np.ndarray) -> List[DetectedStall]:
+        """Feed samples; return the stalls they finalized."""
+        x = np.asarray(samples, dtype=np.float64)
+        if self.quality is not None:
+            self.quality.observe(x, self.samples_seen)
+        self.samples_seen += len(x)
+        if self._normalizer is not None:
+            normalized = self._normalize(x)
+            _NORMALIZED_SAMPLES.inc(len(x))
+            _DETECTED_SAMPLES.inc(len(normalized))
+            x = normalized
+        return self._emit(self._detector.push(x))
+
+    def finish(self) -> List[DetectedStall]:
+        """Drain the normalizer and close any open dip: end of signal."""
+        return self._emit(self._drain() + self._detector.finish())
+
+    def resync(self, dropped: int) -> List[DetectedStall]:
+        """Continue after a stream gap of ``dropped`` lost samples.
+
+        The open dip cannot bridge unknown samples, so it is closed;
+        the normalizer is re-primed so stale extrema never normalize
+        what follows; and the quality monitor marks the gap impaired.
+        """
+        self._record("gap", self.samples_seen, dropped=int(dropped))
+        if self.quality is not None:
+            self.quality.mark_gap(self.samples_seen, dropped)
+        self.samples_dropped += dropped
+        _GAPS.inc()
+        _DROPPED.inc(dropped)
+        _event_bus.emit("quality_flag", flag="gap", dropped=int(dropped))
+        stalls = self._drain() + self._detector.resync()
+        if self._normalizer is not None:
+            self._normalizer = ChunkNormalizer(
+                self._normalizer.config, flight=self.flight
+            )
+        return self._emit(stalls)
+
+    @_trace.instrumented(
+        "detect",
+        attrs=lambda self, normalized: {"samples": len(normalized)},
+        on_exit=_detect_done,
+    )
+    def detect(self, normalized: np.ndarray) -> List[DetectedStall]:
+        """Whole-signal detection of normalized samples: push plus finish."""
+        return self.push(normalized) + self.finish()
+
+    @report_result
+    def report(self, clock_hz: float, region_names) -> ProfileReport:
+        """The report over every sample pushed or lost to a gap.
+
+        Call it once, when the run is complete.  Quality gating reruns over every stall: an impairment found
+        late (a gap guard reaching backwards) must still flag a stall
+        that was finalized before it.
+        """
+        stalls, quality, intervals = list(self.stalls), None, ()
+        if self.quality is not None:
+            stalls = [self.quality.flag(s) for s in stalls]
+            vetoed = [s for s in stalls if s.low_confidence]
+            for stall in vetoed:
+                begin, end = float(stall.begin_sample), float(stall.end_sample)
+                self._record("quality_veto", begin, begin=begin, end=end)
+            _LOW_CONFIDENCE.inc(len(vetoed))
+            if vetoed:
+                _event_bus.emit("quality_flag", flag="low_confidence", count=len(vetoed))
+            intervals = self.quality.intervals()
+            summary = self.quality.summary()
+            quality = summary if summary.any_impairment else None
+        with _trace.span("report", stalls=len(stalls)):
+            return ProfileReport(
+                stalls=stalls,
+                total_cycles=(self.samples_seen + self.samples_dropped)
+                * self.period,
+                clock_hz=clock_hz,
+                sample_period_cycles=self.period,
+                region_names=dict(region_names),
+                quality=quality,
+                evidence=(
+                    None
+                    if self.flight is None
+                    else build_evidence(
+                        stalls,
+                        self.flight.events(),
+                        self.detector_config,
+                        quality_intervals=intervals,
+                        recorder=self.flight,
+                    )
+                ),
+            )
+
+    def _record(self, kind: str, pos: float, **attrs) -> None:
+        if self.flight is not None:
+            self.flight.record(
+                FlightEvent(
+                    schema_version=FLIGHT_SCHEMA_VERSION,
+                    kind=kind,
+                    pos=float(pos),
+                    attrs=attrs,
+                )
+            )
+
+    @unit_interval_result
+    def _normalize(self, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """The normalizer's output for ``x``, or its tail when None."""
+        if x is None:
+            return self._normalizer.flush()
+        return self._normalizer.push(x)
+
+    def _drain(self) -> List[DetectedStall]:
+        if self._normalizer is None:
+            return []
+        return self._detector.push(self._normalize())
+
+    @monotonic_stall_stream
+    def _emit(self, stalls: List[DetectedStall]) -> List[DetectedStall]:
+        """The one exit of every stall."""
+        if self.offset_samples:
+            offset_cycles = self.offset_samples * self.period
+            stalls = [s.shifted(self.offset_samples, offset_cycles) for s in stalls]
+        if self.quality is not None:
+            stalls = [self.quality.flag(s) for s in stalls]
+        self.stalls.extend(stalls)
+        if stalls and obs_enabled():
+            _STALLS.inc(len(stalls))
+            _REFRESH.inc(sum(1 for s in stalls if s.is_refresh))
+            for stall in stalls:
+                _event_bus.emit(
+                    "stall_detected",
+                    begin_cycle=stall.begin_cycle,
+                    duration_cycles=stall.end_cycle - stall.begin_cycle,
+                    is_refresh=stall.is_refresh,
+                    low_confidence=stall.low_confidence,
+                )
+        return stalls

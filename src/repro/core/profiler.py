@@ -10,23 +10,32 @@ simulator's power trace (Section V-C) and the receiver's EM capture
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
-from ..obs.events import bus as _event_bus
-from ..obs.flight import FlightRecorder, build_evidence
-from ..obs.runtime import obs_enabled
-from .detect import DetectorConfig, detect_stalls
-from .engine import ChunkDetector, ChunkNormalizer
+from ..obs.flight import FlightRecorder
+from .detect import DetectorConfig
 from .events import ProfileReport
-from .normalize import NormalizerConfig, moving_average, normalize
+from .normalize import NormalizerConfig, normalize, presmooth
+from .pipeline import ProfilePipeline
 
 _PROFILE_RUNS = _metrics.counter(
-    "profile_runs_total", "Emprof.profile()/profile_window() invocations"
+    "profile_runs_total",
+    "Emprof.profile()/profile_chunked()/profile_window() invocations",
 )
+
+
+def _run_done(report, _elapsed_s, _attrs):
+    _PROFILE_RUNS.inc()
+    return {"stalls": len(report.stalls)}
+
+
+def _instrumented_run(name: str, attrs):
+    """The span, counter and run events shared by every profiling mode."""
+    return _trace.instrumented(name, attrs=attrs, on_exit=_run_done, run_events=True)
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,9 @@ class Emprof:
             self._normalized = normalize(self.signal, self.config.normalizer)
         return self._normalized
 
+    @_instrumented_run(
+        "profile", lambda self, flight: {"samples": len(self.signal)}
+    )
     def profile(
         self, flight: Optional[FlightRecorder] = None
     ) -> ProfileReport:
@@ -125,170 +137,70 @@ class Emprof:
         a :class:`~repro.obs.flight.ReportEvidence` in
         ``report.evidence``; stalls are bit-identical either way.
         """
-        if not obs_enabled():
-            return self._profile_impl(flight)
-        _event_bus.emit("run_started", op="profile", samples=len(self.signal))
-        with _trace.span("profile", samples=len(self.signal)):
-            report = self._profile_impl(flight)
-        _PROFILE_RUNS.inc()
-        _event_bus.emit(
-            "run_finished",
-            op="profile",
-            samples=len(self.signal),
-            stalls=len(report.stalls),
-        )
-        return report
+        return self._detect(0, len(self.signal), flight)
 
-    def _profile_impl(
-        self, flight: Optional[FlightRecorder] = None
-    ) -> ProfileReport:
-        """Whole-signal profiling (instrumentation-free entry)."""
-        stalls = detect_stalls(
-            self.normalized(),
-            self.sample_period_cycles,
-            self.config.detector,
-            flight=flight,
-        )
-        total_cycles = len(self.signal) * self.sample_period_cycles
-        with _trace.span("report", stalls=len(stalls)):
-            return ProfileReport(
-                stalls=stalls,
-                total_cycles=total_cycles,
-                clock_hz=self.clock_hz,
-                sample_period_cycles=self.sample_period_cycles,
-                region_names=dict(self.region_names),
-                evidence=(
-                    None
-                    if flight is None
-                    else build_evidence(
-                        stalls,
-                        flight.events(),
-                        self.config.detector,
-                        recorder=flight,
-                    )
-                ),
-            )
-
+    @_instrumented_run(
+        "profile_chunked",
+        lambda self, chunk_samples, flight: {
+            "samples": len(self.signal), "chunk": chunk_samples
+        },
+    )
     def profile_chunked(
         self,
         chunk_samples: int = 65536,
         flight: Optional[FlightRecorder] = None,
     ) -> ProfileReport:
-        """Profile via the chunked engine in bounded-memory pieces.
+        """Profile in bounded-memory pieces of ``chunk_samples``.
 
-        Feeds the signal through the same
-        :class:`repro.core.engine.ChunkNormalizer` /
-        :class:`repro.core.engine.ChunkDetector` pair the streaming
-        path uses, ``chunk_samples`` at a time, and is bit-identical
-        to :meth:`profile` for any chunk size (the equivalence
-        contract of ``docs/engine.md``).  Useful when the whole
-        normalized signal should never be materialized at once.
+        Pushes the signal through the pipeline the streaming path
+        uses, so the whole normalized signal is never materialized; the
+        result is bit-identical to :meth:`profile` for any chunk size
+        (the equivalence contract of ``docs/engine.md``).
         """
         if chunk_samples < 1:
             raise ValueError("chunk_samples must be at least 1")
-        if not obs_enabled():
-            return self._profile_chunked_impl(chunk_samples, flight)
-        _event_bus.emit(
-            "run_started", op="profile_chunked", samples=len(self.signal)
+        x, norm_cfg = presmooth(self.signal, self.config.normalizer)
+        pipeline = ProfilePipeline(
+            self.sample_period_cycles,
+            self.config.detector,
+            normalizer=norm_cfg,
+            flight=flight,
         )
-        with _trace.span(
-            "profile_chunked", samples=len(self.signal), chunk=chunk_samples
-        ):
-            report = self._profile_chunked_impl(chunk_samples, flight)
-        _PROFILE_RUNS.inc()
-        _event_bus.emit(
-            "run_finished",
-            op="profile_chunked",
-            samples=len(self.signal),
-            stalls=len(report.stalls),
-        )
-        return report
+        for begin in range(0, len(x), chunk_samples):
+            pipeline.push(x[begin : begin + chunk_samples])
+        pipeline.finish()
+        return pipeline.report(self.clock_hz, self.region_names)
 
-    def _profile_chunked_impl(
-        self, chunk_samples: int, flight: Optional[FlightRecorder] = None
-    ) -> ProfileReport:
-        """Chunked profiling (instrumentation-free entry)."""
-        norm_cfg = self.config.normalizer
-        x = self.signal
-        if norm_cfg.smooth_samples > 1:
-            # Pre-smoothing needs the whole signal anyway; apply the
-            # identical moving average once, then stream unsmoothed.
-            x = moving_average(x, norm_cfg.smooth_samples)
-            norm_cfg = replace(norm_cfg, smooth_samples=1)
-        normalizer = ChunkNormalizer(norm_cfg, flight=flight)
-        detector = ChunkDetector(
-            self.sample_period_cycles, self.config.detector, flight=flight
-        )
-        stalls = []
-        for chunk in np.array_split(
-            x, np.arange(chunk_samples, len(x), chunk_samples)
-        ):
-            stalls.extend(detector.push(normalizer.push(chunk)))
-        stalls.extend(detector.push(normalizer.flush()))
-        stalls.extend(detector.finish())
-        total_cycles = len(self.signal) * self.sample_period_cycles
-        return ProfileReport(
-            stalls=stalls,
-            total_cycles=total_cycles,
-            clock_hz=self.clock_hz,
-            sample_period_cycles=self.sample_period_cycles,
-            region_names=dict(self.region_names),
-            evidence=(
-                None
-                if flight is None
-                else build_evidence(
-                    stalls,
-                    flight.events(),
-                    self.config.detector,
-                    recorder=flight,
-                )
-            ),
-        )
-
+    @_instrumented_run(
+        "profile_window",
+        lambda self, begin_sample, end_sample: {
+            "samples": end_sample - begin_sample,
+            "begin": begin_sample,
+            "end": end_sample,
+        },
+    )
     def profile_window(self, begin_sample: int, end_sample: int) -> ProfileReport:
         """Profile only samples [begin_sample, end_sample).
 
         Normalization still uses the full signal (the moving extrema
-        need surrounding context); only detection is windowed.  Used
-        for the microbenchmark experiments, where the measurement
-        window between the two marker loops is isolated first.
+        need surrounding context); only detection is windowed, and the
+        stalls come back in whole-signal coordinates.  Used for the
+        microbenchmark experiments, where the measurement window
+        between the two marker loops is isolated first.
         """
         if not 0 <= begin_sample <= end_sample <= len(self.signal):
             raise ValueError("window out of signal bounds")
-        if not obs_enabled():
-            return self._profile_window_impl(begin_sample, end_sample)
-        _event_bus.emit(
-            "run_started",
-            op="profile_window",
-            samples=end_sample - begin_sample,
-        )
-        with _trace.span(
-            "profile_window", begin=begin_sample, end=end_sample
-        ):
-            report = self._profile_window_impl(begin_sample, end_sample)
-        _PROFILE_RUNS.inc()
-        _event_bus.emit(
-            "run_finished",
-            op="profile_window",
-            samples=end_sample - begin_sample,
-            stalls=len(report.stalls),
-        )
-        return report
+        return self._detect(begin_sample, end_sample)
 
-    def _profile_window_impl(
-        self, begin_sample: int, end_sample: int
+    def _detect(
+        self, begin: int, end: int, flight: Optional[FlightRecorder] = None
     ) -> ProfileReport:
-        """Windowed profiling (instrumentation-free entry)."""
-        norm = self.normalized()[begin_sample:end_sample]
-        stalls = detect_stalls(norm, self.sample_period_cycles, self.config.detector)
-        offset_cycles = begin_sample * self.sample_period_cycles
-        shifted = [s.shifted(begin_sample, offset_cycles) for s in stalls]
-        window_cycles = (end_sample - begin_sample) * self.sample_period_cycles
-        with _trace.span("report", stalls=len(shifted)):
-            return ProfileReport(
-                stalls=shifted,
-                total_cycles=window_cycles,
-                clock_hz=self.clock_hz,
-                sample_period_cycles=self.sample_period_cycles,
-                region_names=dict(self.region_names),
-            )
+        """One pipeline detection over the cached normalization's [begin, end)."""
+        pipeline = ProfilePipeline(
+            self.sample_period_cycles,
+            self.config.detector,
+            flight=flight,
+            offset_samples=begin,
+        )
+        pipeline.detect(self.normalized()[begin:end])
+        return pipeline.report(self.clock_hz, self.region_names)

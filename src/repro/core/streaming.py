@@ -2,75 +2,29 @@
 
 The paper's SPEC captures outran the MXA's record length and had to be
 taken with a streaming front end (ThinkRF WSA5000 + PX14400 digitizers,
-Section VI).  Profiling such captures offline means holding hours of
-samples; this module processes the signal *incrementally*, in chunks of
-any size, with bounded memory.
-
-The numerical work lives in :mod:`repro.core.engine` (the vectorized
-chunked core shared with the batch path - see ``docs/engine.md``);
-this module is the *adapter* layer that adds runtime contracts,
-observability counters, and the robustness orchestration:
-
-* :class:`OnlineNormalizer` - sliding-window min/max normalization
-  over :class:`repro.core.engine.ChunkNormalizer`, emitting exactly
-  the same values as the batch
-  :func:`repro.core.normalize.normalize` (centered window,
-  edge-clamped) at a fixed latency of half a window;
-* :class:`StreamingDetector` - chunked dip detection over
-  :class:`repro.core.engine.ChunkDetector`, equivalent to the batch
-  detector (threshold, hysteresis merging, duration thresholds, edge
-  interpolation, refresh classification);
-* :class:`StreamingEmprof` - the facade: feed magnitude chunks,
-  collect stalls as they complete, and get the final
-  :class:`ProfileReport`.
-
-Equivalence with the batch pipeline is tested property-style in
-``tests/test_streaming.py`` and differentially against frozen seed
-implementations in ``tests/test_engine_equivalence.py``: for any
-signal and any chunking, the streamed result equals the batch result.
+Section VI).  :class:`StreamingEmprof` profiles such a capture chunk by
+chunk with bounded memory, as repeated pushes through the
+:class:`~repro.core.pipeline.ProfilePipeline` the batch modes use.  For
+any signal and chunking the streamed result equals the batch result
+(``tests/test_streaming.py``, ``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..devtools.contracts import (
-    monotonic_stall_stream,
-    report_result,
-    unit_interval_result,
-)
 from ..faults.quality import QualityConfig, QualityMonitor
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs.events import bus as _event_bus
-from ..obs.flight import (
-    FLIGHT_SCHEMA_VERSION,
-    FlightEvent,
-    FlightRecorder,
-    build_evidence,
-)
-from ..obs.runtime import obs_enabled
+from ..obs.flight import FlightRecorder
 from .detect import DetectorConfig
-from .engine import ChunkDetector, ChunkNormalizer, finite_segments
+from .engine import finite_segments
 from .events import DetectedStall, ProfileReport
 from .normalize import NormalizerConfig
+from .pipeline import ProfilePipeline
 
-_STREAM_NORM_SAMPLES = _metrics.counter(
-    "streaming_normalize_samples_total",
-    "magnitude samples consumed by OnlineNormalizer.push()",
-)
-_STREAM_DETECT_SAMPLES = _metrics.counter(
-    "streaming_detect_samples_total",
-    "normalized samples consumed by StreamingDetector.push()",
-)
-_STREAM_STALLS = _metrics.counter(
-    "stalls_detected_total", "LLC-miss stalls detected (batch + streaming)"
-)
-_STREAM_REFRESH = _metrics.counter(
-    "refresh_stalls_total", "detected stalls classified refresh-coincident"
-)
 _STREAM_CHUNKS = _metrics.counter(
     "streaming_chunks_total", "chunks fed through StreamingEmprof.process()"
 )
@@ -78,127 +32,18 @@ _STREAM_CHUNK_LATENCY = _metrics.histogram(
     "streaming_chunk_latency_seconds",
     "wall time of one StreamingEmprof.process() chunk",
 )
-_STREAM_GAPS = _metrics.counter(
-    "signal_gaps_total",
-    "stream discontinuities handled (overruns + non-finite runs)",
-)
-_STREAM_DROPPED = _metrics.counter(
-    "dropped_samples_total", "samples lost across all stream gaps"
-)
-_STREAM_LOW_CONFIDENCE = _metrics.counter(
-    "low_confidence_stalls_total",
-    "detected stalls flagged as overlapping impaired signal",
-)
 
 
-class OnlineNormalizer:
-    """Sliding-window min/max normalization with bounded memory.
-
-    A thin adapter over :class:`repro.core.engine.ChunkNormalizer`
-    adding the observability counter and the unit-interval contract.
-    Matches the batch normalizer sample-for-sample: the window for
-    output position ``i`` is the centered, edge-clamped window that
-    ``scipy.ndimage.{minimum,maximum}_filter1d`` with
-    ``mode="nearest"`` computes.  Output for position ``i`` is emitted
-    once its full right context has arrived (or at :meth:`flush`).
-
-    Smoothing (``smooth_samples > 1``) is not supported online; the
-    constructor rejects such configs rather than silently diverging
-    from the batch result.
-    """
-
-    def __init__(
-        self,
-        config: Optional[NormalizerConfig] = None,
-        flight: Optional[FlightRecorder] = None,
-    ):
-        self._engine = ChunkNormalizer(config, flight=flight)
-        self.config = self._engine.config
-
-    @unit_interval_result
-    def push(self, chunk: np.ndarray) -> np.ndarray:
-        """Feed samples; return the normalized values now determined."""
-        arr = np.asarray(chunk, dtype=np.float64)
-        out = self._engine.push(arr)
-        if obs_enabled():
-            _STREAM_NORM_SAMPLES.inc(len(arr))
-        return out
-
-    @unit_interval_result
-    def flush(self) -> np.ndarray:
-        """Emit the tail (positions whose right context is the signal end)."""
-        return self._engine.flush()
-
-    @property
-    def latency_samples(self) -> int:
-        """Fixed emission delay (half the window)."""
-        return self._engine.latency_samples
-
-
-class StreamingDetector:
-    """Incremental dip detection equivalent to :func:`detect_stalls`.
-
-    A thin adapter over :class:`repro.core.engine.ChunkDetector`
-    adding observability counters and the monotonic-stream contract.
-    Feed normalized samples with :meth:`push`; completed stalls are
-    returned as they become final (a stall is final once the signal has
-    recovered above the hysteresis threshold, or at :meth:`finish`).
-    """
-
-    def __init__(
-        self,
-        sample_period_cycles: float,
-        config: Optional[DetectorConfig] = None,
-        flight: Optional[FlightRecorder] = None,
-    ):
-        cfg = config if config is not None else DetectorConfig()
-        self._engine = ChunkDetector(sample_period_cycles, cfg, flight=flight)
-        self.period = self._engine.period
-        self.config = cfg
-
-    def _count(self, out: List[DetectedStall]) -> List[DetectedStall]:
-        _STREAM_STALLS.inc(len(out))
-        _STREAM_REFRESH.inc(sum(1 for s in out if s.is_refresh))
-        return out
-
-    @monotonic_stall_stream
-    def push(self, normalized: np.ndarray) -> List[DetectedStall]:
-        """Consume normalized samples; return newly finalized stalls."""
-        arr = np.asarray(normalized, dtype=np.float64)
-        out = self._engine.push(arr)
-        if obs_enabled():
-            _STREAM_DETECT_SAMPLES.inc(len(arr))
-            self._count(out)
-        return out
-
-    @monotonic_stall_stream
-    def finish(self) -> List[DetectedStall]:
-        """Finalize any open dip at end of signal."""
-        out = self._engine.finish()
-        if obs_enabled():
-            self._count(out)
-        return out
-
-    @monotonic_stall_stream
-    def resync(self) -> List[DetectedStall]:
-        """Close any open dip at a stream discontinuity and continue.
-
-        A gap means the samples between the last and the next chunk
-        are unknown, so the dip state machine cannot bridge it: the
-        open dip (if any) is finalized exactly as :meth:`finish` would
-        finalize it, but the detector stays usable - positions keep
-        advancing and the next sample is treated like a stream start
-        (neutral previous value for edge refinement).
-        """
-        out = self._engine.resync()
-        if obs_enabled():
-            self._count(out)
-        return out
-
-    @property
-    def samples_seen(self) -> int:
-        """Total normalized samples consumed."""
-        return self._engine.samples_seen
+def _chunk_done(stalls, elapsed_s, attrs):
+    _STREAM_CHUNK_LATENCY.observe(elapsed_s)
+    _STREAM_CHUNKS.inc()
+    _event_bus.emit(
+        "chunk_processed",
+        samples=attrs["samples"],
+        stalls=len(stalls),
+        latency_s=elapsed_s,
+    )
+    return {"stalls": len(stalls)}
 
 
 class StreamingEmprof:
@@ -251,21 +96,25 @@ class StreamingEmprof:
         self.sample_rate_hz = float(sample_rate_hz)
         self.clock_hz = float(clock_hz)
         self.period = clock_hz / sample_rate_hz
-        self._flight = flight
-        self._normalizer_config = (
-            normalizer if normalizer is not None else NormalizerConfig()
-        )
-        self._normalizer = OnlineNormalizer(self._normalizer_config, flight=flight)
-        self._detector = StreamingDetector(self.period, detector, flight=flight)
-        self.quality_monitor = QualityMonitor(
-            quality, gain_guard_samples=self._normalizer_config.window_samples
-        )
-        self._stalls: List[DetectedStall] = []
-        self._n_samples = 0
-        self._n_dropped = 0
-        self._finished = False
         self.region_names = dict(region_names or {})
+        normalizer = normalizer if normalizer is not None else NormalizerConfig()
+        self.quality_monitor = QualityMonitor(
+            quality, gain_guard_samples=normalizer.window_samples
+        )
+        self._pipeline = ProfilePipeline(
+            self.period,
+            detector if detector is not None else DetectorConfig(),
+            normalizer=normalizer,
+            quality=self.quality_monitor,
+            flight=flight,
+        )
+        self._report: Optional[ProfileReport] = None
 
+    @_trace.instrumented(
+        "streaming.chunk",
+        attrs=lambda self, chunk, gap_before: {"samples": int(np.size(chunk))},
+        on_exit=_chunk_done,
+    )
     def process(
         self, chunk: np.ndarray, gap_before: int = 0
     ) -> List[DetectedStall]:
@@ -280,155 +129,38 @@ class StreamingEmprof:
                 chunk (digitizer overrun).  Triggers resynchronization
                 and marks the surrounding samples impaired.
         """
-        if self._finished:
+        if self._report is not None:
             raise RuntimeError("finish() was already called")
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim != 1:
             raise ValueError("chunks must be one-dimensional")
         if gap_before < 0:
             raise ValueError("gap_before cannot be negative")
-        if not obs_enabled():
-            return self._process_impl(chunk, gap_before)
-        t0 = time.perf_counter()
-        with _trace.span("streaming.chunk", samples=len(chunk)) as span:
-            new = self._process_impl(chunk, gap_before)
-            span.set_attr(stalls=len(new))
-        elapsed = time.perf_counter() - t0
-        _STREAM_CHUNK_LATENCY.observe(elapsed)
-        _STREAM_CHUNKS.inc()
-        _event_bus.emit(
-            "chunk_processed",
-            samples=len(chunk),
-            stalls=len(new),
-            latency_s=elapsed,
-        )
-        for stall in new:
-            _event_bus.emit(
-                "stall_detected",
-                begin_cycle=stall.begin_cycle,
-                duration_cycles=stall.end_cycle - stall.begin_cycle,
-                is_refresh=stall.is_refresh,
-                low_confidence=stall.low_confidence,
-            )
-        return new
-
-    def _process_impl(
-        self, chunk: np.ndarray, gap_before: int
-    ) -> List[DetectedStall]:
-        """The uninstrumented chunk path (see :meth:`process`)."""
-        new: List[DetectedStall] = []
-        if gap_before > 0:
-            new.extend(self._handle_gap(gap_before))
-        if len(chunk) == 0:
-            return [self.quality_monitor.flag(s) for s in new]
+        new = self._pipeline.resync(gap_before) if gap_before > 0 else []
         finite = np.isfinite(chunk)
         if finite.all():
-            new.extend(self._consume(chunk))
-        else:
-            # Non-finite runs are dropped samples: feed the finite
-            # segments, resynchronizing across each bad run.
-            for segment, bad_run in _finite_segments(chunk, finite):
-                if bad_run:
-                    new.extend(self._handle_gap(bad_run))
-                if len(segment):
-                    new.extend(self._consume(segment))
-        return [self.quality_monitor.flag(s) for s in new]
-
-    def _consume(self, chunk: np.ndarray) -> List[DetectedStall]:
-        """Feed one contiguous, finite chunk through the pipeline."""
-        self.quality_monitor.observe(chunk, self._n_samples)
-        self._n_samples += len(chunk)
-        normalized = self._normalizer.push(chunk)
-        new = self._detector.push(normalized)
-        self._stalls.extend(new)
+            return new + self._pipeline.push(chunk)
+        # Non-finite runs are dropped samples: feed the finite
+        # segments, resynchronizing across each bad run.
+        for segment, bad_run in finite_segments(chunk, finite):
+            if bad_run:
+                new += self._pipeline.resync(bad_run)
+            new += self._pipeline.push(segment)
         return new
 
-    def _handle_gap(self, dropped: int) -> List[DetectedStall]:
-        """Resynchronize at a discontinuity of ``dropped`` lost samples."""
-        # Drain the normalizer so every sample seen so far reaches the
-        # detector, close the open dip (it cannot bridge the gap), and
-        # re-prime the min/max state: stale extrema from before the
-        # discontinuity must not normalize what follows it.
-        if self._flight is not None:
-            self._flight.record(
-                FlightEvent(
-                    schema_version=FLIGHT_SCHEMA_VERSION,
-                    kind="gap",
-                    pos=float(self._n_samples),
-                    attrs={"dropped": int(dropped)},
-                )
-            )
-        tail = self._normalizer.flush()
-        new = list(self._detector.push(tail))
-        new.extend(self._detector.resync())
-        self._stalls.extend(new)
-        self._normalizer = OnlineNormalizer(
-            self._normalizer_config, flight=self._flight
-        )
-        self.quality_monitor.mark_gap(self._n_samples, dropped)
-        self._n_dropped += dropped
-        if obs_enabled():
-            _STREAM_GAPS.inc()
-            _STREAM_DROPPED.inc(dropped)
-            _event_bus.emit("quality_flag", flag="gap", dropped=int(dropped))
-        return new
-
-    @report_result
     def finish(self) -> ProfileReport:
-        """Flush all state and return the final, quality-gated report."""
-        if not self._finished:
+        """Flush all state and return the final, quality-gated report.
+
+        Idempotent: later calls return the same report and record
+        nothing new.
+        """
+        if self._report is None:
             with _trace.span("streaming.finish"):
-                tail = self._normalizer.flush()
-                self._stalls.extend(self._detector.push(tail))
-                self._stalls.extend(self._detector.finish())
-            self._finished = True
-        # Gating runs over the complete stall list at the end: an
-        # impairment found late (e.g. a gap guard reaching backwards)
-        # must still flag a stall that was finalized before it.
-        stalls = [self.quality_monitor.flag(s) for s in self._stalls]
-        if self._flight is not None:
-            for stall in stalls:
-                if stall.low_confidence:
-                    self._flight.record(
-                        FlightEvent(
-                            schema_version=FLIGHT_SCHEMA_VERSION,
-                            kind="quality_veto",
-                            pos=float(stall.begin_sample),
-                            attrs={
-                                "begin": float(stall.begin_sample),
-                                "end": float(stall.end_sample),
-                            },
-                        )
-                    )
-        if obs_enabled():
-            low_confidence = sum(1 for s in stalls if s.low_confidence)
-            _STREAM_LOW_CONFIDENCE.inc(low_confidence)
-            if low_confidence:
-                _event_bus.emit(
-                    "quality_flag",
-                    flag="low_confidence",
-                    count=low_confidence,
+                self._pipeline.finish()
+                self._report = self._pipeline.report(
+                    self.clock_hz, self.region_names
                 )
-        quality = self.quality_monitor.summary()
-        return ProfileReport(
-            stalls=stalls,
-            total_cycles=(self._n_samples + self._n_dropped) * self.period,
-            clock_hz=self.clock_hz,
-            sample_period_cycles=self.period,
-            region_names=dict(self.region_names),
-            quality=quality if quality.any_impairment else None,
-            evidence=(
-                None
-                if self._flight is None
-                else build_evidence(
-                    stalls,
-                    self._flight.events(),
-                    self._detector.config,
-                    quality_intervals=self.quality_monitor.intervals(),
-                    recorder=self._flight,
-                )
-            ),
-        )
+        return self._report
 
     @property
     def stalls_so_far(self) -> List[DetectedStall]:
@@ -437,17 +169,12 @@ class StreamingEmprof:
         Confidence flags reflect impairments seen *so far*; the final
         report's flags are definitive.
         """
-        return [self.quality_monitor.flag(s) for s in self._stalls]
+        return [self.quality_monitor.flag(s) for s in self._pipeline.stalls]
 
     @property
     def dropped_samples(self) -> int:
         """Samples lost to gaps so far."""
-        return self._n_dropped
-
-
-def _finite_segments(chunk: np.ndarray, finite: np.ndarray):
-    """Split ``chunk`` into (finite_segment, preceding_bad_run) pairs."""
-    return finite_segments(chunk, finite)
+        return self._pipeline.samples_dropped
 
 
 def profile_chunks(

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
-from ..obs.runtime import obs_enabled
 from .dsp import rms
 
 _CHANNEL_SAMPLES = _metrics.counter(
@@ -113,21 +112,19 @@ class Channel:
             out[begin:end] = level
         return out
 
+    @_trace.instrumented(
+        "channel.apply",
+        attrs=lambda self, envelope, rate_hz: {
+            "samples": len(np.atleast_1d(envelope))
+        },
+        on_exit=lambda out, _elapsed_s, _attrs: _CHANNEL_SAMPLES.inc(len(out)),
+    )
     def apply(self, envelope: np.ndarray, rate_hz: float) -> np.ndarray:
         """Distort an emitted envelope sampled at ``rate_hz``.
 
         The output is clipped at zero: a magnitude cannot be negative,
         and deep noise excursions rectify in a real envelope detector.
         """
-        if not obs_enabled():
-            return self._apply_impl(envelope, rate_hz)
-        with _trace.span("channel.apply", samples=len(np.atleast_1d(envelope))):
-            out = self._apply_impl(envelope, rate_hz)
-        _CHANNEL_SAMPLES.inc(len(out))
-        return out
-
-    def _apply_impl(self, envelope: np.ndarray, rate_hz: float) -> np.ndarray:
-        """The uninstrumented channel model (see :meth:`apply`)."""
         if rate_hz <= 0:
             raise ValueError("sample rate must be positive")
         cfg = self.config

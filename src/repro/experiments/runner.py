@@ -31,7 +31,6 @@ from ..core.profiler import Emprof, EmprofConfig
 from ..core.events import ProfileReport
 from ..errors import AcquisitionError
 from ..obs import metrics as _metrics, trace as _trace
-from ..obs.events import bus as _event_bus
 from ..devices.models import default_channel
 from ..emsignal.apparatus import Apparatus
 from ..emsignal.channel import ChannelConfig
@@ -218,6 +217,18 @@ class ExperimentRun:
         return self.emprof.sample_period_cycles
 
 
+def _experiment_done(run, _elapsed_s, _attrs):
+    _EXPERIMENT_RUNS.inc()
+    _RUN_WALL_TIME.set(run.wall_time_s)
+    return {"stalls": len(run.report.stalls), "wall_time_s": run.wall_time_s}
+
+
+@_trace.instrumented(
+    "run_simulator",
+    attrs=lambda workload, **_: {"workload": getattr(workload, "name", "?")},
+    on_exit=_experiment_done,
+    run_events=True,
+)
 def run_simulator(
     workload: Workload,
     config: Optional[MachineConfig] = None,
@@ -228,28 +239,26 @@ def run_simulator(
     from ..devices.models import sesc
 
     begin = time.perf_counter()
-    name = getattr(workload, "name", "?")
-    _event_bus.emit("run_started", op="run_simulator", workload=name)
-    with _trace.span("run_simulator", workload=name):
-        machine = Machine(config if config is not None else sesc(), seed=seed)
-        result = machine.run(workload)
-        emprof = Emprof.from_simulation(result, config=emprof_config)
-        run = ExperimentRun(
-            result=result, capture=None, emprof=emprof, report=emprof.profile()
-        )
-    run.wall_time_s = time.perf_counter() - begin
-    _EXPERIMENT_RUNS.inc()
-    _RUN_WALL_TIME.set(run.wall_time_s)
-    _event_bus.emit(
-        "run_finished",
-        op="run_simulator",
-        workload=name,
-        stalls=len(run.report.stalls),
-        wall_time_s=run.wall_time_s,
+    machine = Machine(config if config is not None else sesc(), seed=seed)
+    result = machine.run(workload)
+    emprof = Emprof.from_simulation(result, config=emprof_config)
+    run = ExperimentRun(
+        result=result, capture=None, emprof=emprof, report=emprof.profile()
     )
+    run.wall_time_s = time.perf_counter() - begin
     return run
 
 
+@_trace.instrumented(
+    "run_device",
+    attrs=lambda workload, device, bandwidth_hz, **_: {
+        "workload": getattr(workload, "name", "?"),
+        "device": device.name,
+        "bandwidth_hz": bandwidth_hz,
+    },
+    on_exit=_experiment_done,
+    run_events=True,
+)
 def run_device(
     workload: Workload,
     device: MachineConfig,
@@ -265,43 +274,23 @@ def run_device(
     :func:`repro.devices.default_channel`).
     """
     begin = time.perf_counter()
-    name = getattr(workload, "name", "?")
-    _event_bus.emit(
-        "run_started", op="run_device", workload=name, device=device.name
-    )
-    with _trace.span(
-        "run_device",
-        workload=name,
-        device=device.name,
+    machine = Machine(device, seed=seed)
+    result = machine.run(workload)
+    apparatus = Apparatus(
+        emission=emission if emission is not None else EmissionModel(),
+        channel=(
+            channel
+            if channel is not None
+            else default_channel(device.name, seed=seed)
+        ),
         bandwidth_hz=bandwidth_hz,
-    ):
-        machine = Machine(device, seed=seed)
-        result = machine.run(workload)
-        apparatus = Apparatus(
-            emission=emission if emission is not None else EmissionModel(),
-            channel=(
-                channel
-                if channel is not None
-                else default_channel(device.name, seed=seed)
-            ),
-            bandwidth_hz=bandwidth_hz,
-        )
-        capture = apparatus.measure(result)
-        emprof = Emprof.from_capture(capture, config=emprof_config)
-        run = ExperimentRun(
-            result=result, capture=capture, emprof=emprof, report=emprof.profile()
-        )
-    run.wall_time_s = time.perf_counter() - begin
-    _EXPERIMENT_RUNS.inc()
-    _RUN_WALL_TIME.set(run.wall_time_s)
-    _event_bus.emit(
-        "run_finished",
-        op="run_device",
-        workload=name,
-        device=device.name,
-        stalls=len(run.report.stalls),
-        wall_time_s=run.wall_time_s,
     )
+    capture = apparatus.measure(result)
+    emprof = Emprof.from_capture(capture, config=emprof_config)
+    run = ExperimentRun(
+        result=result, capture=capture, emprof=emprof, report=emprof.profile()
+    )
+    run.wall_time_s = time.perf_counter() - begin
     return run
 
 

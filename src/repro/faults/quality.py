@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,18 @@ def _identical_runs(chunk: np.ndarray, min_run: int) -> List[Tuple[int, int]]:
     ends = np.concatenate((change_at + 1, [n]))
     keep = (ends - starts) >= min_run
     return list(zip(starts[keep].tolist(), ends[keep].tolist()))
+
+
+def overlaps(
+    intervals: Sequence[Tuple[float, float]], begin: float, end: float
+) -> bool:
+    """Whether [begin, end] overlaps any of ``intervals`` (sorted by begin)."""
+    for b, e in intervals:
+        if b > end:
+            return False
+        if begin <= e and end >= b:
+            return True
+    return False
 
 
 class QualityMonitor:
@@ -229,8 +241,7 @@ class QualityMonitor:
 
     # -- queries -------------------------------------------------------------
 
-    def intervals(self) -> List[Tuple[float, float]]:
-        """Merged, sorted impaired [begin, end) intervals."""
+    def _merged_intervals(self) -> List[Tuple[float, float]]:
         if self._merged is None:
             merged: List[Tuple[float, float]] = []
             for begin, end in sorted(self._intervals):
@@ -239,16 +250,15 @@ class QualityMonitor:
                 else:
                     merged.append((begin, end))
             self._merged = merged
-        return list(self._merged)
+        return self._merged
+
+    def intervals(self) -> List[Tuple[float, float]]:
+        """Merged, sorted impaired [begin, end) intervals."""
+        return list(self._merged_intervals())
 
     def is_impaired(self, begin: float, end: float) -> bool:
         """Whether [begin, end] overlaps any impaired interval."""
-        for b, e in self.intervals():
-            if b > end:
-                break
-            if begin <= e and end >= b:
-                return True
-        return False
+        return overlaps(self._merged_intervals(), begin, end)
 
     def flag(self, stall):
         """Copy of ``stall`` flagged low-confidence if it overlaps."""
@@ -263,7 +273,7 @@ class QualityMonitor:
         # when `repro.faults` is the first package imported.
         from ..core.events import QualitySummary
 
-        merged = self.intervals()
+        merged = self._merged_intervals()
         return QualitySummary(
             gap_count=self.gap_count,
             dropped_samples=self.dropped_samples,

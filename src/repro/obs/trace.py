@@ -20,13 +20,14 @@ Usage::
     with trace.span("detect", samples=len(x)):
         ...
 
-    @trace.wrap("experiment")          # late-binding decorator form
+    @trace.instrumented("experiment")  # late-binding decorator form
     def run_experiment(...): ...
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import os
 import threading
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from . import runtime, tracectx
+from .events import bus
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -260,23 +262,56 @@ class Tracer:
             return _NULL_SPAN
         return _ActiveSpan(self, name, dict(attrs))
 
-    def wrap(self, name: Optional[str] = None, **attrs: Any) -> Callable[[F], F]:
-        """Decorator form; the span is opened per call, *late-bound*.
+    def instrumented(
+        self,
+        name: Optional[str] = None,
+        attrs: Optional[Callable[..., Dict[str, Any]]] = None,
+        on_exit: Optional[Callable[..., Optional[Dict[str, Any]]]] = None,
+        run_events: bool = False,
+    ) -> Callable[[F], F]:
+        """Decorator owning one entry point's span, metrics and events.
 
-        Unlike decorating with :meth:`span` directly, the enabled flag
-        is consulted at each call, so instrumentation toggled on after
-        import still takes effect.
+        The enabled flag is consulted at each call (late binding), so
+        instrumentation toggled on after import still takes effect;
+        disabled, a call costs one flag check.  Enabled, a call:
+
+        * opens the span ``name`` (default: the function's qualified
+          name) with ``attrs(**arguments)`` as its attributes, where
+          ``arguments`` are the call's bound arguments;
+        * on return, calls ``on_exit(result, elapsed_s, attributes)``,
+          the hook that feeds counters and histograms; the attributes
+          it returns are added to the span;
+        * with ``run_events``, brackets the call with ``run_started``
+          and ``run_finished`` bus events (``op=name``) carrying the
+          span's attributes.
         """
 
         def decorate(func: F) -> F:
             span_name = name if name is not None else func.__qualname__
+            signature = inspect.signature(func) if attrs is not None else None
 
             @functools.wraps(func)
             def wrapper(*args: Any, **kwargs: Any) -> Any:
                 if not runtime._enabled:
                     return func(*args, **kwargs)
-                with self.span(span_name, **attrs):
-                    return func(*args, **kwargs)
+                fields: Dict[str, Any] = {}
+                if signature is not None:
+                    bound = signature.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    fields = attrs(**bound.arguments)
+                if run_events:
+                    bus.emit("run_started", op=span_name, **fields)
+                begin = time.perf_counter()
+                with self.span(span_name, **fields) as span:
+                    result = func(*args, **kwargs)
+                    if on_exit is not None:
+                        extra = on_exit(result, time.perf_counter() - begin, fields)
+                        if extra:
+                            span.set_attr(**extra)
+                            fields = {**fields, **extra}
+                if run_events:
+                    bus.emit("run_finished", op=span_name, **fields)
+                return result
 
             return wrapper  # type: ignore[return-value]
 

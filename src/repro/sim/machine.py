@@ -10,14 +10,12 @@ EMPROF validation methodology needs (Section V-C).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
-from ..obs.runtime import obs_enabled
 from ..workloads.base import Workload
 from .cache import CacheHierarchy
 from .config import MachineConfig
@@ -73,6 +71,16 @@ class SimulationResult:
         return self.config.power.bin_cycles
 
 
+def _count_run(result, elapsed_s, _attrs):
+    truth = result.ground_truth
+    _SIM_CYCLES.inc(truth.total_cycles)
+    _SIM_INSTRUCTIONS.inc(truth.total_instructions)
+    _SIM_POWER_SAMPLES.inc(len(result.power_trace))
+    if elapsed_s > 0:
+        _SIM_CPS.set(truth.total_cycles / elapsed_s)
+    return {"cycles": truth.total_cycles}
+
+
 class Machine:
     """A configured device: core + caches + DRAM + power accounting."""
 
@@ -106,31 +114,17 @@ class Machine:
             tlb_walk_cycles=config.tlb_walk_cycles,
         )
 
+    @_trace.instrumented(
+        "sim.run",
+        attrs=lambda self, workload: {
+            "workload": getattr(workload, "name", type(workload).__name__)
+        },
+        on_exit=_count_run,
+    )
     def run(
         self, workload: Union[Workload, Iterable[Union[Block, Instr]]]
     ) -> SimulationResult:
         """Execute ``workload`` from cold caches and collect results."""
-        if not obs_enabled():
-            return self._run_impl(workload)
-        t0 = time.perf_counter()
-        with _trace.span(
-            "sim.run", workload=getattr(workload, "name", type(workload).__name__)
-        ) as span:
-            result = self._run_impl(workload)
-            span.set_attr(cycles=result.ground_truth.total_cycles)
-        elapsed = time.perf_counter() - t0
-        truth = result.ground_truth
-        _SIM_CYCLES.inc(truth.total_cycles)
-        _SIM_INSTRUCTIONS.inc(truth.total_instructions)
-        _SIM_POWER_SAMPLES.inc(len(result.power_trace))
-        if elapsed > 0:
-            _SIM_CPS.set(truth.total_cycles / elapsed)
-        return result
-
-    def _run_impl(
-        self, workload: Union[Workload, Iterable[Union[Block, Instr]]]
-    ) -> SimulationResult:
-        """The uninstrumented run loop (see :meth:`run`)."""
         region_names: Dict[int, str] = {}
         if isinstance(workload, Workload) or hasattr(workload, "instructions"):
             stream = workload.instructions(self.config)

@@ -181,3 +181,22 @@ class TestSequenceAccuracy:
 
     def test_empty_expected(self):
         assert sequence_accuracy(self.res([]), []) == 1.0
+
+    def test_matches_textbook_lcs_dp(self):
+        def lcs(a, b):
+            dp = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+            for i in range(1, len(a) + 1):
+                for j in range(1, len(b) + 1):
+                    if a[i - 1] == b[j - 1]:
+                        dp[i][j] = dp[i - 1][j - 1] + 1
+                    else:
+                        dp[i][j] = max(dp[i - 1][j], dp[i][j - 1])
+            return dp[len(a)][len(b)]
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            alphabet = list("ABCDEFG"[: rng.integers(1, 8)])
+            got = list(rng.choice(alphabet, size=rng.integers(0, 90)))
+            expected = list(rng.choice(alphabet, size=rng.integers(1, 90)))
+            acc = sequence_accuracy(self.res(got), expected)
+            assert acc == lcs(got, expected) / len(expected)

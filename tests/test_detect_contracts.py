@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.detect import DetectorConfig, detect_stalls
 from repro.core.events import DetectedStall, ProfileReport
-from repro.core.streaming import StreamingDetector
+from repro.core.engine import ChunkDetector
 from repro.devtools.contracts import (
     ContractViolation,
     check_report,
@@ -38,7 +38,7 @@ CFG = DetectorConfig(
 
 def stream_detect(normalized, chunk=3):
     """Run the streaming detector over ``normalized`` in small chunks."""
-    det = StreamingDetector(PERIOD, CFG)
+    det = ChunkDetector(PERIOD, CFG)
     out = []
     for i in range(0, len(normalized), chunk):
         out.extend(det.push(normalized[i : i + chunk]))
@@ -216,7 +216,7 @@ def test_contracts_can_be_disabled_and_restored():
         # With contracts off, even a malformed report passes validate-free
         # construction paths (validate() itself still checks explicitly
         # via check_* functions only when invoked through decorators).
-        det = StreamingDetector(PERIOD, CFG)
+        det = ChunkDetector(PERIOD, CFG)
         det.push(np.array([1.0, 0.1, 0.1, 0.1, 0.1, 1.0]))
         det.finish()
     finally:

@@ -1,9 +1,9 @@
 """The observability overhead guard.
 
 With ``EMPROF_OBS`` unset, every instrumented public function must be
-one flag check away from its uninstrumented ``_impl``.  This test
-times `Emprof.profile` (disabled-observability wrapper path) against
-the raw pipeline (`_normalize_impl` + `_detect_stalls_impl` called
+one flag check away from the undecorated code.  This test times
+`Emprof.profile` (disabled-observability wrapper path) against the raw
+engine (`ChunkNormalizer` push plus flush, then `detect_all`, called
 directly) on a ~1M-sample signal and holds the wrapper within 10 %.
 
 Runtime contracts are switched off for both paths so the comparison
@@ -17,8 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.detect import DetectorConfig, _detect_stalls_impl
-from repro.core.normalize import NormalizerConfig, _normalize_impl
+from repro.core.detect import DetectorConfig
+from repro.core.engine import ChunkNormalizer, detect_all
+from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import Emprof
 from repro.devtools.contracts import set_contracts_enabled
 from repro.obs import set_obs_enabled
@@ -55,10 +56,9 @@ def test_disabled_obs_overhead_within_ten_percent(big_signal):
     detector_cfg = DetectorConfig()
 
     def baseline():
-        norm = _normalize_impl(big_signal, normalizer_cfg)
-        return _detect_stalls_impl(
-            norm, CLOCK_HZ / SAMPLE_RATE_HZ, detector_cfg
-        )
+        engine = ChunkNormalizer(normalizer_cfg)
+        norm = np.concatenate((engine.push(big_signal), engine.flush()))
+        return detect_all(norm, CLOCK_HZ / SAMPLE_RATE_HZ, detector_cfg)
 
     def instrumented():
         emprof = Emprof(big_signal, SAMPLE_RATE_HZ, CLOCK_HZ)

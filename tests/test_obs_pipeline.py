@@ -224,3 +224,59 @@ class TestProfileWindowShift:
             )
             assert match.is_refresh == s.is_refresh
             assert match.min_level == pytest.approx(s.min_level, abs=1e-9)
+
+
+class TestStallCountersEveryMode:
+    """Every profiling mode feeds the stall counters exactly once per
+    reported stall, through the pipeline's one emission point."""
+
+    @staticmethod
+    def _signal():
+        from tests.conftest import make_dip_signal
+
+        x = make_dip_signal(n=8000, seed=4)
+        x[3000:3100] = 0.05  # a refresh-length dip (2000 cycles)
+        return x
+
+    @staticmethod
+    def _counters():
+        snap = obs.metrics.snapshot()["counters"]
+        return (
+            snap["stalls_detected_total"]["value"],
+            snap["refresh_stalls_total"]["value"],
+        )
+
+    @staticmethod
+    def _stream(x, cfg):
+        from repro.core.streaming import StreamingEmprof
+
+        streamer = StreamingEmprof(
+            50e6, 1e9, normalizer=cfg.normalizer, detector=cfg.detector
+        )
+        for begin in range(0, len(x), 997):
+            streamer.process(x[begin : begin + 997])
+        return streamer.finish()
+
+    @pytest.mark.parametrize(
+        "mode", ["profile", "profile_chunked", "profile_window", "streaming"]
+    )
+    def test_counters_match_report(self, obs_clean, mode):
+        from repro.core.normalize import NormalizerConfig
+        from repro.core.profiler import EmprofConfig
+
+        cfg = EmprofConfig(normalizer=NormalizerConfig(window_samples=301))
+        x = self._signal()
+        emprof = Emprof(x, 50e6, 1e9, config=cfg)
+        emprof.normalized()  # the windowed run reuses the cached normalization
+        obs.metrics.reset()
+        if mode == "profile":
+            report = emprof.profile()
+        elif mode == "profile_chunked":
+            report = emprof.profile_chunked(chunk_samples=997)
+        elif mode == "profile_window":
+            report = emprof.profile_window(1000, 7000)
+        else:
+            report = self._stream(x, cfg)
+        assert report.miss_count > 10
+        assert report.refresh_count >= 1
+        assert self._counters() == (report.miss_count, report.refresh_count)

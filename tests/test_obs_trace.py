@@ -43,7 +43,7 @@ class TestDisabledPath:
         previous = set_obs_enabled(False)
         try:
 
-            @tracer.wrap("stage")
+            @tracer.instrumented("stage")
             def stage(x):
                 return x + 1
 
@@ -54,6 +54,62 @@ class TestDisabledPath:
             assert [r.name for r in tracer.records()] == ["stage"]
         finally:
             set_obs_enabled(previous)
+
+
+class TestInstrumented:
+    def test_attrs_hook_and_run_events(self, obs_on, tracer):
+        """Bound call arguments feed the span, the exit hook's result is
+        added to it, and run events bracket the call with the same
+        attributes."""
+        from repro.obs.events import bus
+
+        seen = []
+
+        def done(result, elapsed_s, attrs):
+            seen.append((result, elapsed_s >= 0.0, dict(attrs)))
+            return {"out": result}
+
+        @tracer.instrumented(
+            "stage",
+            attrs=lambda x, scale: {"x": x, "scale": scale},
+            on_exit=done,
+            run_events=True,
+        )
+        def stage(x, scale=2):
+            return x * scale
+
+        bus.reset()
+        try:
+            assert stage(3) == 6
+            events = [e for e in bus.tail(10) if e.attrs.get("op") == "stage"]
+        finally:
+            bus.reset()
+        assert seen == [(6, True, {"x": 3, "scale": 2})]
+        (record,) = tracer.records()
+        assert record.name == "stage"
+        assert record.attrs == {"x": 3, "scale": 2, "out": 6}
+        assert [e.kind for e in events] == ["run_started", "run_finished"]
+        assert events[0].attrs == {"op": "stage", "x": 3, "scale": 2}
+        assert events[1].attrs == {"op": "stage", "x": 3, "scale": 2, "out": 6}
+
+    def test_disabled_skips_hooks(self, tracer):
+        previous = set_obs_enabled(False)
+        calls = []
+        try:
+
+            @tracer.instrumented(
+                "stage",
+                attrs=lambda x: calls.append("attrs") or {},
+                on_exit=lambda *a: calls.append("exit"),
+            )
+            def stage(x):
+                return x
+
+            assert stage(5) == 5
+        finally:
+            set_obs_enabled(previous)
+        assert calls == []
+        assert tracer.records() == []
 
 
 class TestRecording:

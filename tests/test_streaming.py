@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from repro.core.detect import DetectorConfig, detect_stalls
 from repro.core.normalize import NormalizerConfig, normalize
 from repro.core.profiler import Emprof
-from repro.core.streaming import (
-    OnlineNormalizer,
-    StreamingDetector,
-    StreamingEmprof,
-    profile_chunks,
-)
+from repro.core.engine import ChunkDetector, ChunkNormalizer
+from repro.core.streaming import StreamingEmprof, profile_chunks
 
 NORM_CFG = NormalizerConfig(window_samples=301)
 DET_CFG = DetectorConfig()
@@ -28,7 +24,7 @@ def dip_signal(n=5000, seed=0, dip_every=170, dip_len=13):
 
 
 def stream_normalize(x, chunks, cfg=NORM_CFG):
-    on = OnlineNormalizer(cfg)
+    on = ChunkNormalizer(cfg)
     parts = [on.push(c) for c in np.array_split(x, chunks)]
     parts.append(on.flush())
     return np.concatenate([p for p in parts if len(p)])
@@ -43,7 +39,7 @@ class TestOnlineNormalizer:
         np.testing.assert_allclose(stream, batch, atol=1e-12)
 
     def test_latency_is_half_window(self):
-        on = OnlineNormalizer(NORM_CFG)
+        on = ChunkNormalizer(NORM_CFG)
         assert on.latency_samples == 150
         out = on.push(np.full(150, 0.5))
         assert len(out) == 0  # nothing determined yet
@@ -52,17 +48,17 @@ class TestOnlineNormalizer:
 
     def test_flush_emits_everything(self):
         x = dip_signal(n=800)
-        on = OnlineNormalizer(NORM_CFG)
+        on = ChunkNormalizer(NORM_CFG)
         emitted = len(on.push(x)) + len(on.flush())
         assert emitted == len(x)
 
     def test_rejects_smoothing(self):
         with pytest.raises(ValueError):
-            OnlineNormalizer(NormalizerConfig(window_samples=101, smooth_samples=3))
+            ChunkNormalizer(NormalizerConfig(window_samples=101, smooth_samples=3))
 
     def test_single_sample_pushes(self):
         x = dip_signal(n=700)
-        on = OnlineNormalizer(NORM_CFG)
+        on = ChunkNormalizer(NORM_CFG)
         parts = [on.push(np.array([v])) for v in x]
         parts.append(on.flush())
         stream = np.concatenate([p for p in parts if len(p)])
@@ -71,7 +67,7 @@ class TestOnlineNormalizer:
 
 class TestStreamingDetector:
     def run_stream(self, normalized, chunks, cfg=DET_CFG):
-        det = StreamingDetector(20.0, cfg)
+        det = ChunkDetector(20.0, cfg)
         stalls = []
         for c in np.array_split(normalized, chunks):
             stalls.extend(det.push(c))
@@ -93,7 +89,7 @@ class TestStreamingDetector:
     def test_dip_split_across_chunks(self):
         x = np.full(400, 0.95)
         x[195:215] = 0.05  # a dip straddling the 200-sample chunk border
-        det = StreamingDetector(20.0, DET_CFG)
+        det = ChunkDetector(20.0, DET_CFG)
         stalls = list(det.push(x[:200]))
         stalls += det.push(x[200:])
         stalls += det.finish()
@@ -103,7 +99,7 @@ class TestStreamingDetector:
     def test_open_dip_at_end_finalized(self):
         x = np.full(300, 0.95)
         x[280:] = 0.05
-        det = StreamingDetector(20.0, DET_CFG)
+        det = ChunkDetector(20.0, DET_CFG)
         stalls = list(det.push(x))
         assert stalls == []  # not final until finish()
         stalls = det.finish()
@@ -115,7 +111,7 @@ class TestStreamingDetector:
         x[100:120] = 0.05
         x[120] = 0.55  # above threshold, below recover -> must merge
         x[121:140] = 0.05
-        det = StreamingDetector(20.0, DET_CFG)
+        det = ChunkDetector(20.0, DET_CFG)
         stalls = list(det.push(x[:121]))  # chunk ends inside the gap
         stalls += det.push(x[121:])
         stalls += det.finish()
@@ -123,7 +119,7 @@ class TestStreamingDetector:
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
-            StreamingDetector(0.0)
+            ChunkDetector(0.0, DET_CFG)
 
 
 class TestStreamingEmprof:
@@ -161,6 +157,48 @@ class TestStreamingEmprof:
         streamer.finish()
         with pytest.raises(RuntimeError):
             streamer.process(np.zeros(10))
+
+    def test_repeated_finish_is_idempotent(self):
+        """A second finish() returns an equal report and records nothing:
+        no flight events, no counts, no bus events."""
+        from repro import obs
+        from repro.obs.events import InMemorySink, bus
+        from repro.obs.flight import FlightRecorder
+
+        x = dip_signal()
+        dip = 200 + 3 * 170  # a gap lands inside this dip
+        recorder = FlightRecorder()
+        previous = obs.set_obs_enabled(True)
+        obs.metrics.reset()
+        bus.reset()
+        sink = InMemorySink()
+        bus.add_sink(sink)
+        try:
+            streamer = StreamingEmprof(
+                50e6, 1e9, normalizer=NORM_CFG, flight=recorder
+            )
+            streamer.process(x[: dip + 6])
+            streamer.process(x[dip + 6 :], gap_before=5)
+            first = streamer.finish()
+            bus.flush()
+            flight_events = len(recorder.events())
+            counters = obs.metrics.snapshot()["counters"]
+            bus_events = len(sink.events)
+            second = streamer.finish()
+            bus.flush()
+            assert len(recorder.events()) == flight_events
+            assert obs.metrics.snapshot()["counters"] == counters
+            assert len(sink.events) == bus_events
+        finally:
+            bus.remove_sink(sink)
+            bus.reset()
+            obs.metrics.reset()
+            obs.set_obs_enabled(previous)
+        assert second == first
+        assert first.low_confidence_count >= 1
+        assert counters["low_confidence_stalls_total"]["value"] == (
+            first.low_confidence_count
+        )
 
     def test_rejects_2d_chunk(self):
         streamer = StreamingEmprof(50e6, 1e9)

@@ -45,10 +45,11 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults_inject.py tests/test_faults_pipeline.py tests/test_faults_chaos.py tests/test_faults_runner.py -q
 
 # Supervisor/daemon chaos suite: kill -9 and SIGSTOP'd workers,
-# poison-spec quarantine, lease timeouts, graceful SIGTERM, and the
-# 100-run exactly-once acceptance scenario (docs/service.md).
+# poison-spec quarantine, lease timeouts, graceful SIGTERM, the
+# 100-run exactly-once acceptance scenario (docs/service.md), and the
+# kill-a-worker-mid-run telemetry scenario (docs/observability.md).
 chaos-service:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py -q
 
 # Quick perf-tracking benches; writes BENCH_obs.json (latest session,
 # atomic) and appends per-bench history to LEDGER_obs.jsonl.

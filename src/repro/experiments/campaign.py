@@ -31,7 +31,10 @@ restart:
 * execution is **observable** - every manifest update carries a
   ``progress`` heartbeat, and ``ledger=...`` appends one
   ``campaign-run`` record per finished run plus a ``campaign`` summary
-  per pass (``repro obs ledger``/``dashboard``).
+  per pass (``repro obs ledger``/``dashboard``).  With observability
+  on, forked workers send their events to the supervisor over their
+  control pipes, so every event of the pass lands on the parent's bus
+  and from there in the one ``events.ndjsonl`` writer.
 
 Manifest run states: ``done`` / ``failed`` (the run itself failed;
 not requeued) / ``running`` (leased at the time of the last
@@ -55,7 +58,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .. import io as repro_io
 from ..core.events import ProfileReport
@@ -64,7 +67,7 @@ from ..errors import AcquisitionError, CampaignError
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs import ledger as obs_ledger
 from ..obs import tracectx
-from ..obs.events import NDJSONFileSink, SocketSink, bus as _event_bus
+from ..obs.events import Event, NDJSONFileSink, bus as _event_bus
 from ..obs.runtime import obs_enabled
 from .runner import RetryPolicy, acquire_with_retry
 
@@ -208,10 +211,6 @@ class Campaign:
         isolate: fork a supervised worker even at ``workers=1``, so a
             crashing or wedged run cannot take the caller down with it
             (the campaign daemon always sets this).
-        status_port: when given, :meth:`execute`/:meth:`start` serve
-            the line-JSON status protocol (:mod:`repro.obs.statusd`)
-            on this port for the duration of the pass; 0 picks an
-            ephemeral port, published as :attr:`status_address`.
         heartbeat_interval_s: cadence of forked workers' ``heartbeat``
             events and control-channel liveness beats.
         heartbeat_timeout_s: how long a *leased* forked worker may go
@@ -242,7 +241,6 @@ class Campaign:
         ledger: Optional[Union[str, Path, obs_ledger.RunLedger]] = None,
         workers: int = 1,
         isolate: bool = False,
-        status_port: Optional[int] = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: Optional[float] = None,
         job_timeout_s: Optional[float] = None,
@@ -271,7 +269,6 @@ class Campaign:
             self.ledger = obs_ledger.RunLedger(ledger)
         self.workers = int(workers)
         self.isolate = bool(isolate)
-        self.status_port = status_port
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = (
             None if heartbeat_timeout_s is None else float(heartbeat_timeout_s)
@@ -284,9 +281,6 @@ class Campaign:
         self.flight_retain = (
             None if flight_retain is None else int(flight_retain)
         )
-        #: ``(host, port)`` of the live status server, set while a
-        #: pass with ``status_port`` is executing.
-        self.status_address: Optional[Tuple[str, int]] = None
         self.directory.mkdir(parents=True, exist_ok=True)
 
     @property
@@ -304,7 +298,7 @@ class Campaign:
 
     @property
     def events_path(self) -> Path:
-        """The campaign's shared NDJSON event stream (all processes)."""
+        """The campaign's NDJSON event stream (every process's events)."""
         return self.directory / _EVENTS_NAME
 
     def outcome_path(self, name: str) -> Path:
@@ -399,12 +393,13 @@ class Campaign:
         """Plan the pass and launch its workers; returns immediately.
 
         Call :meth:`CampaignExecution.join` for the merged result.
-        Forked workers start leasing runs at once, streaming events
-        into the campaign's NDJSON event file and - when
-        ``status_port`` is set - into the parent's status server, so
-        the pass can be watched live.  An in-process pass (see
-        ``workers``) executes its runs inside ``join``, on the thread
-        that calls it.
+        Forked workers start leasing runs at once; their events reach
+        the parent's event bus as ``join``'s supervision loop reads
+        their pipes, so a caller that wants to watch the pass live runs
+        ``join`` on one thread inside its own
+        :class:`repro.obs.statusd.StatusServer` over that bus, as the
+        campaign daemon does.  An in-process pass (see ``workers``)
+        executes its runs inside ``join``, on the thread that calls it.
         """
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
@@ -413,29 +408,16 @@ class Campaign:
 
     @contextlib.contextmanager
     def _observation(self, total_planned: int):
-        """Event/status scaffolding around one execute pass.
+        """Event scaffolding around one execute pass.
 
         Attaches an NDJSON sink for the campaign's event file (when
-        observability is on), serves the status protocol on
-        ``status_port`` (when set), and brackets the pass in
-        ``run_started``/``run_finished`` events.  All of it tears back
-        down when the pass ends; with observability off and no status
-        port this is a no-op.
+        observability is on) and brackets the pass in
+        ``run_started``/``run_finished`` events; the sink is detached
+        when the pass ends.  With observability off this is a no-op.
         """
         sink = None
-        server = None
         if obs_enabled():
             sink = _event_bus.add_sink(NDJSONFileSink(self.events_path))
-        if self.status_port is not None:
-            from ..obs import statusd
-
-            server = statusd.StatusServer(
-                _event_bus,
-                metrics=_metrics,
-                port=self.status_port,
-                extra_status=lambda: self._live_status(total_planned),
-            ).start()
-            self.status_address = server.address
         _event_bus.emit(
             "run_started",
             op="campaign",
@@ -444,33 +426,15 @@ class Campaign:
             workers=self.workers,
         )
         try:
-            yield server
+            yield
         finally:
             _event_bus.emit(
                 "run_finished", op="campaign", campaign=self.directory.name
             )
             _event_bus.flush(timeout_s=2.0)
-            if server is not None:
-                server.close()
-                self.status_address = None
             if sink is not None:
                 _event_bus.remove_sink(sink)
                 sink.close()
-
-    def _live_status(self, total_planned: int) -> Dict[str, object]:
-        """The ``status`` response's campaign block (cheap to compute)."""
-        try:
-            progress = self.load_progress()
-        except CampaignError:
-            progress = {}
-        return {
-            "campaign": self.directory.name,
-            "total_planned": total_planned,
-            "progress": progress,
-            "worker_outcomes": len(
-                list(self.directory.glob("*.outcome.json"))
-            ),
-        }
 
     def _run_and_commit(
         self, spec: RunSpec, label: str, attempt: int, interrupted: bool
@@ -568,16 +532,18 @@ class CampaignExecution:
     """A launched pass; :meth:`join` runs the supervisor.
 
     Created by :meth:`Campaign.start`.  The parent owns the open
-    ``campaign`` span, the status server, the shared event sink, the
-    pass's one ledger handle, and all scheduling state: a pending
-    queue of jobs and one lease per busy worker.
+    ``campaign`` span, the pass's event sink, the pass's one ledger
+    handle, and all scheduling state: a pending queue of jobs and one
+    lease per busy worker.
 
     An unsupervised ``workers=1`` pass (see :class:`Campaign`) has one
     worker, :data:`IN_PROCESS_WORKER`, the thread running
     :meth:`join`: a lease executes synchronously and is finalized
     through the same path as a forked worker's committed run.
     Otherwise each forked worker has a private pipe to the supervisor
-    (jobs in; ``beat``, ``started`` and ``done`` out); a dead worker
+    (jobs in; ``beat``, ``started``, ``done`` and, with observability
+    on, ``event`` out - the supervisor ingests each event into its own
+    bus, and reads a pipe dry before closing it); a dead worker
     (``is_alive()`` false), a hung worker (no beat within
     ``Campaign.effective_heartbeat_timeout_s``), or an overdue
     job (``RunSpec.timeout_s`` / ``Campaign.job_timeout_s``) gets the
@@ -631,7 +597,6 @@ class CampaignExecution:
         self._exit = contextlib.ExitStack()
         self._ledger_sink: Optional[obs_ledger.LedgerAppender] = None
         self._context: Optional[tracectx.TraceContext] = None
-        self._status_address: Optional[Tuple[str, int]] = None
 
     # -- launch --------------------------------------------------------------
 
@@ -639,17 +604,14 @@ class CampaignExecution:
         """Plan the queue and launch the workers; returns immediately."""
         campaign = self.campaign
         # Read the manifest before any side effect: a foreign or torn
-        # manifest must fail the pass without starting a status server.
+        # manifest must fail the pass without touching the event file.
         self._runs = campaign.load_manifest()
         self._pass_begin = time.perf_counter()
         try:
             # Unwound in reverse when join() (or a failed start) exits
             # the stack: span, trace file, ledger handle, then the event
-            # sink and status server.
-            server = self._exit.enter_context(
-                campaign._observation(len(self.specs))
-            )
-            self._status_address = None if server is None else server.address
+            # sink.
+            self._exit.enter_context(campaign._observation(len(self.specs)))
             if campaign.ledger is not None:
                 # One handle for the whole pass.  The manifest stays the
                 # crash-recovery source of truth for runs, so their
@@ -750,7 +712,6 @@ class CampaignExecution:
                 worker_end,
                 [channel, *self._channels.values()],
                 self._context,
-                self._status_address,
             ),
             daemon=True,
         )
@@ -970,28 +931,37 @@ class CampaignExecution:
             self._pump_control()
             self._check_liveness()
 
-    def _pump_control(self) -> None:
-        """Handle worker messages; wait up to one tick for the first."""
+    def _pump_control(self, timeout_s: float = _TICK_S) -> None:
+        """Handle worker messages; wait up to ``timeout_s`` for the first."""
         labels = {channel: label for label, channel in self._channels.items()}
-        for channel in multiprocessing.connection.wait(labels, self._TICK_S):
-            while True:
-                try:
-                    if not channel.poll():
-                        break
-                    message = channel.recv()
-                except (EOFError, OSError):
-                    # The worker is gone; the liveness check settles
-                    # whatever it was holding.
-                    channel.close()
-                    del self._channels[labels[channel]]
-                    break
-                self._handle_message(message)
+        for channel in multiprocessing.connection.wait(labels, timeout_s):
+            self._read_channel(labels[channel])
 
-    def _handle_message(self, message: Tuple[str, str, Optional[str]]) -> None:
-        label, verb, name = message
+    def _read_channel(self, label: str) -> None:
+        """Handle every message ``label``'s pipe holds; close it at EOF."""
+        channel = self._channels[label]
+        while True:
+            try:
+                if not channel.poll():
+                    return
+                message = channel.recv()
+            except (EOFError, OSError):
+                # The worker is gone; the liveness check settles
+                # whatever it was holding.
+                channel.close()
+                del self._channels[label]
+                return
+            self._handle_message(message)
+
+    def _handle_message(self, message: Tuple[str, str, Any]) -> None:
+        label, verb, payload = message
         self._last_beat[label] = time.monotonic()
+        if verb == "event":
+            _event_bus.ingest(payload)
+            return
         if verb != "done":
             return  # "beat" / "started": liveness only
+        name = payload
         job = self._leases.get(label)
         if job is None or job.name != name:
             return  # stale message from a revoked lease
@@ -1044,6 +1014,10 @@ class CampaignExecution:
         if process.is_alive():
             process.kill()
         process.join(2.0)
+        if label in self._channels:
+            # Keep what the worker sent before it died: its last beats
+            # and events are the evidence of how it went.
+            self._read_channel(label)
         channel = self._channels.pop(label, None)
         if channel is not None:
             channel.close()
@@ -1312,6 +1286,13 @@ class CampaignExecution:
             with contextlib.suppress(OSError):
                 channel.send(("stop",))
         deadline = time.monotonic() + 5.0
+        # Read every pipe to EOF instead of joining blind: a worker
+        # flushing its last events would block on a full pipe.
+        while self._channels:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            self._pump_control(min(remaining, self._TICK_S))
         for process in self.processes.values():
             process.join(max(0.0, deadline - time.monotonic()))
         for process in self.processes.values():
@@ -1323,6 +1304,16 @@ class CampaignExecution:
         self._channels.clear()
 
 
+class _PipeSink:
+    """A forked worker's event sink: each event goes up its pipe."""
+
+    def __init__(self, send: Callable[[str, Any], None]):
+        self._send = send
+
+    def write(self, event: Event) -> None:
+        self._send("event", event.to_dict())
+
+
 def _worker_main(
     campaign: Campaign,
     specs: List[RunSpec],
@@ -1330,7 +1321,6 @@ def _worker_main(
     channel,
     supervisor_ends: List[multiprocessing.connection.Connection],
     context: tracectx.TraceContext,
-    status_address: Optional[Tuple[str, int]],
 ) -> None:
     """A forked supervised worker's whole life.
 
@@ -1347,7 +1337,8 @@ def _worker_main(
     daemon thread beats on the same channel at
     ``heartbeat_interval_s`` (always, independent of ``EMPROF_OBS``)
     so the supervisor can tell a long-running job from a hung worker;
-    with observability on the same beat also lands on the event bus.
+    with observability on the same beat also lands on the event bus,
+    whose one sink sends every event up the same channel.
     """
     for end in supervisor_ends:
         end.close()
@@ -1359,23 +1350,17 @@ def _worker_main(
     stop = threading.Event()
     send_lock = threading.Lock()
 
-    def send(verb: str, name: Optional[str] = None) -> None:
-        # The beat thread and the job loop both send; the lock keeps
-        # each message whole.  A vanished supervisor is not an error.
+    def send(verb: str, payload: Any = None) -> None:
+        # The beat thread, the bus drainer and the job loop all send;
+        # the lock keeps each message whole.  A vanished supervisor is
+        # not an error.
         with send_lock, contextlib.suppress(OSError):
-            channel.send((label, verb, name))
+            channel.send((label, verb, payload))
 
     if obs_enabled():
-        if status_address is not None:
-            # Push to the parent's status server; the parent's bus
-            # re-delivers ingested events to its own sinks (the shared
-            # NDJSON file, watch subscriptions), so attaching the file
-            # sink here too would write every worker event twice.
-            _event_bus.add_sink(
-                SocketSink(status_address[0], status_address[1])
-            )
-        else:
-            _event_bus.add_sink(NDJSONFileSink(campaign.events_path))
+        # The supervisor ingests these into its own bus, whose sinks
+        # (the campaign's event file, any status server) see them.
+        _event_bus.add_sink(_PipeSink(send))
         _event_bus.emit("heartbeat", worker=label, phase="start")
 
     def _beat() -> None:

@@ -406,7 +406,6 @@ class CampaignService:
             ledger=obs_ledger.RunLedger(self.ledger_path),
             workers=self.workers,
             isolate=True,  # a crashing or wedged run must not take us down
-            status_port=0,  # internal: workers push events to our bus
             heartbeat_interval_s=self.heartbeat_interval_s,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             job_timeout_s=self.job_timeout_s,

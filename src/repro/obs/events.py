@@ -8,6 +8,9 @@ the same property: producers (the streaming profiler, the experiment
 drivers, campaign workers) ``emit()`` small schema-versioned events
 while they run, and consumers (the :mod:`repro.obs.statusd` status
 server, NDJSON files, terminal watchers) observe them mid-flight.
+Another process's events join a bus through :meth:`EventBus.ingest`:
+a forked campaign worker sends its events up its control pipe and the
+supervisor ingests them, so one process writes each event file.
 
 Design rules, in priority order:
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 from collections import deque
@@ -176,11 +178,10 @@ class InMemorySink:
 class NDJSONFileSink:
     """Appends one JSON line per event to a file.
 
-    The file is opened lazily in append mode; every event is exactly
-    one ``write`` of one newline-terminated line, flushed immediately
-    (no fsync - this is telemetry, not the ledger), so concurrent
-    appenders on a POSIX filesystem interleave whole lines and readers
-    tolerate the rare torn tail.
+    The file is opened lazily in append mode; every event is one
+    newline-terminated line, flushed immediately (no fsync - this is
+    telemetry, not the ledger), so a reader following a live file sees
+    whole lines and tolerates at most a torn tail.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -205,74 +206,6 @@ class NDJSONFileSink:
             if self._handle is not None:
                 handle, self._handle = self._handle, None
                 handle.close()
-
-
-class SocketSink:
-    """Pushes events to a :mod:`repro.obs.statusd` server as line JSON.
-
-    Each event becomes one ``{"req": "emit", "event": {...}}`` line on
-    a persistent TCP connection (the ``emit`` request is fire-and-
-    forget; the server sends no response).  Connection failures are
-    raised to the bus - which counts them as sink errors and keeps
-    going - and after ``max_failures`` consecutive failures the sink
-    disables itself so a vanished server cannot slow the drainer.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout_s: float = 2.0,
-        max_failures: int = 8,
-    ):
-        self.host = host
-        self.port = int(port)
-        self.timeout_s = float(timeout_s)
-        self.max_failures = int(max_failures)
-        self._sock: Optional[socket.socket] = None
-        self._failures = 0
-        self._lock = threading.Lock()
-
-    @property
-    def disabled(self) -> bool:
-        """True once ``max_failures`` consecutive sends have failed."""
-        return self._failures >= self.max_failures
-
-    def write(self, event: Event) -> None:
-        """Send one event; raises ``OSError`` on connection trouble."""
-        if self.disabled:
-            return
-        line = (
-            json.dumps({"req": "emit", "event": event.to_dict()}, sort_keys=True)
-            + "\n"
-        ).encode("utf-8")
-        with self._lock:
-            try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout_s
-                    )
-                self._sock.sendall(line)
-                self._failures = 0
-            except OSError:
-                self._failures += 1
-                if self._sock is not None:
-                    try:
-                        self._sock.close()
-                    except OSError:  # pragma: no cover - close best-effort
-                        pass
-                    self._sock = None
-                raise
-
-    def close(self) -> None:
-        """Close the connection (further writes reconnect)."""
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:  # pragma: no cover - close best-effort
-                    pass
-                self._sock = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +299,8 @@ class EventBus:
         return self._admit(event, stamp_seq=True)
 
     def ingest(self, payload: Dict[str, Any]) -> Event:
-        """Accept one already-serialized event (a status server's
-        ``emit`` request, a replayed NDJSON line).
+        """Accept one already-serialized event (a campaign worker's
+        piped event, a replayed NDJSON line).
 
         Deliberately *not* gated on ``EMPROF_OBS``: running an
         aggregator is an explicit opt-in, and the emitting process

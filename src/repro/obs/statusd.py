@@ -12,15 +12,13 @@ request        response
 =============  ==========================================================
 ``status``     bus rollup (event counts, drops, heartbeats) + process
                identity (pid, trace id, uptime) + producer-supplied
-               extras (campaign progress)
+               extras (the campaign daemon's jobs)
 ``metrics``    the process's :meth:`MetricsRegistry.snapshot` document
 ``tail``       the last ``n`` events (``{"req": "tail", "n": 10}``)
 ``health``     liveness verdict: ``healthy`` plus seconds since the
                last event
 ``watch``      subscription: one ``{"event": ...}`` line per event,
                streamed until the client disconnects
-``emit``       ingest one event into the bus (fire-and-forget: no
-               response line) - how campaign workers feed the parent
 =============  ==========================================================
 
 Every response carries ``"ok": true/false``; malformed requests get
@@ -105,16 +103,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 ):
                     return
                 continue
-            req = request.get("req")
-            if req == "emit":
-                # Fire-and-forget ingestion: no response line, so a
-                # pushing worker never synchronizes on the server.
-                try:
-                    self.server.owner.bus.ingest(request.get("event"))
-                except (ValueError, TypeError):
-                    self.server.owner.rejected_events += 1
-                continue
-            if req == "watch":
+            if request.get("req") == "watch":
                 self._stream()
                 return
             response = self.server.owner.answer(request)
@@ -155,14 +144,13 @@ class StatusServer:
     """Serve line-JSON status queries against a live bus.
 
     Args:
-        bus: the event bus to observe (and, via ``emit`` requests, to
-            ingest into).
+        bus: the event bus to observe.
         metrics: a :class:`repro.obs.metrics.MetricsRegistry` served
             by the ``metrics`` request, or None to omit.
         host / port: bind address; port 0 picks an ephemeral port.
         extra_status: optional zero-argument callable whose dict is
             merged into the ``status`` response under ``"extra"`` -
-            the campaign wires its manifest progress heartbeat here.
+            the campaign daemon wires its job table here.
         extra_requests: optional map of extra request verbs to
             handlers (``request dict -> response dict``); consulted
             after the built-in verbs miss, so a producer can extend
@@ -195,7 +183,6 @@ class StatusServer:
         self.extra_requests = dict(extra_requests or {})
         self.stall_after_s = float(stall_after_s)
         self.started_unix_s = 0.0
-        self.rejected_events = 0
         self.closing = False
         self._server: Optional[_TCPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -278,7 +265,7 @@ class StatusServer:
                 # down the server thread or drop the connection.
                 return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         verbs = ", ".join(
-            ["status", "metrics", "tail", "health", "watch", "emit"]
+            ["status", "metrics", "tail", "health", "watch"]
             + sorted(self.extra_requests)
         )
         return {
@@ -295,7 +282,6 @@ class StatusServer:
             "pid": os.getpid(),
             "uptime_s": max(0.0, time.time() - self.started_unix_s),
             "trace_id": context.trace_id if context is not None else None,
-            "rejected_events": self.rejected_events,
             "events": self.bus.stats(),
         }
         if self.extra_status is not None:

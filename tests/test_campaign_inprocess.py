@@ -23,6 +23,8 @@ from repro.errors import CampaignError
 from repro.experiments import Campaign, RunSpec
 from repro.experiments.campaign import IN_PROCESS_WORKER
 from repro.faults import CrashingSource, StallingSource
+from repro.obs import set_obs_enabled
+from repro.obs.events import bus
 from repro.obs.ledger import LedgerAppender, RunLedger
 
 SMALL = EmprofConfig(
@@ -51,6 +53,15 @@ class CountingSource:
             bandwidth_hz=50e6,
             region_names={},
         )
+
+
+@pytest.fixture()
+def obs_on():
+    previous = set_obs_enabled(True)
+    bus.reset()
+    yield
+    bus.reset()
+    set_obs_enabled(previous)
 
 
 def specs_for(sources):
@@ -180,7 +191,7 @@ def test_expired_join_timeout_fails_unstarted_runs(tmp_path):
     assert manifest(campaign) == {}  # nothing was leased
 
 
-def test_raising_run_unwinds_the_pass_and_tears_down(tmp_path):
+def test_raising_run_unwinds_the_pass_and_tears_down(tmp_path, obs_on):
     class Boom(RuntimeError):
         pass
 
@@ -192,15 +203,15 @@ def test_raising_run_unwinds_the_pass_and_tears_down(tmp_path):
         tmp_path / "camp",
         sleep=lambda _: None,
         ledger=RunLedger(ledger_path, fsync=False),
-        status_port=0,
     )
     specs = [RunSpec("ok", CountingSource, config=SMALL),
              RunSpec("boom", exploding, config=SMALL)]
     with pytest.raises(Boom):
         campaign.execute(specs)
-    # The status server is down and the ledger handle flushed: the
+    # The event sink is detached and the ledger handle flushed: the
     # finished run's record survived the crash, the summary did not.
-    assert campaign.status_address is None
+    assert campaign.events_path.exists()
+    assert bus.sink_count == 0
     kinds = [r.kind for r in RunLedger(ledger_path).read()]
     assert kinds == ["campaign-run"]
     runs = manifest(campaign)
@@ -213,14 +224,15 @@ def test_raising_run_unwinds_the_pass_and_tears_down(tmp_path):
     }
 
 
-def test_foreign_manifest_fails_before_serving_status(tmp_path):
+def test_foreign_manifest_fails_before_serving_status(tmp_path, obs_on):
     directory = tmp_path / "camp"
     directory.mkdir()
     (directory / "manifest.json").write_text('{"format": "other"}')
-    campaign = Campaign(directory, status_port=0)
+    campaign = Campaign(directory)
     with pytest.raises(CampaignError):
         campaign.execute([RunSpec("a", CountingSource, config=SMALL)])
-    assert campaign.status_address is None
+    assert bus.sink_count == 0
+    assert not campaign.events_path.exists()
 
 
 def test_one_and_two_workers_leave_identical_results(tmp_path):

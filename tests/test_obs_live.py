@@ -1,14 +1,20 @@
 """The live-telemetry acceptance scenario, end to end.
 
-A multi-worker campaign serves the line-JSON status protocol while it
-runs; a client queries it mid-flight from another thread; one worker
-is killed mid-run; afterwards the per-process traces stitch into one
-trace under a single trace id and the heartbeat table shows the
-killed worker's silence.  This is the ISSUE's "live demo as a test".
+A multi-worker campaign runs inside a line-JSON status server over the
+parent's event bus; a client queries it mid-flight from another
+thread; one worker is killed mid-run; afterwards the per-process
+traces stitch into one trace under a single trace id and the heartbeat
+table shows the killed worker's silence.  Forked workers send their
+events up their control pipes, so the parent's bus - its rollup, its
+status server, the pass's one event file - sees every event, however
+many there are.
 """
 
 import json
+import sys
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,10 +24,10 @@ from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import EmprofConfig
 from repro.emsignal.receiver import Capture
 from repro.experiments import Campaign, RunSpec
-from repro.obs import set_obs_enabled
+from repro.obs import metrics, set_obs_enabled
 from repro.obs.events import bus, read_events
 from repro.obs.ledger import RunLedger
-from repro.obs.statusd import query
+from repro.obs.statusd import StatusServer, query
 from repro.obs.tracectx import stitch_traces
 
 SMALL = EmprofConfig(
@@ -31,17 +37,20 @@ SMALL = EmprofConfig(
 
 
 class SlowSource:
-    """A synthetic capture that takes a while - long enough to query
-    the live campaign and to kill a worker mid-run."""
+    """A synthetic capture with ``stalls`` dips that takes a while -
+    long enough to query the live campaign and to kill a worker
+    mid-run."""
 
-    def __init__(self, delay_s=0.4):
+    def __init__(self, delay_s=0.4, stalls=16):
         self.delay_s = delay_s
+        self.stalls = stalls
 
     def capture(self):
         time.sleep(self.delay_s)
+        n = 280 + 170 * self.stalls
         rng = np.random.default_rng(0)
-        x = np.full(3000, 0.9) + rng.normal(0, 0.02, 3000)
-        for s in range(200, 2800, 170):
+        x = np.full(n, 0.9) + rng.normal(0, 0.02, n)
+        for s in range(200, n - 80, 170):
             x[s : s + 13] = 0.1
         return Capture(
             magnitude=np.clip(x, 0.0, None),
@@ -74,12 +83,16 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
         sleep=lambda _: None,
         ledger=RunLedger(tmp_path / "ledger.jsonl", fsync=False),
         workers=2,
-        status_port=0,
         heartbeat_interval_s=0.05,
     )
-    execution = campaign.start(_specs(4))
-    try:
-        host, port = campaign.status_address
+    with StatusServer(bus, metrics=metrics) as server, \
+            ThreadPoolExecutor(1) as pool:
+        execution = campaign.start(_specs(4))
+        # The supervisor runs inside join() and feeds the bus as it
+        # reads the workers' pipes; like the campaign daemon, give it a
+        # thread of its own and query the server from this one.
+        joined = pool.submit(execution.join, timeout_s=30.0)
+        host, port = server.address
 
         # -- mid-run: the status socket answers from another thread --
         deadline = time.monotonic() + 10.0
@@ -94,7 +107,6 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
         assert {"worker0", "worker1"} <= set(
             status["events"]["last_heartbeat_unix_s"]
         ), "both workers should heartbeat while running"
-        assert status["extra"]["campaign"] == "camp"
 
         tail = query(host, port, {"req": "tail", "n": 50})
         assert any(e["kind"] == "heartbeat" for e in tail["events"])
@@ -107,8 +119,7 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
         # liveness table has a cadence baseline to indict it with.
         time.sleep(0.25)
         execution.processes["worker1"].kill()
-    finally:
-        result = execution.join(timeout_s=30.0)
+        result = joined.result()
 
     # The supervisor requeues the killed worker's leased run on a
     # respawned worker: every run completes despite the SIGKILL.
@@ -123,8 +134,7 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
         entry["status"] == "done" for entry in manifest["runs"].values()
     )
 
-    # -- the server is down, the events file survives ----------------
-    assert campaign.status_address is None
+    # -- the pass is over, the events file survives ------------------
     events, bad = read_events(campaign.events_path)
     assert bad == 0
     sources = {e.source for e in events}
@@ -175,6 +185,78 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
     bridged = summaries[-1].extra["events"]
     assert bridged["total"] > 0
     assert bridged["dropped_events"] == 0
+
+
+def _pass_rollup(ledger_path):
+    return RunLedger(ledger_path).read(kind="campaign")[-1].extra["events"]
+
+
+def test_forked_pass_rollup_counts_worker_events(tmp_path, obs_on):
+    # No status server: the pass's ledger record still rolls up what
+    # the workers emitted, as it does at workers=1.
+    campaign = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        ledger=RunLedger(tmp_path / "ledger.jsonl", fsync=False),
+        workers=2,
+        heartbeat_interval_s=0.05,
+    )
+    result = campaign.execute(_specs(6, delay_s=0.05))
+    assert result.counts()["done"] == 6
+    events, bad = read_events(campaign.events_path)
+    assert bad == 0
+    worker_lines = sum(1 for e in events if e.source != "main")
+    assert worker_lines >= 96  # 16 stalls per run, plus the beats
+    assert _pass_rollup(tmp_path / "ledger.jsonl")["total"] >= worker_lines
+
+
+def test_forked_workers_deliver_every_event_under_volume(tmp_path, obs_on):
+    specs = [
+        *_specs(2, delay_s=0.05),
+        # One run's events outgrow a pipe buffer several times over.
+        RunSpec("big", (lambda: SlowSource(0.0, stalls=1600)), config=SMALL),
+    ]
+    campaign = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        ledger=RunLedger(tmp_path / "ledger.jsonl", fsync=False),
+        workers=3,
+        heartbeat_interval_s=0.05,
+    )
+    # More workers than a small machine has cores, and a short switch
+    # interval (inherited at fork) to interleave each worker's beat,
+    # drainer and job threads on the one send lock.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        execution = campaign.start(specs)
+        # Join only once the big run has committed.  Nobody reads the
+        # pipes until then, so most of its events are still queued in
+        # its worker when the supervisor starts, and the pass's
+        # shutdown must read them.
+        deadline = time.monotonic() + 30.0
+        while not campaign.outcome_path("big").exists():
+            assert time.monotonic() < deadline, "the big run never committed"
+            time.sleep(0.01)
+        result = execution.join(timeout_s=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.counts()["done"] == 3
+    stalls = {o.name: o.report.miss_count for o in result.outcomes}
+    assert stalls["big"] >= 1500
+
+    events, bad = read_events(campaign.events_path)
+    assert bad == 0
+    emitted = Counter(e.source for e in events if e.kind == "stall_detected")
+    reported = {
+        label: sum(stalls[spec.name] for spec in leased)
+        for label, leased in execution.assignments.items()
+    }
+    assert emitted == reported
+    assert _pass_rollup(tmp_path / "ledger.jsonl")["dropped_events"] == 0
+    # Every worker drained its pipe and exited on its own.
+    assert not any(e.kind == "worker_killed" for e in events)
+    assert [p.exitcode for p in execution.processes.values()] == [0] * 3
 
 
 def test_obs_off_campaign_emits_no_events(tmp_path):

@@ -1,4 +1,4 @@
-"""The line-JSON status server: queries, ingest, streaming, errors."""
+"""The line-JSON status server: queries, streaming, errors."""
 
 import json
 import socket
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.obs import set_obs_enabled
-from repro.obs.events import Event, EventBus, InMemorySink
+from repro.obs.events import EventBus
 from repro.obs.statusd import StatusServer, parse_address, query, watch
 
 
@@ -60,6 +60,14 @@ class TestQueries:
         assert reply["ok"] is False
         assert "status" in reply["error"]
 
+    def test_emit_is_an_unknown_request(self, obs_on, server):
+        # The protocol only reads the bus; nothing pushes events into it.
+        status, bus = server
+        reply = query("127.0.0.1", status.port, {"req": "emit"})
+        assert reply["ok"] is False
+        assert "unknown request 'emit'" in reply["error"]
+        assert bus.stats()["total"] == 0
+
     def test_malformed_json_yields_error_not_hangup(self, obs_on, server):
         status, _ = server
         with socket.create_connection(("127.0.0.1", status.port), 5) as sock:
@@ -94,35 +102,6 @@ class TestQueries:
         finally:
             status.close()
             bus.close()
-
-
-class TestIngest:
-    def test_emit_request_lands_on_the_bus(self, obs_on, server):
-        status, bus = server
-        payload = Event(
-            kind="heartbeat", t_unix_s=1.0, seq=0, pid=77, source="w0"
-        ).to_dict()
-        with socket.create_connection(("127.0.0.1", status.port), 5) as sock:
-            sock.sendall(
-                (json.dumps({"req": "emit", "event": payload}) + "\n").encode()
-            )
-            # emit is fire-and-forget; a follow-up query on the same
-            # connection proves ordering.
-            sock.sendall(b'{"req": "status"}\n')
-            reply = json.loads(sock.makefile().readline())
-        assert reply["events"]["counts"]["heartbeat"] == 1
-        assert "w0" in reply["events"]["last_heartbeat_unix_s"]
-
-    def test_invalid_events_are_rejected_and_counted(self, obs_on, server):
-        status, bus = server
-        with socket.create_connection(("127.0.0.1", status.port), 5) as sock:
-            sock.sendall(
-                b'{"req": "emit", "event": {"kind": "nope"}}\n'
-                b'{"req": "status"}\n'
-            )
-            reply = json.loads(sock.makefile().readline())
-        assert reply["rejected_events"] == 1
-        assert reply["events"]["total"] == 0
 
 
 class TestWatch:

@@ -24,7 +24,9 @@ decorators without an import cycle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import os
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -90,14 +92,42 @@ def check_stall(stall: Any, where: str = "stall") -> Any:
     return stall
 
 
+_stall_fields = operator.attrgetter(
+    "begin_sample", "end_sample", "begin_cycle", "end_cycle", "min_level"
+)
+
+
 def check_stall_sequence(
     stalls: Sequence[Any],
     min_begin_cycle: float = -math.inf,
     where: str = "stall sequence",
 ) -> Sequence[Any]:
-    """Assert each stall is well-formed and time order is non-decreasing."""
-    previous = min_begin_cycle
-    for index, stall in enumerate(stalls):
+    """Assert each stall is well-formed and time order is non-decreasing.
+
+    One NumPy pass over the five checked fields finds the first stall
+    that may break a rule; the per-stall checks run from there on, so
+    only an offender gets a message, and it is the one-at-a-time text.
+    """
+    start = len(stalls)
+    if start:
+        fields = np.fromiter(
+            itertools.chain.from_iterable(map(_stall_fields, stalls)),
+            np.float64,
+            5 * start,
+        ).reshape(start, 5)
+        begin_cycle = fields[:, 2]
+        previous = np.empty(start)
+        previous[0] = min_begin_cycle
+        previous[1:] = begin_cycle[:-1]
+        suspect = ~np.isfinite(fields).all(axis=1)
+        suspect |= fields[:, 0] > fields[:, 1]
+        suspect |= begin_cycle > fields[:, 3]
+        suspect |= begin_cycle < previous
+        if suspect.any():
+            start = int(suspect.argmax())
+    previous = min_begin_cycle if start == 0 else stalls[start - 1].begin_cycle
+    for index in range(start, len(stalls)):
+        stall = stalls[index]
         check_stall(stall, where=f"{where}[{index}]")
         if stall.begin_cycle < previous:
             raise ContractViolation(

@@ -20,6 +20,9 @@ L1 = "L1"
 LLC = "LLC"
 MEM = "MEM"
 
+# Victim ways drawn per refill of a cache's eviction queue.
+_VICTIM_CHUNK = 1024
+
 
 class Cache:
     """One level of set-associative cache with random replacement.
@@ -27,26 +30,29 @@ class Cache:
     Tags are stored per set in plain Python lists; associativities in
     IoT-class parts are small (4-8 ways) so linear tag search is both
     simple and fast.
+
+    Only a full set evicts, and a full set holds exactly
+    ``associativity`` ways, so every victim is an
+    ``integers(0, associativity)`` draw.  The draws are made
+    ``_VICTIM_CHUNK`` at a time: ``integers(0, k, size=n)`` yields the
+    same values, in the same order, as ``n`` scalar draws.
     """
 
     def __init__(self, config: CacheConfig, rng: Optional[np.random.Generator] = None):
         self.config = config
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._num_sets = config.num_sets
-        self._set_mask = self._num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._power_of_two_sets = self._num_sets & (self._num_sets - 1) == 0
+        self._assoc = config.associativity
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
+        # Pre-drawn victim ways, next one last (``pop`` order).
+        self._victims: List[int] = []
         self.hits = 0
         self.misses = 0
 
     def _index_tag(self, addr: int) -> tuple:
         line = addr >> self._line_shift
-        if self._power_of_two_sets:
-            index = line & self._set_mask
-        else:
-            index = line % self._num_sets
-        return index, line
+        return line % self._num_sets, line
 
     def access(self, addr: int) -> bool:
         """Look up ``addr``; allocate the line on a miss.
@@ -55,13 +61,16 @@ class Cache:
         unit of lookup, so any two addresses on the same line hit each
         other.
         """
-        index, tag = self._index_tag(addr)
-        ways = self._sets[index]
-        if tag in ways:
+        line = addr >> self._line_shift
+        ways = self._sets[line % self._num_sets]
+        if line in ways:
             self.hits += 1
             return True
         self.misses += 1
-        self._insert(index, tag)
+        if len(ways) < self._assoc:
+            ways.append(line)
+        else:
+            ways[self._victim()] = line
         return False
 
     def locate(self, addrs: np.ndarray) -> tuple:
@@ -71,11 +80,7 @@ class Cache:
         many addresses without a method call each.
         """
         lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
-        if self._power_of_two_sets:
-            index = lines & self._set_mask
-        else:
-            index = lines % self._num_sets
-        return index.tolist(), lines.tolist()
+        return (lines % self._num_sets).tolist(), lines.tolist()
 
     @property
     def ways(self) -> List[List[int]]:
@@ -92,7 +97,10 @@ class Cache:
         index, tag = self._index_tag(addr)
         ways = self._sets[index]
         if tag not in ways:
-            self._insert(index, tag)
+            if len(ways) < self._assoc:
+                ways.append(tag)
+            else:
+                ways[self._victim()] = tag
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line if present; returns True if it was resident."""
@@ -103,13 +111,14 @@ class Cache:
             return True
         return False
 
-    def _insert(self, index: int, tag: int) -> None:
-        ways = self._sets[index]
-        if len(ways) >= self.config.associativity:
-            victim = int(self._rng.integers(0, len(ways)))
-            ways[victim] = tag
-        else:
-            ways.append(tag)
+    def _victim(self) -> int:
+        """The next random way to evict from a full set."""
+        victims = self._victims
+        if not victims:
+            victims.extend(
+                self._rng.integers(0, self._assoc, size=_VICTIM_CHUNK)[::-1].tolist()
+            )
+        return victims.pop()
 
     def flush(self) -> None:
         """Empty the cache (cold restart)."""

@@ -10,16 +10,14 @@ flag to disable it to recover the paper's plain-SESC behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .config import MemoryConfig
 
 
-@dataclass(frozen=True)
-class MemoryResponse:
+class MemoryResponse(NamedTuple):
     """Outcome of a main-memory access.
 
     Attributes:
@@ -56,6 +54,9 @@ class MainMemory:
         self._line_shift = line_bytes.bit_length() - 1
         self._bank_mask = config.num_banks - 1
         self._bank_free: List[int] = [0] * config.num_banks
+        self._refresh_interval = config.refresh_interval
+        self._refresh_duration = config.refresh_duration
+        self._jitter_span = max(1, config.refresh_interval // 8)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._contended = config.contention_prob > 0.0
         self._row_shift = (
@@ -68,41 +69,45 @@ class MainMemory:
         self.row_hits = 0
         self.busy_segments: List[tuple] = []
 
-    @staticmethod
-    def _window_jitter(k: int, interval: int) -> int:
-        """Deterministic per-window start offset (Knuth hash).
+    def _window_start(self, k: int) -> int:
+        """First cycle of the k-th refresh window.
 
         The memory controller schedules refresh opportunistically, so
         successive windows do not start at exact multiples of the
-        interval; without this jitter, a periodic workload phase-locks
-        to refresh and every collision sees the same wait.
+        interval: each gets a deterministic offset (Knuth hash) below
+        an eighth of the interval.  Without this jitter, a periodic
+        workload phase-locks to refresh and every collision sees the
+        same wait.
         """
-        return ((k * 2654435761) >> 13) % max(1, interval // 8)
+        return k * self._refresh_interval + ((k * 2654435761) >> 13) % self._jitter_span
 
     def refresh_window(self, k: int) -> tuple:
         """[start, end) cycles of the k-th refresh window (k >= 1)."""
-        cfg = self.config
-        start = k * cfg.refresh_interval + self._window_jitter(
-            k, cfg.refresh_interval
-        )
-        return start, start + cfg.refresh_duration
+        start = self._window_start(k)
+        return start, start + self._refresh_duration
 
     def _refresh_wait(self, cycle: int) -> int:
         """Cycles until memory leaves the refresh window at ``cycle``.
 
         Refresh occupies one jittered window per ``refresh_interval``;
-        requests inside the window wait for its end.
+        requests inside the window wait for its end.  Window k starts
+        in ``[k * interval, (k + 1) * interval)`` and ends before window
+        k + 1 ends.  So a cycle at or after the start of window
+        ``cycle // interval`` can only be in that window, and a cycle
+        before that start only in the window before it (which may run
+        past the interval boundary).
         """
-        cfg = self.config
-        if not cfg.refresh_enabled or cycle < cfg.refresh_interval:
+        interval = self._refresh_interval
+        if cycle < interval or not self.config.refresh_enabled:
             return 0
-        for k in (cycle // cfg.refresh_interval, cycle // cfg.refresh_interval - 1):
-            if k < 1:
-                continue
-            start, end = self.refresh_window(k)
-            if start <= cycle < end:
-                return end - cycle
-        return 0
+        k = cycle // interval
+        start = self._window_start(k)
+        if cycle < start:
+            if k == 1:
+                return 0
+            start = self._window_start(k - 1)
+        end = start + self._refresh_duration
+        return end - cycle if cycle < end else 0
 
     def access(self, cycle: int, addr: int) -> MemoryResponse:
         """Service a line fetch issued at ``cycle`` for ``addr``."""
@@ -112,23 +117,21 @@ class MainMemory:
         cfg = self.config
         bank = (addr >> self._line_shift) & self._bank_mask
 
-        start = cycle
-        wait = self._refresh_wait(start)
-        blocked = wait > 0
-        if blocked:
-            self.refresh_hits += 1
-            start += wait
+        start = cycle + self._refresh_wait(cycle)
+        blocked = start > cycle
         # Bank serialization: a bank busy with a previous access delays
         # this one, creating MLP-limited latency growth for bursts.
         start = max(start, self._bank_free[bank])
         # The request could also drift *into* a refresh window while
-        # queued behind its bank.
-        wait = self._refresh_wait(start)
-        if wait:
-            if not blocked:
-                self.refresh_hits += 1
-            blocked = True
-            start += wait
+        # queued behind its bank (or, where windows overlap, wait out
+        # one window into the next).
+        if start > cycle:
+            wait = self._refresh_wait(start)
+            if wait:
+                blocked = True
+                start += wait
+        if blocked:
+            self.refresh_hits += 1
 
         # Contention from other masters (cores, DMA): an occasional
         # exponentially-distributed extra queueing delay.
@@ -149,22 +152,15 @@ class MainMemory:
         ready = start + latency
         self._bank_free[bank] = start + cfg.bank_busy
         self.busy_segments.append((start, ready))
-        return MemoryResponse(
-            ready_cycle=ready,
-            latency=ready - cycle,
-            refresh_blocked=blocked,
-            bank=bank,
-        )
+        return MemoryResponse(ready, ready - cycle, blocked, bank)
 
     def next_refresh(self, cycle: int) -> int:
         """First cycle >= ``cycle`` at which a refresh window starts."""
-        cfg = self.config
-        if not cfg.refresh_enabled:
+        if not self.config.refresh_enabled:
             raise RuntimeError("refresh is disabled in this configuration")
-        interval = cfg.refresh_interval
-        k = max(1, cycle // interval)
+        k = max(1, cycle // self._refresh_interval)
         while True:
-            start, _ = self.refresh_window(k)
+            start = self._window_start(k)
             if start >= cycle:
                 return start
             k += 1

@@ -40,16 +40,22 @@ Execution
 The stream arrives as :class:`~repro.sim.isa.Block` s.  Most
 instructions are non-memory work whose timing depends only on the
 issue slot, so the core advances a *run* of them in closed form: cycle
-``cur + (slot + k) // width`` for the k-th, one vectorized power
-deposit for the whole run, and one L1I hit counted per I-line crossing
-(a hit changes no cache state, so residency is checked up front).  A
-run ends before the next memory op, region change or L1I-missing line,
-and before the first instruction at which an outstanding access could
-block (its consumer, or the runahead limit of the oldest miss).  That
-instruction, and every memory op, goes through the scalar path one at
-a time and in program order, so random replacement, DRAM contention
-and the prefetcher see exactly the same calls as a one-instruction-at-
-a-time core would make.
+``cur + (slot + k) // width`` for the k-th, and one L1I hit counted per
+I-line crossing (a hit changes no cache state, so residency is checked
+up front).  A run ends before the next memory op, region change or
+L1I-missing line, and before the first instruction at which an
+outstanding access could block (its consumer, or the runahead limit of
+the oldest miss).  That instruction, and every memory op, goes through
+the scalar path one at a time and in program order, so random
+replacement, DRAM contention and the prefetcher see exactly the same
+calls as a one-instruction-at-a-time core would make.
+
+Power is deposited once per block.  Issuing never changes
+``cur * width + slot - index``; only a stall does.  So each run and each
+scalar issue logs its first block index and that value, and at block
+end one ``np.repeat`` gives every instruction's issue cycle for a single
+``add_issues`` call.  The log is also flushed before every
+``add_busy_span``, so each bin still sums its terms in issue order.
 """
 
 from __future__ import annotations
@@ -146,7 +152,25 @@ class Pipeline:
         # the back end is still completing instructions, a bit below
         # full-rate switching.
         drain_level = self.power_config.fetch_level + 0.4
-        slot_cycles = np.arange(0)  # slot_cycles[s] = s // width
+        # Issue log of the current block: the k-th instruction of a
+        # segment starting at seg_at[j] issues at cycle
+        # (seg_at[j] + k + seg_pos[j]) // width.
+        seg_at: list = []
+        seg_pos: list = []
+
+        def deposit(stop: int) -> None:
+            """Deposit block instructions ``seg_at[0]:stop``; clear the log."""
+            first = seg_at[0]
+            starts = np.array(seg_at)
+            offsets = np.repeat(np.array(seg_pos), np.diff(starts, append=stop))
+            cycles = (np.arange(first, stop) + offsets) // width
+            if add_issues is not None:
+                add_issues(cycles, issued[first:stop])
+            else:
+                for c, w in zip(cycles.tolist(), issued[first:stop].tolist()):
+                    add_issue(c, w)
+            seg_at.clear()
+            seg_pos.clear()
 
         cur = 0  # current cycle
         slot = 0  # instructions already issued this cycle
@@ -165,8 +189,6 @@ class Pipeline:
         for block in blocks(instructions):
             n = len(block)
             op_a, pc_a, addr_a, dep_a, weight_a, region_a = block.columns()
-            if len(slot_cycles) < n + width:
-                slot_cycles = np.arange(n + width) // width
             issued = weight_a + fetch_share
             # Scalar stops: memory ops and region changes.
             stop = (op_a == LOAD) | (op_a == STORE)
@@ -192,20 +214,20 @@ class Pipeline:
                 if at < end:
                     # ---- closed-form run of non-memory instructions ----
                     if pending:
+                        # Drop completed accesses.  The run stops at the
+                        # first index at which one still outstanding
+                        # could block: its consumer (in order) or the
+                        # runahead limit past a miss.
                         j = 0
                         for e in pending:
                             if e[0] > cur:
                                 pending[j] = e
                                 j += 1
+                                if in_order and e[1] - base < end:
+                                    end = e[1] - base
+                                if e[3] is not None and e[2] + runahead - base < end:
+                                    end = e[2] + runahead - base
                         del pending[j:]
-                        # First index at which an outstanding access
-                        # could block: its consumer (in order) or the
-                        # runahead limit past a miss.
-                        for e in pending:
-                            if in_order and e[1] - base < end:
-                                end = e[1] - base
-                            if e[3] is not None and e[2] + runahead - base < end:
-                                end = e[2] + runahead - base
                     hits = 0
                     while xpos[xi] < end:
                         if xtag[xi] in l1i_ways[xset[xi]]:
@@ -215,14 +237,9 @@ class Pipeline:
                             end = xpos[xi]
                     if at < end:
                         l1i.hits += hits
-                        run = end - at
-                        cycles = slot_cycles[slot : slot + run] + cur
-                        if add_issues is not None:
-                            add_issues(cycles, issued[at:end])
-                        else:
-                            for c, w in zip(cycles.tolist(), issued[at:end].tolist()):
-                                add_issue(c, w)
-                        slot += run
+                        seg_at.append(at)
+                        seg_pos.append(cur * width + slot - at)
+                        slot += end - at
                         cur += slot // width
                         slot %= width
                         cur_line = lines.item(end - 1)
@@ -235,13 +252,9 @@ class Pipeline:
                 pc = pc_a.item(at)
                 addr = addr_a.item(at)
                 dep = dep_a.item(at)
-                weight = weight_a.item(at)
                 region = region_a.item(at)
-                if xpos[xi] == at:
-                    xi += 1
                 if stops[si] == at:
                     si += 1
-                at += 1
                 if region != cur_region:
                     region_cycles[cur_region] = (
                         region_cycles.get(cur_region, 0) + cur - region_mark
@@ -250,71 +263,73 @@ class Pipeline:
                     region_mark = cur
 
                 # ---- instruction fetch --------------------------------------
-                line = pc >> line_shift
-                if line != cur_line:
-                    cur_line = line
-                    level = lookup_i(pc)
-                    if level is not L1:
-                        if level is LLC:
-                            if llc_front_pen:
-                                stalls.append(
-                                    StallRecord(
-                                        len(stalls),
-                                        cur,
-                                        cur + llc_front_pen,
-                                        CAUSE_LLC_HIT,
-                                        [],
-                                        False,
-                                        region,
-                                    )
-                                )
-                                cur += llc_front_pen
-                                slot = 0
-                        else:  # MEM: instruction line comes from DRAM
-                            if prefetcher is not None:
-                                prefetcher.on_llc_miss(pc)
-                            resp = mem_access(cur, pc)
-                            mid = len(misses)
-                            misses.append(
-                                MissRecord(
-                                    mid,
-                                    IFETCH,
-                                    pc,
+                if xpos[xi] == at:  # a new I-line
+                    cur_line = xtag[xi]
+                    if cur_line in l1i_ways[xset[xi]]:
+                        l1i.hits += 1
+                    elif lookup_i(pc) is LLC:
+                        if llc_front_pen:
+                            stalls.append(
+                                StallRecord(
+                                    len(stalls),
                                     cur,
-                                    resp.ready_cycle,
-                                    None,
-                                    resp.refresh_blocked,
+                                    cur + llc_front_pen,
+                                    CAUSE_LLC_HIT,
+                                    [],
+                                    False,
                                     region,
                                 )
                             )
-                            begin = cur + fetch_drain
-                            if resp.ready_cycle > begin:
-                                add_busy_span(cur, begin, drain_level)
-                                contrib = [mid]
-                                refresh = resp.refresh_blocked
-                                for e in pending:
-                                    e_mid = e[3]
-                                    if e_mid is not None and e[0] > begin:
-                                        contrib.append(e_mid)
-                                        if misses[e_mid].refresh_blocked:
-                                            refresh = True
-                                sid = len(stalls)
-                                stalls.append(
-                                    StallRecord(
-                                        sid,
-                                        begin,
-                                        resp.ready_cycle,
-                                        CAUSE_IFETCH_MEM,
-                                        contrib,
-                                        refresh,
-                                        region,
-                                    )
+                            cur += llc_front_pen
+                            slot = 0
+                    else:  # MEM: instruction line comes from DRAM
+                        if prefetcher is not None:
+                            prefetcher.on_llc_miss(pc)
+                        resp = mem_access(cur, pc)
+                        mid = len(misses)
+                        misses.append(
+                            MissRecord(
+                                mid,
+                                IFETCH,
+                                pc,
+                                cur,
+                                resp.ready_cycle,
+                                None,
+                                resp.refresh_blocked,
+                                region,
+                            )
+                        )
+                        begin = cur + fetch_drain
+                        if resp.ready_cycle > begin:
+                            if seg_at:  # earlier issues go first
+                                deposit(at)
+                            add_busy_span(cur, begin, drain_level)
+                            contrib = [mid]
+                            refresh = resp.refresh_blocked
+                            for e in pending:
+                                e_mid = e[3]
+                                if e_mid is not None and e[0] > begin:
+                                    contrib.append(e_mid)
+                                    if misses[e_mid].refresh_blocked:
+                                        refresh = True
+                            sid = len(stalls)
+                            stalls.append(
+                                StallRecord(
+                                    sid,
+                                    begin,
+                                    resp.ready_cycle,
+                                    CAUSE_IFETCH_MEM,
+                                    contrib,
+                                    refresh,
+                                    region,
                                 )
-                                for m in contrib:
-                                    if misses[m].stall_id is None:
-                                        misses[m].stall_id = sid
-                                cur = resp.ready_cycle
-                                slot = 0
+                            )
+                            for m in contrib:
+                                if misses[m].stall_id is None:
+                                    misses[m].stall_id = sid
+                            cur = resp.ready_cycle
+                            slot = 0
+                    xi += 1
 
                 # ---- resolve data-side blocking ------------------------------
                 if pending:
@@ -372,7 +387,9 @@ class Pipeline:
                         del pending[j:]
 
                 # ---- issue ----------------------------------------------------
-                add_issue(cur, weight + fetch_share)
+                seg_at.append(at)
+                seg_pos.append(cur * width + slot - at)
+                at += 1
                 slot += 1
                 if slot >= width:
                     cur += 1
@@ -394,10 +411,11 @@ class Pipeline:
                     elif level is MEM:
                         if prefetcher is not None:
                             prefetcher.on_llc_miss(addr)
-                        # MSHR pressure: block until an entry frees.  The
-                        # issue step may have advanced past some entries'
-                        # ready cycles, so drop completed ones first.
-                        while True:
+                        # MSHR pressure: block until an entry frees.  With
+                        # fewer accesses pending than MSHRs one is free;
+                        # else the issue step may have advanced past some
+                        # entries' ready cycles, so drop completed ones first.
+                        while len(pending) >= mshr_limit:
                             j = 0
                             for e in pending:
                                 if e[0] > cur:
@@ -488,6 +506,7 @@ class Pipeline:
                         )
                         store_q.append([resp.ready_cycle, mid])
 
+            deposit(n)
             base += n
 
         total_cycles = cur + (1 if slot else 0)

@@ -27,11 +27,12 @@ class PowerAccumulator:
 
     Written for a single forward pass through time: activity is folded
     into a growing float64 bin array indexed by ``cycle // bin_cycles``.
-    The pipeline deposits each run of issued instructions with one
-    :meth:`add_issues` call; :meth:`add_issue` is the one-instruction
-    form for the scalar path.  Both add to a bin in issue order
-    (``np.add.at`` is unbuffered and applies its indices in sequence),
-    so the trace is bit-identical to one ``+=`` per instruction.
+    The pipeline deposits each instruction block with one
+    :meth:`add_issues` call (split only around a :meth:`add_busy_span`);
+    :meth:`add_issue` is the one-instruction form.  Both add to a bin in
+    issue order (``np.add.at`` is unbuffered and applies its indices in
+    sequence), so the trace is bit-identical to one ``+=`` per
+    instruction.
     Single-bin updates go through a ``memoryview`` of the array, which
     reads and writes plain floats without creating NumPy scalars.
     """
@@ -60,9 +61,9 @@ class PowerAccumulator:
             self._max_cycle = cycle + 1
 
     def add_issues(self, cycles: np.ndarray, weights: np.ndarray) -> None:
-        """Record a run of instructions: ``weights[k]`` issued at ``cycles[k]``.
+        """Record instructions in issue order: ``weights[k]`` at ``cycles[k]``.
 
-        ``cycles`` must be non-decreasing (issue order).
+        ``cycles`` must be non-decreasing.
         """
         last = cycles.item(-1)
         if last // self._bin_cycles >= len(self._bins):

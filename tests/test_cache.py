@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.cache import Cache, CacheHierarchy, L1, LLC, MEM
+from repro.sim.cache import _VICTIM_CHUNK, Cache, CacheHierarchy, L1, LLC, MEM
 from repro.sim.config import CacheConfig
 
 
@@ -91,6 +91,40 @@ class TestReplacement:
         for addr in lines:
             c.access(addr)
         assert all(c.probe(addr) for addr in lines)
+
+    @pytest.mark.parametrize("assoc", [1, 2, 3, 4, 6, 8, 12, 16])
+    def test_victims_match_scalar_draws(self, assoc):
+        # Victims are drawn a chunk at a time; across several chunk
+        # refills and a mix of demand misses, prefetch fills and
+        # invalidations they must be the ways one scalar draw per
+        # eviction would pick.
+        seed = 17 + assoc
+        c = small_cache(size=2 * 64 * assoc, assoc=assoc, seed=seed)
+        draws = np.random.default_rng(seed)
+        model = [[], []]
+        ops = np.random.default_rng(assoc)
+        evictions = 0
+        for _ in range(3 * _VICTIM_CHUNK + 600):
+            line = int(ops.integers(0, 64 * assoc))
+            ways = model[line % 2]
+            kind = ops.random()
+            if kind < 0.02:
+                assert c.invalidate(line * 64) is (line in ways)
+                if line in ways:
+                    ways.remove(line)
+            else:
+                if kind < 0.6:
+                    c.access(line * 64)
+                else:
+                    c.fill(line * 64)
+                if line not in ways:
+                    if len(ways) < assoc:
+                        ways.append(line)
+                    else:
+                        ways[int(draws.integers(0, assoc))] = line
+                        evictions += 1
+            assert c.ways == model
+        assert evictions > 2 * _VICTIM_CHUNK
 
 
 class TestProbeFillInvalidate:

@@ -8,6 +8,10 @@ Every detection result is additionally pushed through the contract
 checks, and the streaming detector must agree sample-for-sample.
 """
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +157,45 @@ def test_check_stall_sequence_rejects_out_of_order():
     stalls = [make_stall(begin=10.0, end=12.0), make_stall(begin=0.0, end=5.0)]
     with pytest.raises(ContractViolation):
         check_stall_sequence(stalls)
+
+
+def _flawed(kind):
+    """A stall breaking one rule, placed after ``make_stall(begin=20)``."""
+    good = make_stall(begin=30.0, end=32.0)
+    if kind == "order":
+        return make_stall(begin=10.0, end=12.0), "begin_cycle 200.0 precedes 400.0"
+    if kind == "samples":
+        return make_stall(begin=31.0, end=30.0), "begin_sample 31.0 > end_sample 30.0"
+    if kind == "cycles":
+        flawed = dataclasses.replace(good, end_cycle=good.begin_cycle - 1.0)
+        return flawed, "begin_cycle 600.0 > end_cycle 599.0"
+    return dataclasses.replace(good, **{kind: math.inf}), f"{kind} is not finite (inf)"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["order", "samples", "cycles", "begin_sample", "end_sample", "begin_cycle",
+     "end_cycle", "min_level"],
+)
+def test_check_stall_sequence_names_the_first_offender(kind):
+    flawed, message = _flawed(kind)
+    stalls = [make_stall(begin=float(b), end=float(b) + 1.0) for b in range(0, 20, 5)]
+    stalls += [make_stall(begin=20.0, end=21.0), flawed, flawed]
+    with pytest.raises(ContractViolation) as info:
+        check_stall_sequence(stalls, where="seq")
+    assert str(info.value).startswith(f"seq[5]: {message}")
+    # The stall on its own fails its own check the same way (order aside).
+    if kind != "order":
+        with pytest.raises(ContractViolation, match=re.escape(f"one: {message}")):
+            check_stall(flawed, where="one")
+
+
+def test_check_stall_sequence_honours_min_begin_cycle():
+    stalls = [make_stall(begin=1.0, end=2.0)]
+    assert check_stall_sequence(stalls, min_begin_cycle=20.0) is stalls
+    with pytest.raises(ContractViolation, match=r"^s\[0\]: begin_cycle 20.0 precedes 21.0"):
+        check_stall_sequence(stalls, min_begin_cycle=21.0, where="s")
+    assert check_stall_sequence([]) == []
 
 
 def test_check_unit_interval():

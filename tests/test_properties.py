@@ -91,6 +91,43 @@ def test_dram_refresh_windows_ordered_and_bounded(k):
     assert end == start + 400
 
 
+@st.composite
+def refresh_probes(draw):
+    """A memory config (refresh on or off) and a cycle near its windows."""
+    interval = draw(st.integers(min_value=2, max_value=40_000))
+    # Durations close to the interval let a window run into the next
+    # interval, where the next window may already have started.
+    duration = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=interval - 1),
+            st.integers(min_value=max(1, interval - 3), max_value=interval - 1),
+        )
+    )
+    config = MemoryConfig(
+        refresh_interval=interval,
+        refresh_duration=duration,
+        refresh_enabled=draw(st.booleans()),
+    )
+    k = draw(st.integers(min_value=0, max_value=300))
+    return config, k * interval + draw(st.integers(min_value=0, max_value=interval - 1))
+
+
+@given(refresh_probes())
+@settings(max_examples=300, deadline=None)
+def test_dram_refresh_wait_matches_window_scan(probe):
+    config, cycle = probe
+    mem = MainMemory(config)
+    expected = 0
+    if config.refresh_enabled:
+        # Wait out every window holding the cycle; overlapping windows
+        # release the request at the latest end.
+        for k in range(1, cycle // config.refresh_interval + 2):
+            start, end = mem.refresh_window(k)
+            if start <= cycle < end:
+                expected = max(expected, end - cycle)
+    assert mem._refresh_wait(cycle) == expected
+
+
 # -- power accumulator conservation ------------------------------------------------
 
 

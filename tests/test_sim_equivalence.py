@@ -275,6 +275,12 @@ def test_foreign_power_sink_gets_per_instruction_calls(config_name):
     ).run(reference_instructions(workload, cfg), ref_calls)
     assert calls.calls == ref_calls.calls
     assert all(type(c[1]) is int for c in calls.calls)
+    # Busy spans land between issues, so the order check above covers
+    # the deposit the pipeline makes before each span.
+    kinds = [c[0] for c in calls.calls]
+    assert any(
+        kinds[k - 1 : k + 2] == ["issue", "busy", "issue"] for k in range(1, len(kinds) - 1)
+    )
 
 
 # Random programs on random small machines: short runahead windows,

@@ -121,17 +121,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "observability enabled for this run "
             "(--trace-out/--metrics-out/--ledger/--profile-out)"
         )
-    if args.trace_id:
-        # A parent process (campaign orchestrator, shell script) is
-        # threading this run into its trace.
-        from .obs import tracectx
-
-        tracectx.activate(
-            tracectx.TraceContext(
-                trace_id=args.trace_id,
-                parent_span_id=args.parent_span or None,
-            )
-        )
     run_begin = _time.perf_counter()
     capture = repro_io.load_capture(args.capture)
     config = EmprofConfig(
@@ -337,12 +326,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_obs(args: argparse.Namespace) -> int:
     # Delegate to the repro-obs entry point so argument handling (and
-    # the 0/2/3 exit-code contract) exist in exactly one place.  The
-    # top-level parser forwards everything after `obs` verbatim:
-    # positionals it captured plus any flags it did not recognize.
+    # the 0/2/3 exit-code contract) exist in exactly one place; it gets
+    # everything after `obs` verbatim, in order.
     from .obs.cli import main as obs_main
 
-    return obs_main(list(args.args) + list(getattr(args, "extra_args", [])))
+    return obs_main(args.forward)
 
 
 def cmd_campaignd(args: argparse.Namespace) -> int:
@@ -350,7 +338,7 @@ def cmd_campaignd(args: argparse.Namespace) -> int:
     # owns the daemon/client argument handling, this just forwards.
     from .experiments.service import main as campaignd_main
 
-    return campaignd_main(list(args.args) + list(getattr(args, "extra_args", [])))
+    return campaignd_main(args.forward)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -615,16 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".flight sidecar; the saved report then carries per-stall "
         "evidence (see `repro explain`)",
     )
-    prof.add_argument(
-        "--trace-id",
-        metavar="HEX",
-        help="join an existing cross-process trace (see repro-obs stitch)",
-    )
-    prof.add_argument(
-        "--parent-span",
-        metavar="PID:SPAN",
-        help="globalized parent span id this run hangs under",
-    )
     prof.set_defaults(func=cmd_profile)
 
     exp = sub.add_parser(
@@ -782,10 +760,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     # `obs` and `campaignd` forward their whole tail (including flags
     # like --trace or --addr that only their own entry points know), so
     # unknown arguments are tolerated for those commands alone.
+    argv = list(sys.argv[1:] if argv is None else argv)
     args, extra = parser.parse_known_args(argv)
-    if extra and args.func not in (cmd_obs, cmd_campaignd):
+    if args.func in (cmd_obs, cmd_campaignd):
+        # The tail as typed: a positional after a flag it does not know
+        # must not be reordered ahead of that flag.
+        args.forward = argv[argv.index(args.command) + 1:]
+    elif extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.extra_args = extra
     verbosity = -1 if args.quiet else args.verbose
     obs.configure_logging(verbosity)
     return args.func(args)

@@ -98,7 +98,6 @@ DEFAULT_LAYER_CONFIG = LayerConfig(
             "repro.obs.trace",
             "repro.obs.runtime",
             "repro.obs.events",
-            "repro.obs.tracectx",
             "repro.obs.flight",
         ),
         "obs-internal": ("repro.obs",),

@@ -32,9 +32,11 @@ restart:
   ``progress`` heartbeat, and ``ledger=...`` appends one
   ``campaign-run`` record per finished run plus a ``campaign`` summary
   per pass (``repro obs ledger``/``dashboard``).  With observability
-  on, forked workers send their events to the supervisor over their
-  control pipes, so every event of the pass lands on the parent's bus
-  and from there in the one ``events.ndjsonl`` writer.
+  on, forked workers send their events and, after each run, their
+  spans to the supervisor over their control pipes, so every event of
+  the pass lands on the parent's bus and from there in the one
+  ``events.ndjsonl`` writer, and every span in the pass's one
+  ``trace.json``.
 
 Manifest run states: ``done`` / ``failed`` (the run itself failed;
 not requeued) / ``running`` (leased at the time of the last
@@ -66,7 +68,6 @@ from ..core.profiler import Emprof, EmprofConfig
 from ..errors import AcquisitionError, CampaignError
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs import ledger as obs_ledger
-from ..obs import tracectx
 from ..obs.events import Event, NDJSONFileSink, bus as _event_bus
 from ..obs.runtime import obs_enabled
 from .runner import RetryPolicy, acquire_with_retry
@@ -74,6 +75,7 @@ from .runner import RetryPolicy, acquire_with_retry
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "emprof-campaign-v1"
 _EVENTS_NAME = "events.ndjsonl"
+_TRACE_NAME = "trace.json"
 
 #: Worker label of the in-process worker a ``workers=1`` pass leases to.
 IN_PROCESS_WORKER = "main"
@@ -300,6 +302,11 @@ class Campaign:
     def events_path(self) -> Path:
         """The campaign's NDJSON event stream (every process's events)."""
         return self.directory / _EVENTS_NAME
+
+    @property
+    def trace_path(self) -> Path:
+        """The span trace each pass writes (every process's spans)."""
+        return self.directory / _TRACE_NAME
 
     def outcome_path(self, name: str) -> Path:
         """A run's commit-point checkpoint file."""
@@ -542,8 +549,10 @@ class CampaignExecution:
     through the same path as a forked worker's committed run.
     Otherwise each forked worker has a private pipe to the supervisor
     (jobs in; ``beat``, ``started``, ``done`` and, with observability
-    on, ``event`` out - the supervisor ingests each event into its own
-    bus, and reads a pipe dry before closing it); a dead worker
+    on, ``event`` and ``spans`` out - the supervisor ingests each event
+    into its own bus and adopts each run's spans into its own tracer
+    under the ``campaign`` span, and reads a pipe dry before closing
+    it); a dead worker
     (``is_alive()`` false), a hung worker (no beat within
     ``Campaign.effective_heartbeat_timeout_s``), or an overdue
     job (``RunSpec.timeout_s`` / ``Campaign.job_timeout_s``) gets the
@@ -596,7 +605,7 @@ class CampaignExecution:
         self._pass_begin = 0.0
         self._exit = contextlib.ExitStack()
         self._ledger_sink: Optional[obs_ledger.LedgerAppender] = None
-        self._context: Optional[tracectx.TraceContext] = None
+        self._span: Any = None  # the open ``campaign`` span
 
     # -- launch --------------------------------------------------------------
 
@@ -621,7 +630,7 @@ class CampaignExecution:
                     campaign.ledger.appender(fsync_each=False)
                 )
             self._exit.callback(self._write_trace)
-            self._exit.enter_context(
+            self._span = self._exit.enter_context(
                 _trace.span(
                     "campaign",
                     campaign=campaign.directory.name,
@@ -632,9 +641,6 @@ class CampaignExecution:
             if self._in_process:
                 self.assignments[IN_PROCESS_WORKER] = []
             else:
-                self._context = tracectx.current().child(
-                    _trace.current_span_token()
-                )
                 for _ in range(min(campaign.workers, len(self._pending))):
                     self._spawn_worker()
                 self._dispatch_ready()
@@ -711,7 +717,6 @@ class CampaignExecution:
                 label,
                 worker_end,
                 [channel, *self._channels.values()],
-                self._context,
             ),
             daemon=True,
         )
@@ -771,10 +776,13 @@ class CampaignExecution:
                 )
             return
         # The worker is this thread.  A foreign exception unwinds the
-        # pass like a crash would, leaving the pre-mark behind.
-        outcome = self.campaign._run_and_commit(
-            spec, label, job.attempt, job.interrupted
-        )
+        # pass like a crash would, leaving the pre-mark behind.  The
+        # run's spans hang under the campaign span even when this
+        # thread is not the one that opened it.
+        with _trace.within(self._span):
+            outcome = self.campaign._run_and_commit(
+                spec, label, job.attempt, job.interrupted
+            )
         del self._leases[label]
         self._finalize(job, label, outcome)
 
@@ -897,11 +905,11 @@ class CampaignExecution:
         return result
 
     def _write_trace(self) -> None:
-        # Runs after the campaign span closes, so the span itself is in
-        # the payload the stitcher reads.
+        # Runs after the campaign span closes and every worker pipe is
+        # read dry, so the file holds the whole pass.
         if obs_enabled():
             with contextlib.suppress(OSError):
-                _trace.write(str(self.campaign.directory / "main.trace.json"))
+                _trace.write(str(self.campaign.trace_path))
 
     def _supervise(self, deadline: Optional[float]) -> None:
         while self._pending or self._leases:
@@ -958,6 +966,10 @@ class CampaignExecution:
         self._last_beat[label] = time.monotonic()
         if verb == "event":
             _event_bus.ingest(payload)
+            return
+        if verb == "spans":
+            records, dropped = payload
+            _trace.adopt(records, self._span.span_id, label, dropped)
             return
         if verb != "done":
             return  # "beat" / "started": liveness only
@@ -1320,7 +1332,6 @@ def _worker_main(
     label: str,
     channel,
     supervisor_ends: List[multiprocessing.connection.Connection],
-    context: tracectx.TraceContext,
 ) -> None:
     """A forked supervised worker's whole life.
 
@@ -1338,13 +1349,13 @@ def _worker_main(
     ``heartbeat_interval_s`` (always, independent of ``EMPROF_OBS``)
     so the supervisor can tell a long-running job from a hung worker;
     with observability on the same beat also lands on the event bus,
-    whose one sink sends every event up the same channel.
+    whose one sink sends every event up the same channel, and the
+    spans of each run go up it as one ``spans`` message before
+    ``done``.
     """
     for end in supervisor_ends:
         end.close()
-    tracectx.activate(context)
     _trace.reset()
-    _trace.set_process_label(label)
     _event_bus.reset()
     _event_bus.set_source(label)
     stop = threading.Event()
@@ -1372,26 +1383,25 @@ def _worker_main(
         target=_beat, name=f"{label}-heartbeat", daemon=True
     ).start()
     try:
-        with _trace.span("campaign_worker", worker=label):
-            while True:
-                if not channel.poll(0.5):
-                    continue  # the parent owns this worker's lifetime
-                try:
-                    message = channel.recv()
-                except (EOFError, OSError):
-                    break  # the supervisor is gone (EOF or reset)
-                if message[0] != "run":
-                    break
-                _, index, attempt, interrupted = message
-                spec = specs[index]
-                send("started", spec.name)
-                campaign._run_and_commit(spec, label, attempt, interrupted)
-                send("done", spec.name)
+        while True:
+            if not channel.poll(0.5):
+                continue  # the parent owns this worker's lifetime
+            try:
+                message = channel.recv()
+            except (EOFError, OSError):
+                break  # the supervisor is gone (EOF or reset)
+            if message[0] != "run":
+                break
+            _, index, attempt, interrupted = message
+            spec = specs[index]
+            send("started", spec.name)
+            campaign._run_and_commit(spec, label, attempt, interrupted)
+            if obs_enabled():
+                send("spans", _trace.drain())
+            send("done", spec.name)
     finally:
         stop.set()
         if obs_enabled():
             _event_bus.emit("heartbeat", worker=label, phase="end")
-            with contextlib.suppress(OSError):
-                _trace.write(str(campaign.directory / f"{label}.trace.json"))
             _event_bus.flush(timeout_s=2.0)
             _event_bus.close()

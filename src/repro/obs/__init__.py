@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .runtime import obs_enabled, set_obs_enabled
 from .trace import SpanRecord, Tracer
-from .tracectx import TraceContext
 
 #: Process-global tracer; import as ``from repro.obs import trace``.
 trace = Tracer()
@@ -67,7 +66,6 @@ __all__ = [
     "RunLedger",
     "RunRecord",
     "SpanRecord",
-    "TraceContext",
     "Tracer",
     "bus",
     "configure_logging",

@@ -6,7 +6,10 @@ Two layers of interface, one exit-code contract:
 
 * ``repro-obs metrics.json`` - pretty-print a metrics snapshot written
   by ``repro profile --metrics-out``;
-* ``repro-obs --trace spans.json`` - summarize a span trace;
+* ``repro-obs --trace spans.json`` - summarize a span trace: one
+  written by ``repro profile --trace-out``, or a campaign pass's
+  ``trace.json``, which holds its forked workers' spans too (trace
+  payload versions 1 to 3 all read);
 * ``repro-obs --live`` (or no arguments) - run a small synthetic
   capture+profile with observability enabled and print the result.
 
@@ -27,10 +30,7 @@ Two layers of interface, one exit-code contract:
 * ``repro-obs watch HOST:PORT`` - poll a live server and render
   streaming progress (chunks/s, samples/s, stall rate, quality
   flags); ``repro-obs watch --demo`` runs a self-contained demo
-  (producer + server + watcher in one process);
-* ``repro-obs stitch DIR|TRACE.json ...`` - merge per-process trace
-  payloads (and the event stream's heartbeats) into one cross-process
-  trace (:mod:`repro.obs.tracectx`).
+  (producer + server + watcher in one process).
 
 Exit codes (CI contract, pinned by tests):
 
@@ -64,7 +64,6 @@ _SUBCOMMANDS = (
     "serve",
     "tail",
     "watch",
-    "stitch",
 )
 
 _QUANTILES = (0.5, 0.9, 0.99)
@@ -569,49 +568,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_stitch(args: argparse.Namespace) -> int:
-    """Merge per-process trace payloads into one stitched trace."""
-    from .events import read_events
-    from .ledger import atomic_write_json
-    from .tracectx import render_stitched, stitch_traces
-
-    trace_paths: List[Path] = []
-    events_path = Path(args.events) if args.events else None
-    for target in args.inputs:
-        path = Path(target)
-        if path.is_dir():
-            # A campaign directory: every per-process payload, plus
-            # its event stream unless one was named explicitly.
-            trace_paths.extend(sorted(path.glob("*.trace.json")))
-            candidate = path / "events.ndjsonl"
-            if events_path is None and candidate.is_file():
-                events_path = candidate
-        else:
-            trace_paths.append(path)
-    if not trace_paths:
-        print("repro-obs: no trace payloads to stitch", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    payloads = []
-    for path in trace_paths:
-        try:
-            payloads.append(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro-obs: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    events = None
-    bad_lines = 0
-    if events_path is not None:
-        events, bad_lines = read_events(events_path)
-    document = stitch_traces(payloads, events=events)
-    if args.json:
-        atomic_write_json(args.json, document)
-        print(f"stitched document -> {args.json}")
-    print(render_stitched(document))
-    if bad_lines:
-        print(f"({bad_lines} unparseable event lines skipped)")
-    return EXIT_OK
-
-
 def _build_sub_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
@@ -726,23 +682,6 @@ def _build_sub_parser() -> argparse.ArgumentParser:
     )
     watch.set_defaults(func=cmd_watch)
 
-    stitch = sub.add_parser(
-        "stitch", help="merge per-process traces into one stitched trace"
-    )
-    stitch.add_argument(
-        "inputs", nargs="+",
-        help="trace payload .json files, or campaign directories "
-        "(globs *.trace.json and picks up events.ndjsonl)",
-    )
-    stitch.add_argument(
-        "--events", help="NDJSON event file for the heartbeat table"
-    )
-    stitch.add_argument(
-        "--json", metavar="OUT",
-        help="also write the stitched document as JSON to OUT",
-    )
-    stitch.set_defaults(func=cmd_stitch)
-
     return parser
 
 
@@ -762,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         metavar="SPANS_JSON",
-        help="summarize a span trace (from `repro profile --trace-out`)",
+        help="summarize a span trace (from `repro profile --trace-out` "
+        "or a campaign pass's trace.json)",
     )
     parser.add_argument(
         "--live",

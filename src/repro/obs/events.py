@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 
 #: The telemetry vocabulary.  Producers must use one of these kinds;
 #: the set is deliberately closed so consumers (status server, watch
-#: clients, the stitcher) can rely on it.
+#: clients, the ledger rollup) can rely on it.
 EVENT_KINDS = (
     "run_started",
     "run_finished",
@@ -94,8 +94,6 @@ class Event:
         seq: per-bus sequence number (gaps reveal drops).
         pid: emitting process id.
         source: emitting process label (``main``, ``worker0`` ...).
-        trace_id: the emitting process's trace id, when a trace
-            context is active (stitches events to spans).
         attrs: small JSON-safe payload (counts, names, rates).
     """
 
@@ -104,7 +102,6 @@ class Event:
     seq: int
     pid: int
     source: str = "main"
-    trace_id: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -117,13 +114,15 @@ class Event:
             "seq": self.seq,
             "pid": self.pid,
             "source": self.source,
-            "trace_id": self.trace_id,
             "attrs": dict(self.attrs),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Event":
         """Parse one event line's JSON object.
+
+        Keys outside the schema are ignored, so lines written before
+        ``trace_id`` was dropped (it was always nullable) still parse.
 
         Raises:
             ValueError: not an event object (wrong schema, unknown
@@ -142,14 +141,12 @@ class Event:
             t_unix_s = float(payload["t_unix_s"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed event: {exc}") from exc
-        trace_id = payload.get("trace_id")
         return cls(
             kind=str(kind),
             t_unix_s=t_unix_s,
             seq=int(payload.get("seq", 0)),
             pid=int(payload.get("pid", 0)),
             source=str(payload.get("source", "main")),
-            trace_id=str(trace_id) if trace_id is not None else None,
             attrs=dict(payload.get("attrs") or {}),
         )
 
@@ -293,7 +290,6 @@ class EventBus:
             seq=0,  # replaced under the lock below
             pid=os.getpid(),
             source=self._source,
-            trace_id=_current_trace_id(),
             attrs=_clean_attrs(attrs),
         )
         return self._admit(event, stamp_seq=True)
@@ -322,7 +318,6 @@ class EventBus:
                     seq=self._seq,
                     pid=event.pid,
                     source=event.source,
-                    trace_id=event.trace_id,
                     attrs=event.attrs,
                 )
             self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
@@ -583,14 +578,6 @@ def export_gauges(registry=None, source: Optional[EventBus] = None) -> None:
     registry.gauge(
         "eventbus_sinks", "sinks currently attached to the bus"
     ).set(float(b.sink_count))
-
-
-def _current_trace_id() -> Optional[str]:
-    """The active trace id, without creating one as a side effect."""
-    from . import tracectx
-
-    context = tracectx.peek()
-    return context.trace_id if context is not None else None
 
 
 def read_events(path: Union[str, Path]) -> Tuple[List[Event], int]:

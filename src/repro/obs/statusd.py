@@ -11,7 +11,7 @@ process, or machine without touching the producer:
 request        response
 =============  ==========================================================
 ``status``     bus rollup (event counts, drops, heartbeats) + process
-               identity (pid, trace id, uptime) + producer-supplied
+               identity (pid, uptime) + producer-supplied
                extras (the campaign daemon's jobs)
 ``metrics``    the process's :meth:`MetricsRegistry.snapshot` document
 ``tail``       the last ``n`` events (``{"req": "tail", "n": 10}``)
@@ -38,7 +38,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from . import tracectx
 from .events import Event, EventBus
 
 PROTOCOL = "repro-obs-statusd"
@@ -274,14 +273,12 @@ class StatusServer:
         }
 
     def _status(self) -> Dict[str, Any]:
-        context = tracectx.peek()
         response: Dict[str, Any] = {
             "ok": True,
             "protocol": PROTOCOL,
             "protocol_version": PROTOCOL_VERSION,
             "pid": os.getpid(),
             "uptime_s": max(0.0, time.time() - self.started_unix_s),
-            "trace_id": context.trace_id if context is not None else None,
             "events": self.bus.stats(),
         }
         if self.extra_status is not None:

@@ -26,6 +26,8 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import inspect
 import json
@@ -34,9 +36,9 @@ import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
-from . import runtime, tracectx
+from . import runtime
 from .events import bus
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -71,6 +73,8 @@ class SpanRecord:
         depth: nesting depth on its thread (0 for roots).
         thread_id: ``threading.get_ident()`` of the recording thread.
         attrs: user-supplied attributes.
+        worker: label of the forked campaign worker that recorded the
+            span (see :meth:`Tracer.adopt`), or None for this process.
     """
 
     span_id: int
@@ -81,6 +85,7 @@ class SpanRecord:
     depth: int
     thread_id: int
     attrs: Dict[str, Any] = field(default_factory=dict)
+    worker: Optional[str] = None
 
     @property
     def duration_s(self) -> float:
@@ -99,6 +104,7 @@ class SpanRecord:
             "depth": self.depth,
             "thread_id": self.thread_id,
             "attrs": dict(self.attrs),
+            "worker": self.worker,
         }
 
 
@@ -106,6 +112,9 @@ class _NullSpan:
     """Shared no-op span: the disabled fast path."""
 
     __slots__ = ()
+
+    #: A disabled span has no id for children to hang under.
+    span_id = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -138,6 +147,11 @@ class _ActiveSpan:
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
+
+    @property
+    def span_id(self) -> Optional[int]:
+        """The span's id once entered (what children record as parent)."""
+        return getattr(self, "_span_id", None)
 
     def set_attr(self, **attrs: Any) -> None:
         """Attach attributes discovered mid-span (e.g. result counts)."""
@@ -205,30 +219,10 @@ class Tracer:
         self.capture_memory = False
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._process_label = "main"
         self._spans: List[SpanRecord] = []
         self._dropped = 0
         self._next_id = 0
         self._origin = time.perf_counter()
-
-    def set_process_label(self, label: str) -> str:
-        """Name this process in exported payloads (``worker0`` ...)."""
-        with self._lock:
-            previous, self._process_label = self._process_label, str(label)
-        return previous
-
-    def current_span_token(self) -> Optional[str]:
-        """Globalized id (``"<pid>:<span_id>"``) of the innermost open
-        span on this thread, or None.
-
-        This is what a parent process passes to
-        :meth:`repro.obs.tracectx.TraceContext.child` so child-process
-        root spans stitch under the right parent.
-        """
-        stack = self._stack()
-        if not stack:
-            return None
-        return f"{os.getpid()}:{stack[-1][0]}"
 
     # -- recording ---------------------------------------------------------
 
@@ -251,6 +245,71 @@ class Tracer:
                 self._dropped += 1
             else:
                 self._spans.append(record)
+
+    def drain(self) -> Tuple[List[SpanRecord], int]:
+        """Take the completed spans and the dropped count, clearing both.
+
+        A forked campaign worker drains after each run and sends the
+        result to its supervisor, whose tracer :meth:`adopt`-s it.
+        """
+        with self._lock:
+            spans, self._spans = self._spans, []
+            dropped, self._dropped = self._dropped, 0
+        return spans, dropped
+
+    def adopt(
+        self,
+        records: List[SpanRecord],
+        parent_id: Optional[int],
+        worker: str,
+        dropped: int,
+    ) -> None:
+        """Record another process's drained spans as this tracer's own.
+
+        Each span gets a fresh id; spans whose parent is not among
+        ``records`` (the other process's roots) hang under
+        ``parent_id``; every span is tagged with ``worker``.  The
+        sender must share this tracer's time origin, as a forked child
+        does (:meth:`reset` keeps it), so times need no shifting.
+        ``dropped`` adds the sender's own overflow count.
+        """
+        with self._lock:
+            self._dropped += dropped
+            ids: Dict[int, int] = {}
+            for record in records:
+                ids[record.span_id] = self._next_id
+                self._next_id += 1
+            for record in records:
+                if len(self._spans) >= self.max_spans:
+                    self._dropped += 1
+                    continue
+                self._spans.append(
+                    dataclasses.replace(
+                        record,
+                        span_id=ids[record.span_id],
+                        parent_id=ids.get(record.parent_id, parent_id),
+                        worker=worker,
+                    )
+                )
+
+    @contextlib.contextmanager
+    def within(self, span: Any) -> Iterator[None]:
+        """Open this thread's spans under ``span``, entered on any thread.
+
+        Spans nest per thread, so a span opened on one thread is not
+        the parent of spans opened on another.  Inside this block it
+        is, unless it is already this thread's innermost span.  A
+        disabled (null) span changes nothing.
+        """
+        stack = self._stack()
+        if span.span_id is None or (stack and stack[-1][0] == span.span_id):
+            yield
+            return
+        stack.append((span.span_id, span._name))
+        try:
+            yield
+        finally:
+            stack.pop()
 
     def span(self, name: str, **attrs: Any):
         """Open a span; use as ``with trace.span("detect", samples=n):``.
@@ -346,16 +405,18 @@ class Tracer:
         return out
 
     def reset(self) -> None:
-        """Discard all spans and restart ids and the time origin."""
+        """Discard all spans and open-span stacks and restart ids.
+
+        The time origin is kept, so a forked campaign worker that
+        resets still records on its supervisor's clock.  The stacks
+        are rebuilt because such a worker inherits the parent's open
+        spans (the campaign span is active at fork time), and its
+        fresh root span must not take a stale parent from them.
+        """
         with self._lock:
             self._spans = []
             self._dropped = 0
             self._next_id = 0
-            self._origin = time.perf_counter()
-            # Rebuild the per-thread stacks too: a forked worker
-            # inherits the parent's open spans (the campaign span is
-            # active at fork time), and its fresh root span must not
-            # adopt a stale parent id from that ghost stack.
             self._local = threading.local()
 
     # -- exporters ---------------------------------------------------------
@@ -363,26 +424,17 @@ class Tracer:
     def to_payload(self) -> Dict[str, Any]:
         """The JSON exporter's document (a JSON-pure dict).
 
-        Version 2 adds the process identity block (``trace_id`` /
-        ``parent_span_id`` from the active :mod:`repro.obs.tracectx`
-        context, ``pid``, ``process``) that ``repro-obs stitch`` keys
-        on; version-1 consumers that only read ``spans``/``dropped``
-        are unaffected.
+        Version 3 drops version 2's per-process identity block (a
+        campaign pass now writes one trace holding its workers' spans)
+        and adds each span row's ``worker``.  Readers that use only
+        ``spans``/``dropped`` read all three versions.
         """
         with self._lock:
             spans = list(self._spans)
             dropped = self._dropped
-            process_label = self._process_label
-        context = tracectx.peek()
         return {
             "format": "repro-obs-trace",
-            "version": 2,
-            "trace_id": context.trace_id if context is not None else None,
-            "parent_span_id": (
-                context.parent_span_id if context is not None else None
-            ),
-            "pid": os.getpid(),
-            "process": process_label,
+            "version": 3,
             "dropped": dropped,
             "spans": [r.to_dict() for r in spans],
         }
@@ -396,10 +448,29 @@ class Tracer:
 
         Load the file via chrome://tracing "Load" or https://ui.perfetto.dev;
         spans appear as complete ("ph": "X") events, one track per thread.
+        Each forked worker's adopted spans get a track of their own,
+        named after the worker: its main thread shares the supervisor's
+        thread ident, so ``thread_id`` alone would merge the two.
         """
         pid = os.getpid()
-        events = []
+        events: List[Dict[str, Any]] = []
+        worker_tids: Dict[str, int] = {}
         for record in self.records():
+            tid = record.thread_id
+            if record.worker is not None:
+                if record.worker not in worker_tids:
+                    # Small ids: no clash with pthread idents (addresses).
+                    worker_tids[record.worker] = len(worker_tids) + 1
+                    events.append(
+                        {
+                            "name": "thread_name",
+                            "ph": "M",
+                            "pid": pid,
+                            "tid": worker_tids[record.worker],
+                            "args": {"name": record.worker},
+                        }
+                    )
+                tid = worker_tids[record.worker]
             events.append(
                 {
                     "name": record.name,
@@ -407,7 +478,7 @@ class Tracer:
                     "ts": record.begin_s * 1e6,
                     "dur": record.duration_s * 1e6,
                     "pid": pid,
-                    "tid": record.thread_id,
+                    "tid": tid,
                     "args": dict(record.attrs),
                 }
             )

@@ -11,6 +11,7 @@ timeout, or ``isolate=True`` needs a process the supervisor can kill.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.errors import CampaignError
 from repro.experiments import Campaign, RunSpec
 from repro.experiments.campaign import IN_PROCESS_WORKER
 from repro.faults import CrashingSource, StallingSource
-from repro.obs import set_obs_enabled
+from repro.obs import set_obs_enabled, trace
 from repro.obs.events import bus
 from repro.obs.ledger import LedgerAppender, RunLedger
 
@@ -102,6 +103,26 @@ def test_single_worker_leases_every_run_in_process(tmp_path):
     # The in-memory report is the persisted one.
     outcome = result.outcomes[0]
     assert outcome.report == campaign.load_report(outcome.name)
+
+
+def test_runs_joined_on_another_thread_hang_under_the_campaign_span(
+    tmp_path, obs_on
+):
+    # The threading pattern the daemon uses: start here, join there.
+    trace.reset()
+    campaign = Campaign(tmp_path / "camp", sleep=lambda _: None)
+    execution = campaign.start(
+        specs_for({f"r{i}": CountingSource(i) for i in range(3)})
+    )
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(execution.join).result().counts()["done"] == 3
+    spans = json.loads(campaign.trace_path.read_text())["spans"]
+    trace.reset()
+    (root,) = [s for s in spans if s["name"] == "campaign"]
+    runs = [s for s in spans if s["name"] == "campaign_run"]
+    assert len(runs) == 3
+    assert all(s["parent_id"] == root["span_id"] for s in runs)
+    assert all(s["worker"] is None for s in runs)
 
 
 def test_run_committed_before_a_crash_is_adopted_not_rerun(tmp_path):

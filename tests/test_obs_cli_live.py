@@ -1,6 +1,5 @@
-"""The repro-obs live subcommands: serve, tail, stitch, watch."""
+"""The repro-obs live subcommands: serve, tail, watch."""
 
-import json
 import threading
 
 import pytest
@@ -19,23 +18,6 @@ def obs_on():
     set_obs_enabled(previous)
 
 
-def _trace_payload(pid, process, trace_id="abcd" * 4, parent=None):
-    return {
-        "format": "repro-obs-trace",
-        "version": 2,
-        "pid": pid,
-        "process": process,
-        "trace_id": trace_id,
-        "parent_span_id": parent,
-        "dropped": 0,
-        "spans": [
-            {"span_id": 0, "parent_id": None, "name": f"{process}_root",
-             "begin_s": 0.0, "end_s": 1.0, "duration_s": 1.0,
-             "depth": 0, "thread": "t", "attrs": {}},
-        ],
-    }
-
-
 def _write_events(path, sources=("main", "worker0")):
     bus = EventBus(auto_drain=False)
     bus.add_sink(NDJSONFileSink(path))
@@ -46,39 +28,6 @@ def _write_events(path, sources=("main", "worker0")):
         )
     bus.drain()
     bus.close()
-
-
-class TestStitch:
-    def test_stitch_explicit_files(self, tmp_path, capsys):
-        main_trace = tmp_path / "main.trace.json"
-        worker_trace = tmp_path / "worker0.trace.json"
-        main_trace.write_text(json.dumps(_trace_payload(1, "main")))
-        worker_trace.write_text(
-            json.dumps(_trace_payload(2, "worker0", parent="1:0"))
-        )
-        code = obs_cli.main(["stitch", str(main_trace), str(worker_trace)])
-        output = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "abcd" * 4 in output
-        assert "worker0" in output
-
-    def test_stitch_campaign_directory_with_events(self, tmp_path, capsys):
-        (tmp_path / "main.trace.json").write_text(
-            json.dumps(_trace_payload(1, "main"))
-        )
-        _write_events(tmp_path / "events.ndjsonl")
-        out_path = tmp_path / "stitched.json"
-        code = obs_cli.main(
-            ["stitch", str(tmp_path), "--json", str(out_path)]
-        )
-        assert code == EXIT_OK
-        document = json.loads(out_path.read_text())
-        assert document["trace_id"] == "abcd" * 4
-        assert "worker0" in document["heartbeats"]
-
-    def test_stitch_missing_input_is_bad_input(self, tmp_path, capsys):
-        code = obs_cli.main(["stitch", str(tmp_path / "nope.trace.json")])
-        assert code == EXIT_BAD_INPUT
 
 
 class TestServeAndTail:

@@ -39,12 +39,30 @@ class TestEventSchema:
             seq=7,
             pid=4242,
             source="worker0",
-            trace_id="abc123",
             attrs={"samples": 1024},
         )
         parsed = Event.from_dict(event.to_dict())
         assert parsed == event
         assert json.loads(json.dumps(event.to_dict())) == event.to_dict()
+
+    def test_reads_lines_that_still_carry_trace_id(self):
+        # Event files written before the key was dropped stay readable.
+        line = {
+            "schema": "repro-obs-event",
+            "schema_version": 1,
+            "kind": "heartbeat",
+            "t_unix_s": 3.0,
+            "seq": 2,
+            "pid": 77,
+            "source": "worker1",
+            "trace_id": "cafe0123cafe0123",
+            "attrs": {"worker": "worker1"},
+        }
+        event = Event.from_dict(line)
+        assert (event.kind, event.source, event.attrs) == (
+            "heartbeat", "worker1", {"worker": "worker1"}
+        )
+        assert "trace_id" not in event.to_dict()
 
     def test_rejects_wrong_schema(self):
         payload = Event(kind="heartbeat", t_unix_s=0.0, seq=0, pid=1).to_dict()

@@ -2,12 +2,12 @@
 
 A multi-worker campaign runs inside a line-JSON status server over the
 parent's event bus; a client queries it mid-flight from another
-thread; one worker is killed mid-run; afterwards the per-process
-traces stitch into one trace under a single trace id and the heartbeat
-table shows the killed worker's silence.  Forked workers send their
-events up their control pipes, so the parent's bus - its rollup, its
+thread; one worker is killed mid-run; afterwards the pass's one trace
+holds every finished run's spans under its campaign span and the event
+file names the killed worker.  Forked workers send their events and
+spans up their control pipes, so the parent's bus - its rollup, its
 status server, the pass's one event file - sees every event, however
-many there are.
+many there are, and the parent's tracer every finished run's spans.
 """
 
 import json
@@ -24,11 +24,10 @@ from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import EmprofConfig
 from repro.emsignal.receiver import Capture
 from repro.experiments import Campaign, RunSpec
-from repro.obs import metrics, set_obs_enabled
+from repro.obs import metrics, set_obs_enabled, trace
 from repro.obs.events import bus, read_events
 from repro.obs.ledger import RunLedger
 from repro.obs.statusd import StatusServer, query
-from repro.obs.tracectx import stitch_traces
 
 SMALL = EmprofConfig(
     normalizer=NormalizerConfig(window_samples=301),
@@ -65,8 +64,10 @@ class SlowSource:
 def obs_on():
     previous = set_obs_enabled(True)
     bus.reset()
+    trace.reset()
     yield
     bus.reset()
+    trace.reset()
     set_obs_enabled(previous)
 
 
@@ -77,7 +78,7 @@ def _specs(n, delay_s=0.4):
     ]
 
 
-def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
+def test_live_campaign_query_kill_and_trace(tmp_path, obs_on):
     campaign = Campaign(
         tmp_path / "camp",
         sleep=lambda _: None,
@@ -115,8 +116,6 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
         assert health["healthy"] is True
 
         # -- kill one worker mid-run ---------------------------------
-        # Let the doomed worker bank a few beats first so the stitched
-        # liveness table has a cadence baseline to indict it with.
         time.sleep(0.25)
         execution.processes["worker1"].kill()
         result = joined.result()
@@ -150,33 +149,33 @@ def test_live_campaign_query_kill_and_stitch(tmp_path, obs_on):
     assert requeue_records
     assert all(r.label.startswith("camp/") for r in requeue_records)
 
-    # -- stitch: every process under one trace id --------------------
-    payloads = [
-        json.loads(path.read_text())
-        for path in sorted(campaign.directory.glob("*.trace.json"))
+    # -- one trace: every finished run under the campaign span ------
+    assert sorted(p.name for p in campaign.directory.glob("*trace*")) == [
+        "trace.json"
     ]
-    # SIGKILL means worker1 never wrote its trace - the stitch works
-    # from whoever survived; the heartbeat table covers the dead.
-    stitched_processes = {p["process"] for p in payloads}
-    assert {"main", "worker0"} <= stitched_processes
-    document = stitch_traces(payloads, events=events)
-    assert document["mixed_trace_ids"] == []
-    assert document["trace_id"] not in ("", "unknown")
+    spans = json.loads(campaign.trace_path.read_text())["spans"]
+    (root,) = [s for s in spans if s["name"] == "campaign"]
+    runs = [s for s in spans if s["name"] == "campaign_run"]
+    # The killed attempt never sent its spans; the rerun did.
+    assert sorted(s["attrs"]["run"] for s in runs) == sorted(
+        o.name for o in result.outcomes if o.status == "done"
+    )
+    assert all(s["parent_id"] == root["span_id"] for s in runs)
+    assert all(s["worker"] in execution.processes for s in runs)
+    # The profile stages hang under their run, on the run's worker.
+    by_id = {s["span_id"]: s for s in spans}
+    details = [s for s in spans if s["name"] in ("profile", "detect")]
+    assert details
+    for span in details:
+        parent = by_id[span["parent_id"]]
+        while parent["name"] != "campaign_run":
+            parent = by_id[parent["parent_id"]]
+        assert parent["worker"] == span["worker"]
 
-    # Worker root spans hang under the parent campaign span.
-    campaign_gids = {
-        s["gid"] for s in document["spans"] if s["name"] == "campaign"
-    }
-    worker_roots = [
-        s for s in document["spans"] if s["name"] == "campaign_worker"
-    ]
-    assert worker_roots
-    assert all(s["parent_gid"] in campaign_gids for s in worker_roots)
-
-    # The heartbeat table indicts the killed worker, not the survivor.
-    beats = document["heartbeats"]
-    assert beats["worker1"]["stalled"] is True
-    assert beats["worker0"]["stalled"] is False
+    # -- the dead worker is on record --------------------------------
+    killed = [e.attrs["worker"] for e in events if e.kind == "worker_killed"]
+    assert "worker1" in killed
+    assert "worker0" not in killed
 
     # The ledger summary bridges the bus rollup.
     ledger = RunLedger(tmp_path / "ledger.jsonl")
@@ -257,6 +256,44 @@ def test_forked_workers_deliver_every_event_under_volume(tmp_path, obs_on):
     # Every worker drained its pipe and exited on its own.
     assert not any(e.kind == "worker_killed" for e in events)
     assert [p.exitcode for p in execution.processes.values()] == [0] * 3
+
+
+def _run_trees(spans):
+    """Each campaign_run's subtree as a sorted tuple of span names."""
+    children = {}
+    for span in spans:
+        children.setdefault(span["parent_id"], []).append(span)
+
+    def names(span):
+        return [span["name"]] + [
+            name for child in children.get(span["span_id"], [])
+            for name in names(child)
+        ]
+
+    return sorted(
+        tuple(sorted(names(s))) for s in spans if s["name"] == "campaign_run"
+    )
+
+
+def test_forked_and_in_process_passes_leave_the_same_span_tree(
+    tmp_path, obs_on
+):
+    trees = {}
+    for workers in (1, 2):
+        trace.reset()
+        campaign = Campaign(
+            tmp_path / f"w{workers}", sleep=lambda _: None, workers=workers
+        )
+        assert campaign.execute(_specs(3, delay_s=0.0)).completed
+        spans = json.loads(campaign.trace_path.read_text())["spans"]
+        (root,) = [s for s in spans if s["name"] == "campaign"]
+        runs = [s for s in spans if s["name"] == "campaign_run"]
+        assert [s["parent_id"] for s in runs] == [root["span_id"]] * 3
+        labels = {None} if workers == 1 else {"worker0", "worker1"}
+        assert {s["worker"] for s in runs} <= labels
+        trees[workers] = _run_trees(spans)
+    assert len(trees[1]) == 3
+    assert trees[1] == trees[2]
 
 
 def test_obs_off_campaign_emits_no_events(tmp_path):

@@ -153,6 +153,32 @@ class TestCliArtifacts:
         assert "stalls_detected_total" in out
         assert "spans" in out
 
+    def test_obs_summarizes_version_2_trace_payloads(self, tmp_path, capsys):
+        # A per-process trace file written before payload version 3.
+        payload = {
+            "format": "repro-obs-trace",
+            "version": 2,
+            "trace_id": "abcdabcdabcdabcd",
+            "parent_span_id": "41:0",
+            "pid": 42,
+            "process": "worker0",
+            "dropped": 1,
+            "spans": [
+                {"span_id": 0, "parent_id": None, "name": "campaign_worker",
+                 "begin_s": 0.0, "end_s": 2.0, "duration_s": 2.0,
+                 "depth": 0, "thread_id": 7, "attrs": {}},
+                {"span_id": 1, "parent_id": 0, "name": "detect",
+                 "begin_s": 0.5, "end_s": 1.0, "duration_s": 0.5,
+                 "depth": 1, "thread_id": 7, "attrs": {}},
+            ],
+        }
+        path = tmp_path / "worker0.trace.json"
+        path.write_text(json.dumps(payload))
+        assert main(["obs", "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "2 spans (1 dropped)" in out
+        assert "campaign_worker" in out and "500.000ms" in out
+
     def test_obs_subcommand_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -35,6 +35,7 @@ class TestQueries:
         reply = query("127.0.0.1", status.port, {"req": "status"})
         assert reply["ok"] is True
         assert reply["protocol"] == "repro-obs-statusd"
+        assert "trace_id" not in reply
         assert reply["events"]["samples_total"] == 64
         assert reply["events"]["counts"]["chunk_processed"] == 1
 

@@ -192,6 +192,82 @@ class TestRecording:
         assert Tracer().max_spans == DEFAULT_MAX_SPANS
 
 
+class TestAdoption:
+    """A forked worker's drained spans join the supervisor's tracer."""
+
+    def _worker_spans(self, tracer):
+        with tracer.span("campaign_run", run="r0"):
+            with tracer.span("profile"):
+                with tracer.span("detect"):
+                    pass
+        return tracer.drain()
+
+    def test_drain_takes_spans_and_keeps_counting(self, obs_on):
+        small = Tracer(max_spans=1)
+        for name in ("a", "b"):
+            with small.span(name):
+                pass
+        records, dropped = small.drain()
+        assert [r.name for r in records] == ["a"]
+        assert dropped == 1
+        assert small.records() == [] and small.dropped == 0
+        with small.span("c"):
+            pass
+        assert small.records()[0].span_id == 2
+
+    def test_reset_keeps_the_time_origin(self, obs_on, tracer):
+        origin = tracer._origin
+        tracer.reset()
+        assert tracer._origin == origin
+
+    def test_adopt_reids_and_hangs_roots_under_parent(self, obs_on, tracer):
+        records, _ = self._worker_spans(Tracer())
+        with tracer.span("campaign") as campaign:
+            tracer.adopt(records, campaign.span_id, "worker0", 2)
+        rows = {r.name: r for r in tracer.records()}
+        assert len({r.span_id for r in rows.values()}) == 4
+        assert rows["campaign_run"].parent_id == rows["campaign"].span_id
+        assert rows["profile"].parent_id == rows["campaign_run"].span_id
+        assert rows["detect"].parent_id == rows["profile"].span_id
+        assert {r.worker for r in rows.values()} == {None, "worker0"}
+        assert rows["campaign"].worker is None
+        assert rows["detect"].begin_s == records[0].begin_s  # no shift
+        assert tracer.dropped == 2
+        assert tracer.to_payload()["spans"][0]["worker"] == "worker0"
+
+    def test_adopt_respects_max_spans(self, obs_on):
+        records, _ = self._worker_spans(Tracer())
+        small = Tracer(max_spans=2)
+        small.adopt(records, None, "worker1", 0)
+        assert len(small.records()) == 2
+        assert small.dropped == 1
+
+    def test_within_parents_spans_on_another_thread(self, obs_on, tracer):
+        with tracer.span("campaign") as campaign:
+            def run():
+                with tracer.within(campaign):
+                    with tracer.span("campaign_run"):
+                        pass
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+            # Already innermost here: no second level.
+            with tracer.within(campaign):
+                with tracer.span("local"):
+                    pass
+        rows = {r.name: r for r in tracer.records()}
+        assert rows["campaign_run"].parent_id == rows["campaign"].span_id
+        assert rows["local"].parent_id == rows["campaign"].span_id
+        assert rows["local"].depth == 1
+
+    def test_within_a_disabled_span_changes_nothing(self, obs_on, tracer):
+        with tracer.within(_NULL_SPAN):
+            with tracer.span("s"):
+                pass
+        assert tracer.records()[0].parent_id is None
+
+
 class TestExporters:
     def test_json_round_trip(self, obs_on, tracer):
         with tracer.span("profile", samples=10):
@@ -199,8 +275,7 @@ class TestExporters:
                 pass
         payload = json.loads(tracer.export_json())
         assert payload["format"] == "repro-obs-trace"
-        assert payload["version"] == 2
-        assert payload["pid"] == os.getpid()
+        assert payload["version"] == 3
         assert payload == tracer.to_payload()
         rows = {row["name"]: row for row in payload["spans"]}
         assert rows["detect"]["parent_id"] == rows["profile"]["span_id"]
@@ -221,6 +296,29 @@ class TestExporters:
         record = tracer.records()[0]
         assert event["ts"] == pytest.approx(record.begin_s * 1e6)
         assert event["dur"] == pytest.approx(record.duration_s * 1e6)
+
+    def test_chrome_gives_each_worker_its_own_track(self, obs_on, tracer):
+        # A forked worker's main thread has the supervisor's ident.
+        worker = Tracer()
+        with worker.span("campaign_run"):
+            pass
+        records, _ = worker.drain()
+        with tracer.span("campaign") as campaign:
+            tracer.adopt(records, campaign.span_id, "worker0", 0)
+            tracer.adopt(records, campaign.span_id, "worker1", 0)
+        events = json.loads(tracer.export_chrome())["traceEvents"]
+        spans = {}
+        for event in events:
+            if event["ph"] == "X":
+                spans.setdefault(event["name"], []).append(event["tid"])
+        names = {
+            e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"
+        }
+        assert spans["campaign"] == [threading.get_ident()]
+        assert sorted(names[tid] for tid in spans["campaign_run"]) == [
+            "worker0", "worker1"
+        ]
+        assert threading.get_ident() not in names
 
     def test_write_both_formats(self, obs_on, tracer, tmp_path):
         with tracer.span("s"):

@@ -169,7 +169,20 @@ def test_normalize_output_in_unit_interval(values):
     assert np.all(y <= 1.0)
 
 
-@given(signals, st.floats(min_value=0.1, max_value=100.0, allow_nan=False))
+# No subnormals: 5e-324 * 0.5 underflows to 0, which turns a trace with
+# one nonzero sample into a truly flat one.  A normal float times a gain
+# of at least 0.1 stays nonzero (the smallest, 2.2e-308, still matches).
+@given(
+    st.lists(
+        st.floats(
+            min_value=0.0, max_value=10.0, allow_nan=False,
+            allow_subnormal=False,
+        ),
+        min_size=5,
+        max_size=400,
+    ),
+    st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
+)
 @settings(max_examples=50, deadline=None)
 def test_normalize_gain_invariant(values, gain):
     cfg = NormalizerConfig(window_samples=21)

@@ -14,6 +14,9 @@ Mirrors a real measurement campaign's workflow:
 * ``selftest``   - engineered-microbenchmark accuracy check (the
   Table II experiment at one grid point);
 * ``table``      - regenerate one of the paper's tables;
+* ``reproduce``  - regenerate every artifact into ``results.md``.  Both
+  read the one artifact registry,
+  :data:`repro.experiments.reportgen.ARTIFACTS`;
 * ``faults``     - chaos demo: inject impairments into a capture and
   compare the hardened streaming profile against the clean one;
 * ``obs``        - pretty-print an observability snapshot (or run a
@@ -41,28 +44,13 @@ from .core.markers import find_marker_window
 from .core.normalize import NormalizerConfig
 from .core.profiler import Emprof, EmprofConfig
 from .core.validate import count_accuracy
-from .devices import DEVICE_NAMES, by_name, default_channel
-from .emsignal import measure
-from .sim.machine import simulate
-from .workloads import BootWorkload, Microbenchmark, SPEC_BENCHMARKS, spec_workload
-
-
-def _build_workload(args: argparse.Namespace):
-    name = args.workload
-    if name == "micro":
-        return Microbenchmark(
-            total_misses=args.tm,
-            consecutive_misses=args.cm,
-            seed=args.seed,
-        )
-    if name == "boot":
-        return BootWorkload(seed=args.seed, scale=args.scale)
-    if name in SPEC_BENCHMARKS:
-        return spec_workload(name, seed=args.seed or 11, scale=args.scale)
-    raise SystemExit(
-        f"unknown workload {name!r}; expected 'micro', 'boot' or one of "
-        f"{', '.join(SPEC_BENCHMARKS)}"
-    )
+from .devices import DEVICE_NAMES, by_name
+from .workloads import (
+    Microbenchmark,
+    SPEC_BENCHMARKS,
+    spec_workload,
+    workload_by_name,
+)
 
 
 def cmd_devices(_args: argparse.Namespace) -> int:
@@ -79,14 +67,18 @@ def cmd_devices(_args: argparse.Namespace) -> int:
 
 
 def cmd_capture(args: argparse.Namespace) -> int:
+    from .experiments.runner import simulate_and_measure
+
     device = by_name(args.device)
-    workload = _build_workload(args)
+    try:
+        workload = workload_by_name(
+            args.workload, args.tm, args.cm, args.scale, args.seed
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"simulating {workload.name} on {device.name} ...")
-    result = simulate(workload, device, seed=args.seed)
-    capture = measure(
-        result,
-        bandwidth_hz=args.bandwidth_mhz * 1e6,
-        channel=default_channel(device.name, seed=args.seed),
+    result, capture = simulate_and_measure(
+        workload, device, bandwidth_hz=args.bandwidth_mhz * 1e6, seed=args.seed
     )
     repro_io.save_capture(args.output, capture)
     truth = result.ground_truth
@@ -342,15 +334,12 @@ def cmd_campaignd(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .experiments.runner import microbenchmark_window, run_device
+
     device = by_name(args.device)
     workload = Microbenchmark(total_misses=args.tm, consecutive_misses=args.cm)
-    result = simulate(workload, device, seed=args.seed)
-    capture = measure(
-        result, bandwidth_hz=40e6, channel=default_channel(device.name, seed=args.seed)
-    )
-    profiler = Emprof.from_capture(capture)
-    window = find_marker_window(profiler.signal, marker_min_samples=200)
-    report = profiler.profile_window(window.begin_sample, window.end_sample)
+    run = run_device(workload, device, bandwidth_hz=40e6, seed=args.seed)
+    report, _ = microbenchmark_window(run)
     acc = count_accuracy(report.miss_count, workload.total_misses)
     print(
         f"{device.name}: detected {report.miss_count} / {workload.total_misses} "
@@ -366,8 +355,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.reportgen import generate_report
 
-    include = args.only.split(",") if args.only else None
-    path = generate_report(args.output, scale=args.scale, include=include)
+    path = generate_report(args.output, scale=args.scale, include=args.only)
     print(f"results -> {path}")
     return 0
 
@@ -390,22 +378,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
-    from .attribution.report import format_region_table
-    from .attribution.spectral import SpectralProfiler
-    from .attribution.report import attribute_stalls
-    from .experiments.runner import run_device
-    from .workloads.spec import SpecWorkload
+    from .attribution.report import attribute_stalls, format_region_table
+    from .experiments.runner import run_attributed
 
     device = by_name(args.device)
-    workload = spec_workload(args.benchmark, scale=args.scale)
-    profiler_s = SpectralProfiler(window_samples=128, smoothing_frames=7)
     print(f"training region spectra for {args.benchmark} on {device.name} ...")
-    for phase in workload.phases:
-        solo = SpecWorkload(f"train_{phase.region}", [phase], seed=workload.seed)
-        train = run_device(solo, device, bandwidth_hz=40e6, seed=args.seed)
-        profiler_s.train(phase.region, train.signal, train.capture.sample_rate_hz)
-    run = run_device(workload, device, bandwidth_hz=40e6, seed=args.seed)
-    timeline = profiler_s.attribute(run.signal, run.capture.sample_rate_hz)
+    run, timeline = run_attributed(
+        spec_workload(args.benchmark, scale=args.scale),
+        device,
+        bandwidth_hz=40e6,
+        seed=args.seed,
+    )
     rows = attribute_stalls(run.report, timeline)
     print(format_region_table(rows))
     worst = max(rows, key=lambda r: r.stall_percent)
@@ -482,30 +465,31 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from .experiments import tables
+    from .experiments.reportgen import ARTIFACTS
 
-    which = args.which
-    if which == 2:
-        rows = tables.table2_rows(scale=args.scale)
-        print(tables.format_table2(rows))
-    elif which == 3:
-        micro = tables.table3_micro_rows(scale=args.scale)
-        spec = tables.table3_spec_rows(scale=args.scale)
-        print(tables.format_table3(micro + spec))
-    elif which == 4:
-        rows = tables.table4_rows(scale=args.scale)
-        print(tables.format_table4(rows))
-    elif which == 5:
-        from .attribution.report import format_region_table
-
-        print(format_region_table(tables.table5_rows(scale=args.scale)))
-    else:
-        raise SystemExit("supported tables: 2, 3, 4, 5")
+    body, _ = ARTIFACTS[f"table{args.which}"].render(args.scale)
+    print(body)
     return 0
+
+
+def _artifact_names(text: str) -> List[str]:
+    """Parse ``reproduce --only``: comma-separated ``ARTIFACTS`` keys."""
+    from .experiments.reportgen import ARTIFACTS
+
+    names = text.split(",")
+    unknown = [name for name in names if name not in ARTIFACTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown artifact(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(ARTIFACTS)}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from .experiments.reportgen import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="EMPROF reproduction - EM-emanation memory profiling",
@@ -671,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", type=float, default=1.0)
     rep.add_argument(
         "--only",
-        help="comma-separated subset: table2,table3,table4,table5,perf,"
-        "fig5,fig11,fig12,fig13",
+        type=_artifact_names,
+        help="comma-separated subset: " + ",".join(ARTIFACTS),
     )
     rep.set_defaults(func=cmd_reproduce)
 
@@ -708,7 +692,15 @@ def build_parser() -> argparse.ArgumentParser:
     flt.set_defaults(func=cmd_faults)
 
     tab = sub.add_parser("table", help="regenerate one of the paper's tables")
-    tab.add_argument("which", type=int, choices=(2, 3, 4, 5))
+    tab.add_argument(
+        "which",
+        type=int,
+        choices=[
+            int(key.removeprefix("table"))
+            for key in ARTIFACTS
+            if key.startswith("table")
+        ],
+    )
     tab.add_argument("--scale", type=float, default=1.0)
     tab.set_defaults(func=cmd_table)
 

@@ -1,8 +1,8 @@
 """Experiment drivers regenerating every table and figure.
 
-* :mod:`repro.experiments.runner` - shared simulate/measure/profile
-  drivers (the Section V-B and V-C measurement paths) plus
-  retry-with-backoff acquisition.
+* :mod:`repro.experiments.runner` - the one simulate/measure/profile
+  path (the Section V-B and V-C measurement paths, spectral
+  attribution) plus retry-with-backoff acquisition.
 * :mod:`repro.experiments.campaign` - checkpointed multi-run
   campaigns with resume: one supervised job queue, in-process at one
   worker and across forked workers beyond.
@@ -11,6 +11,11 @@
 * :mod:`repro.experiments.tables` - Tables I-V row generators plus the
   perf anecdote.
 * :mod:`repro.experiments.figures` - Figs. 1-14 series generators.
+* :mod:`repro.experiments.reportgen` - ``ARTIFACTS``, the one registry
+  of archived artifacts, and ``results.md`` generation.
+
+The table and figure drivers are imported from their modules; this
+package re-exports the campaign and runner surface only.
 """
 
 from .campaign import (
@@ -31,24 +36,6 @@ from .runner import (
     window_cycles,
 )
 from .service import CampaignService, build_specs, expand_matrix
-from .tables import (
-    DEVICE_ORDER,
-    MICRO_GRID,
-    PerfAnecdote,
-    Table2Row,
-    Table3Row,
-    Table4Row,
-    format_table2,
-    format_table3,
-    format_table4,
-    perf_anecdote,
-    table1_rows,
-    table2_rows,
-    table3_micro_rows,
-    table3_spec_rows,
-    table4_rows,
-    table5_rows,
-)
 
 __all__ = [
     "ExperimentRun",
@@ -67,20 +54,4 @@ __all__ = [
     "run_device",
     "microbenchmark_window",
     "window_cycles",
-    "DEVICE_ORDER",
-    "MICRO_GRID",
-    "table1_rows",
-    "table2_rows",
-    "table3_micro_rows",
-    "table3_spec_rows",
-    "table4_rows",
-    "table5_rows",
-    "perf_anecdote",
-    "PerfAnecdote",
-    "Table2Row",
-    "Table3Row",
-    "Table4Row",
-    "format_table2",
-    "format_table3",
-    "format_table4",
 ]

@@ -906,10 +906,12 @@ class CampaignExecution:
 
     def _write_trace(self) -> None:
         # Runs after the campaign span closes and every worker pipe is
-        # read dry, so the file holds the whole pass.
-        if obs_enabled():
+        # read dry, so the file holds the whole pass - and only it: the
+        # process may have traced earlier passes.
+        span_id = self._span.span_id if self._span is not None else None
+        if obs_enabled() and span_id is not None:
             with contextlib.suppress(OSError):
-                _trace.write(str(self.campaign.trace_path))
+                _trace.subtree(span_id).write(str(self.campaign.trace_path))
 
     def _supervise(self, deadline: Optional[float]) -> None:
         while self._pending or self._leases:

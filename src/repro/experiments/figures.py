@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..attribution.spectral import RegionTimeline, SpectralProfiler
+from ..attribution.spectral import RegionTimeline
 from ..core.normalize import moving_average
 from ..core.refresh import refresh_stats
 from ..core.stats import latency_histogram
@@ -27,7 +27,13 @@ from ..workloads.base import StreamWorkload
 from ..workloads.boot import BootWorkload
 from ..workloads.microbenchmark import Microbenchmark
 from ..workloads.spec import spec_workload
-from .runner import ExperimentRun, run_device, run_simulator
+from .runner import (
+    SPECTRAL_WINDOW_SAMPLES,
+    ExperimentRun,
+    run_attributed,
+    run_device,
+    run_simulator,
+)
 
 
 @dataclass
@@ -616,24 +622,15 @@ class Fig14Result:
     regions_found: Tuple[str, ...]
 
 
-def fig14_parser_spectrogram(
-    scale: float = 1.0, seed: int = 0, window_samples: int = 128
-) -> Fig14Result:
+def fig14_parser_spectrogram(scale: float = 1.0, seed: int = 0) -> Fig14Result:
     """The Fig. 14 spectrogram with its three visible regions."""
-    cfg = olimex()
-    parser = spec_workload("parser", scale=scale)
-    profiler = SpectralProfiler(window_samples=window_samples, smoothing_frames=7)
-    from ..workloads.spec import SpecWorkload
-
-    for phase in parser.phases:
-        solo = SpecWorkload(f"train_{phase.region}", [phase], seed=parser.seed)
-        train = run_device(solo, cfg, bandwidth_hz=40 * MHZ, seed=seed)
-        profiler.train(phase.region, train.signal, train.capture.sample_rate_hz)
-    run = run_device(parser, cfg, bandwidth_hz=40 * MHZ, seed=seed)
-    spectrogram = compute_spectrogram(
-        run.signal, run.capture.sample_rate_hz, window_samples
+    run, timeline = run_attributed(
+        spec_workload("parser", scale=scale), olimex(),
+        bandwidth_hz=40 * MHZ, seed=seed,
     )
-    timeline = profiler.attribute(run.signal, run.capture.sample_rate_hz)
+    spectrogram = compute_spectrogram(
+        run.signal, run.capture.sample_rate_hz, SPECTRAL_WINDOW_SAMPLES
+    )
     found = tuple(dict.fromkeys(seg.region for seg in timeline.segments))
     return Fig14Result(
         spectrogram=spectrogram, timeline=timeline, regions_found=found

@@ -1,10 +1,12 @@
-"""One-command reproduction: run everything, write a results report.
+"""The paper's artifacts, and the one command that writes them all.
 
-``generate_report`` regenerates the paper's tables and headline figure
-statistics and writes a self-contained ``results.md`` (plus ``.npz``
-series for the figures) into an output directory - the artifact a
-reviewer would ask for.  The bench suite under ``benchmarks/`` asserts
-the claims; this module *records* the numbers.
+:data:`ARTIFACTS` lists every table and figure statistic the
+reproduction archives, each under its one name.  ``repro table N``
+prints ``ARTIFACTS["tableN"]``; :func:`generate_report` renders every
+entry (or a subset) into a self-contained ``results.md``, plus ``.npz``
+series for the figures - the artifact a reviewer would ask for.  The
+bench suite under ``benchmarks/`` asserts the claims; this module
+*records* the numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,33 +23,33 @@ from . import figures, tables
 
 PathLike = Union[str, Path]
 
+#: A figure's ``.npz`` series: file name and named arrays.
+Series = Tuple[str, Dict[str, np.ndarray]]
+
 
 @dataclass(frozen=True)
-class ReportSection:
-    """One generated section of the results report."""
+class Artifact:
+    """One paper artifact: its ``results.md`` title and its renderer.
+
+    ``render(scale)`` runs the experiment at workload scale ``scale``
+    and returns the section body and, for a figure, its series.
+    """
 
     title: str
-    body: str
-    seconds: float
+    render: Callable[[float], Tuple[str, Optional[Series]]]
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
-
-
-def _section_table2(scale: float) -> ReportSection:
-    rows, dt = _timed(tables.table2_rows, scale=scale)
+def _table2(scale: float) -> Tuple[str, None]:
+    rows = tables.table2_rows(scale=scale)
     mean = float(np.mean([r.accuracy for r in rows]))
     body = tables.format_table2(rows)
     body += f"\n\nAverage accuracy: {100 * mean:.2f}% (paper: 99.52%)"
-    return ReportSection("Table II - microbenchmark accuracy (device path)", body, dt)
+    return body, None
 
 
-def _section_table3(scale: float) -> ReportSection:
-    micro, dt1 = _timed(tables.table3_micro_rows, scale=scale)
-    spec, dt2 = _timed(tables.table3_spec_rows, scale=scale)
+def _table3(scale: float) -> Tuple[str, None]:
+    micro = tables.table3_micro_rows(scale=scale)
+    spec = tables.table3_spec_rows(scale=scale)
     body = tables.format_table3(micro + spec)
     miss = float(np.mean([r.miss_accuracy for r in spec]))
     stall = float(np.mean([r.stall_accuracy for r in spec]))
@@ -55,83 +57,29 @@ def _section_table3(scale: float) -> ReportSection:
         f"\n\nSPEC averages: miss {100 * miss:.2f}% (paper 98.5%), "
         f"stall {100 * stall:.2f}% (paper 99.5%)"
     )
-    return ReportSection("Table III - accuracy vs simulator ground truth", body, dt1 + dt2)
+    return body, None
 
 
-def _section_table4(scale: float) -> ReportSection:
-    rows, dt = _timed(tables.table4_rows, scale=scale)
-    return ReportSection("Table IV - device profiles", tables.format_table4(rows), dt)
+def _table4(scale: float) -> Tuple[str, None]:
+    return tables.format_table4(tables.table4_rows(scale=scale)), None
 
 
-def _section_table5(scale: float) -> ReportSection:
-    rows, dt = _timed(tables.table5_rows, scale=scale)
-    return ReportSection(
-        "Table V - parser attribution", format_region_table(rows), dt
-    )
+def _table5(scale: float) -> Tuple[str, None]:
+    return format_region_table(tables.table5_rows(scale=scale)), None
 
 
-def _section_perf() -> ReportSection:
-    pa, dt = _timed(tables.perf_anecdote)
+def _perf(_scale: float) -> Tuple[str, None]:
+    pa = tables.perf_anecdote()
     body = (
         f"1024 engineered misses -> perf reports mean {pa.mean_reported:.0f}, "
         f"std {pa.std_reported:.0f} over {pa.runs} runs "
         f"(paper: 32768 / 14543)"
     )
-    return ReportSection("perf baseline anecdote (Section V)", body, dt)
+    return body, None
 
 
-def _section_fig11(scale: float, out_dir: Path) -> ReportSection:
-    results, dt = _timed(figures.fig11_latency_histograms, scale=scale)
-    lines = []
-    arrays = {}
-    for r in results:
-        lines.append(
-            f"{r.device:8s}: n={int(r.counts.sum()):5d} mean={r.mean_cycles:7.1f} "
-            f"p99={r.p99_cycles:7.1f} tail(>=600cyc)={100 * r.tail_fraction_600:.2f}%"
-        )
-        arrays[f"{r.device}_edges"] = r.edges_cycles
-        arrays[f"{r.device}_counts"] = r.counts
-    np.savez_compressed(out_dir / "fig11_histograms.npz", **arrays)
-    lines.append("series -> fig11_histograms.npz")
-    return ReportSection("Fig. 11 - mcf stall-latency histograms", "\n".join(lines), dt)
-
-
-def _section_fig12(scale: float, out_dir: Path) -> ReportSection:
-    points, dt = _timed(figures.fig12_bandwidth_sweep, scale=scale)
-    lines = [
-        f"{p.device:8s} {p.bandwidth_hz / 1e6:5.0f} MHz: stalls={p.detected_stalls:5d} "
-        f"mean={p.mean_stall_cycles:7.1f} cyc"
-        for p in points
-    ]
-    np.savez_compressed(
-        out_dir / "fig12_sweep.npz",
-        device=np.array([p.device for p in points]),
-        bandwidth_hz=np.array([p.bandwidth_hz for p in points]),
-        detected=np.array([p.detected_stalls for p in points]),
-        mean_cycles=np.array([p.mean_stall_cycles for p in points]),
-    )
-    lines.append("series -> fig12_sweep.npz")
-    return ReportSection("Fig. 12 - measurement-bandwidth sweep (mcf)", "\n".join(lines), dt)
-
-
-def _section_fig13(scale: float, out_dir: Path) -> ReportSection:
-    runs, dt = _timed(figures.fig13_boot_profile, scale=scale)
-    lines = []
-    arrays = {}
-    for r in runs:
-        lines.append(
-            f"run {r.run_id}: {r.total_misses} misses, "
-            f"peak {r.miss_rate.max():.0f} misses/ms"
-        )
-        arrays[f"run{r.run_id}_time_ms"] = r.time_ms
-        arrays[f"run{r.run_id}_rate"] = r.miss_rate
-    np.savez_compressed(out_dir / "fig13_boot.npz", **arrays)
-    lines.append("series -> fig13_boot.npz")
-    return ReportSection("Fig. 13 - boot-sequence profiles", "\n".join(lines), dt)
-
-
-def _section_fig5() -> ReportSection:
-    r, dt = _timed(figures.fig5_refresh)
+def _fig5(_scale: float) -> Tuple[str, None]:
+    r = figures.fig5_refresh()
     interval = (
         f"{r.estimated_interval_us:.1f} us" if r.estimated_interval_us else "n/a"
     )
@@ -140,7 +88,63 @@ def _section_fig5() -> ReportSection:
         f"{r.mean_duration_us:.2f} us (paper: 2-3 us), interval {interval} "
         f"(paper: >= ~70 us)"
     )
-    return ReportSection("Fig. 5 - refresh collisions", body, dt)
+    return body, None
+
+
+def _fig11(scale: float) -> Tuple[str, Series]:
+    lines = []
+    arrays = {}
+    for r in figures.fig11_latency_histograms(scale=scale):
+        lines.append(
+            f"{r.device:8s}: n={int(r.counts.sum()):5d} mean={r.mean_cycles:7.1f} "
+            f"p99={r.p99_cycles:7.1f} tail(>=600cyc)={100 * r.tail_fraction_600:.2f}%"
+        )
+        arrays[f"{r.device}_edges"] = r.edges_cycles
+        arrays[f"{r.device}_counts"] = r.counts
+    return "\n".join(lines), ("fig11_histograms.npz", arrays)
+
+
+def _fig12(scale: float) -> Tuple[str, Series]:
+    points = figures.fig12_bandwidth_sweep(scale=scale)
+    body = "\n".join(
+        f"{p.device:8s} {p.bandwidth_hz / 1e6:5.0f} MHz: stalls={p.detected_stalls:5d} "
+        f"mean={p.mean_stall_cycles:7.1f} cyc"
+        for p in points
+    )
+    arrays = {
+        "device": np.array([p.device for p in points]),
+        "bandwidth_hz": np.array([p.bandwidth_hz for p in points]),
+        "detected": np.array([p.detected_stalls for p in points]),
+        "mean_cycles": np.array([p.mean_stall_cycles for p in points]),
+    }
+    return body, ("fig12_sweep.npz", arrays)
+
+
+def _fig13(scale: float) -> Tuple[str, Series]:
+    lines = []
+    arrays = {}
+    for r in figures.fig13_boot_profile(scale=scale):
+        lines.append(
+            f"run {r.run_id}: {r.total_misses} misses, "
+            f"peak {r.miss_rate.max():.0f} misses/ms"
+        )
+        arrays[f"run{r.run_id}_time_ms"] = r.time_ms
+        arrays[f"run{r.run_id}_rate"] = r.miss_rate
+    return "\n".join(lines), ("fig13_boot.npz", arrays)
+
+
+#: Every archived artifact, in ``results.md`` order.
+ARTIFACTS: Dict[str, Artifact] = {
+    "table2": Artifact("Table II - microbenchmark accuracy (device path)", _table2),
+    "table3": Artifact("Table III - accuracy vs simulator ground truth", _table3),
+    "table4": Artifact("Table IV - device profiles", _table4),
+    "table5": Artifact("Table V - parser attribution", _table5),
+    "perf": Artifact("perf baseline anecdote (Section V)", _perf),
+    "fig5": Artifact("Fig. 5 - refresh collisions", _fig5),
+    "fig11": Artifact("Fig. 11 - mcf stall-latency histograms", _fig11),
+    "fig12": Artifact("Fig. 12 - measurement-bandwidth sweep (mcf)", _fig12),
+    "fig13": Artifact("Fig. 13 - boot-sequence profiles", _fig13),
+}
 
 
 def generate_report(
@@ -153,37 +157,21 @@ def generate_report(
     Args:
         output_dir: directory to create/fill.
         scale: SPEC workload scale (1.0 = bench scale).
-        include: optional subset of section keys to run, from
-            {"table2", "table3", "table4", "table5", "perf", "fig5",
-            "fig11", "fig12", "fig13"}; all when omitted.
+        include: optional subset of :data:`ARTIFACTS` keys to run; all
+            when omitted.
 
     Returns:
         Path of the written ``results.md``.
-    """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    wanted = set(include) if include is not None else None
 
-    builders = {
-        "table2": lambda: _section_table2(scale),
-        "table3": lambda: _section_table3(scale),
-        "table4": lambda: _section_table4(scale),
-        "table5": lambda: _section_table5(scale),
-        "perf": _section_perf,
-        "fig5": _section_fig5,
-        "fig11": lambda: _section_fig11(scale, out),
-        "fig12": lambda: _section_fig12(scale, out),
-        "fig13": lambda: _section_fig13(scale, out),
-    }
-    unknown = (wanted or set()) - set(builders)
+    Raises:
+        ValueError: ``include`` names an unknown artifact (checked
+            before anything is written).
+    """
+    unknown = set(include or ()) - set(ARTIFACTS)
     if unknown:
         raise ValueError(f"unknown report sections: {sorted(unknown)}")
-
-    sections: List[ReportSection] = []
-    for key, builder in builders.items():
-        if wanted is not None and key not in wanted:
-            continue
-        sections.append(builder())
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     lines = [
         "# EMPROF reproduction - generated results",
@@ -192,16 +180,27 @@ def generate_report(
         "",
     ]
     total = 0.0
-    for section in sections:
-        total += section.seconds
-        lines.append(f"## {section.title}")
-        lines.append("")
-        lines.append("```")
-        lines.append(section.body)
-        lines.append("```")
-        lines.append("")
-        lines.append(f"_generated in {section.seconds:.1f} s_")
-        lines.append("")
+    for key, artifact in ARTIFACTS.items():
+        if include is not None and key not in include:
+            continue
+        begin = time.perf_counter()
+        body, series = artifact.render(scale)
+        seconds = time.perf_counter() - begin
+        total += seconds
+        if series is not None:
+            name, arrays = series
+            np.savez_compressed(out / name, **arrays)
+            body += f"\nseries -> {name}"
+        lines += [
+            f"## {artifact.title}",
+            "",
+            "```",
+            body,
+            "```",
+            "",
+            f"_generated in {seconds:.1f} s_",
+            "",
+        ]
     lines.append(f"---\ntotal generation time: {total:.1f} s")
 
     report_path = out / "results.md"

@@ -8,7 +8,12 @@ Two measurement paths, matching the paper's methodology:
 * :func:`run_device` - the Section V-B / VI path: the power trace is
   pushed through the EM apparatus (emission model, probe channel,
   bandwidth-limited receiver) and EMPROF analyzes the received
-  capture, exactly as it would a physical recording.
+  capture, exactly as it would a physical recording.  Its first half,
+  :func:`simulate_and_measure`, is also what ``repro capture`` and
+  :class:`SimulatedCaptureSource` run.
+
+:func:`run_attributed` adds spectral code attribution on top of
+:func:`run_device` (Table V, Fig. 14, ``repro attribute``).
 
 A physical bench fails in ways a simulator never does - the SDR
 driver drops a buffer, USB hiccups, the probe gets bumped - so
@@ -26,6 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from ..attribution.spectral import RegionTimeline, SpectralProfiler
 from ..core.markers import MarkerWindow, find_marker_window
 from ..core.profiler import Emprof, EmprofConfig
 from ..core.events import ProfileReport
@@ -39,6 +45,10 @@ from ..emsignal.synth import EmissionModel
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine, SimulationResult
 from ..workloads.base import Workload
+from ..workloads.spec import SpecWorkload
+
+#: STFT window of the spectral attribution, in samples.
+SPECTRAL_WINDOW_SAMPLES = 128
 
 _EXPERIMENT_RUNS = _metrics.counter(
     "experiment_runs_total", "run_simulator()/run_device() invocations"
@@ -109,6 +119,32 @@ def acquire_with_retry(
             attempt += 1
 
 
+def simulate_and_measure(
+    workload: Workload,
+    device: MachineConfig,
+    bandwidth_hz: float = 40 * MHZ,
+    channel: Optional[ChannelConfig] = None,
+    emission: Optional[EmissionModel] = None,
+    seed: int = 0,
+) -> Tuple[SimulationResult, Capture]:
+    """Run ``workload`` on ``device`` and record it through the EM apparatus.
+
+    The channel defaults to the device's probe setup (see
+    :func:`repro.devices.default_channel`).
+    """
+    result = Machine(device, seed=seed).run(workload)
+    apparatus = Apparatus(
+        emission=emission if emission is not None else EmissionModel(),
+        channel=(
+            channel
+            if channel is not None
+            else default_channel(device.name, seed=seed)
+        ),
+        bandwidth_hz=bandwidth_hz,
+    )
+    return result, apparatus.measure(result)
+
+
 @dataclass(frozen=True)
 class SimulatedCaptureSource:
     """A picklable ``SignalSource``: simulate a workload, measure it.
@@ -117,8 +153,9 @@ class SimulatedCaptureSource:
     these from line-JSON ``submit`` payloads, so - unlike the ad-hoc
     lambdas tests use - every field is a plain scalar and the object
     survives pickling into any worker, not just fork-inherited ones.
-    Mirrors the ``repro capture`` CLI path: workload -> simulator ->
-    EM apparatus -> :class:`~repro.emsignal.receiver.Capture`.
+    Runs the ``repro capture`` CLI path:
+    :func:`repro.workloads.workload_by_name`, then
+    :func:`simulate_and_measure`.
 
     Attributes:
         workload: ``micro``, ``boot``, or a SPEC benchmark name.
@@ -142,48 +179,25 @@ class SimulatedCaptureSource:
     seed: int = 0
     bandwidth_mhz: float = 40.0
 
-    def _build_workload(self) -> Workload:
-        from ..workloads import (
-            BootWorkload,
-            Microbenchmark,
-            SPEC_BENCHMARKS,
-            spec_workload,
-        )
-
-        if self.workload == "micro":
-            return Microbenchmark(
-                total_misses=self.tm,
-                consecutive_misses=self.cm,
-                seed=self.seed,
-            )
-        if self.workload == "boot":
-            return BootWorkload(seed=self.seed, scale=self.scale)
-        if self.workload in SPEC_BENCHMARKS:
-            return spec_workload(
-                self.workload, seed=self.seed or 11, scale=self.scale
-            )
-        raise ValueError(
-            f"unknown workload {self.workload!r}; expected 'micro', "
-            f"'boot' or one of {', '.join(SPEC_BENCHMARKS)}"
-        )
-
     def capture(self) -> Capture:
         from ..devices import DEVICE_NAMES, by_name
-        from ..emsignal import measure
-        from ..sim.machine import simulate
+        from ..workloads import workload_by_name
 
         if self.device not in DEVICE_NAMES:
             raise ValueError(
                 f"unknown device {self.device!r}; expected one of "
                 f"{', '.join(DEVICE_NAMES)}"
             )
-        device = by_name(self.device)
-        result = simulate(self._build_workload(), device, seed=self.seed)
-        return measure(
-            result,
-            bandwidth_hz=self.bandwidth_mhz * MHZ,
-            channel=default_channel(device.name, seed=self.seed),
+        workload = workload_by_name(
+            self.workload, self.tm, self.cm, self.scale, self.seed
         )
+        _, capture = simulate_and_measure(
+            workload,
+            by_name(self.device),
+            bandwidth_hz=self.bandwidth_mhz * MHZ,
+            seed=self.seed,
+        )
+        return capture
 
 
 @dataclass
@@ -270,22 +284,13 @@ def run_device(
 ) -> ExperimentRun:
     """Simulate, measure through the EM apparatus, and profile.
 
-    The channel defaults to the device's probe setup (see
-    :func:`repro.devices.default_channel`).
+    See :func:`simulate_and_measure` for the defaults of ``channel``
+    and ``emission``.
     """
     begin = time.perf_counter()
-    machine = Machine(device, seed=seed)
-    result = machine.run(workload)
-    apparatus = Apparatus(
-        emission=emission if emission is not None else EmissionModel(),
-        channel=(
-            channel
-            if channel is not None
-            else default_channel(device.name, seed=seed)
-        ),
-        bandwidth_hz=bandwidth_hz,
+    result, capture = simulate_and_measure(
+        workload, device, bandwidth_hz, channel, emission, seed
     )
-    capture = apparatus.measure(result)
     emprof = Emprof.from_capture(capture, config=emprof_config)
     run = ExperimentRun(
         result=result, capture=capture, emprof=emprof, report=emprof.profile()
@@ -312,3 +317,28 @@ def window_cycles(run: ExperimentRun, window: MarkerWindow) -> Tuple[float, floa
     """The marker window as (begin, end) cycles for validation."""
     period = run.sample_period_cycles
     return window.begin_sample * period, window.end_sample * period
+
+
+def run_attributed(
+    workload: SpecWorkload,
+    device: MachineConfig,
+    bandwidth_hz: float = 40 * MHZ,
+    seed: int = 0,
+) -> Tuple[ExperimentRun, RegionTimeline]:
+    """Spectral-profiling attribution of ``workload`` (Table V, Fig. 14).
+
+    Training captures come from running each phase alone on the same
+    device; the whole workload then runs on the device path, and its
+    signal is attributed to regions.
+    """
+    profiler = SpectralProfiler(
+        window_samples=SPECTRAL_WINDOW_SAMPLES, overlap=0.5, smoothing_frames=7
+    )
+    for phase in workload.phases:
+        solo = SpecWorkload(
+            name=f"train_{phase.region}", phases=[phase], seed=workload.seed
+        )
+        train = run_device(solo, device, bandwidth_hz=bandwidth_hz, seed=seed)
+        profiler.train(phase.region, train.signal, train.capture.sample_rate_hz)
+    run = run_device(workload, device, bandwidth_hz=bandwidth_hz, seed=seed)
+    return run, profiler.attribute(run.signal, run.capture.sample_rate_hz)

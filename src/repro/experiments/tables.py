@@ -14,15 +14,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..attribution.report import RegionReport, attribute_stalls
-from ..attribution.spectral import SpectralProfiler
 from ..core.validate import count_accuracy, validate_profile
 from ..devices.models import by_name, olimex
 from ..emsignal.receiver import MHZ
 from ..sim.config import MachineConfig
 from ..workloads.microbenchmark import Microbenchmark
-from ..workloads.spec import SPEC_BENCHMARKS, SpecWorkload, spec_workload
+from ..workloads.spec import SPEC_BENCHMARKS, spec_workload
 from .runner import (
     microbenchmark_window,
+    run_attributed,
     run_device,
     run_simulator,
     window_cycles,
@@ -308,21 +308,12 @@ def table5_rows(
     same device (the Spectral Profiling training step); the test
     capture is the full parser run.
     """
-    cfg = device if device is not None else olimex()
-    parser = spec_workload("parser", scale=scale)
-
-    profiler = SpectralProfiler(window_samples=128, overlap=0.5, smoothing_frames=7)
-    for phase in parser.phases:
-        solo = SpecWorkload(
-            name=f"train_{phase.region}", phases=[phase], seed=parser.seed
-        )
-        train_run = run_device(solo, cfg, bandwidth_hz=bandwidth_hz, seed=seed)
-        profiler.train(
-            phase.region, train_run.signal, train_run.capture.sample_rate_hz
-        )
-
-    run = run_device(parser, cfg, bandwidth_hz=bandwidth_hz, seed=seed)
-    timeline = profiler.attribute(run.signal, run.capture.sample_rate_hz)
+    run, timeline = run_attributed(
+        spec_workload("parser", scale=scale),
+        device if device is not None else olimex(),
+        bandwidth_hz=bandwidth_hz,
+        seed=seed,
+    )
     return attribute_stalls(run.report, timeline)
 
 

@@ -393,6 +393,30 @@ class Tracer:
         """Completed spans named ``name``."""
         return [r for r in self.records() if r.name == name]
 
+    def subtree(self, span_id: int) -> "Tracer":
+        """A detached tracer holding span ``span_id`` and its descendants.
+
+        It shares this tracer's time origin and dropped count, so
+        writing it gives the trace of one region of a long-lived
+        process - a campaign pass - without the spans recorded before
+        or beside it.
+        """
+        records = self.records()
+        children: Dict[Optional[int], List[int]] = {}
+        for record in records:
+            children.setdefault(record.parent_id, []).append(record.span_id)
+        keep = {span_id}
+        frontier = [span_id]
+        while frontier:
+            for child in children.get(frontier.pop(), ()):
+                keep.add(child)
+                frontier.append(child)
+        out = Tracer(self.max_spans)
+        out._origin = self._origin
+        out._dropped = self.dropped
+        out._spans = [r for r in records if r.span_id in keep]
+        return out
+
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Per-name rollup: count, total and mean duration (seconds)."""
         out: Dict[str, Dict[str, float]] = {}

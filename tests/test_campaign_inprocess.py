@@ -125,6 +125,23 @@ def test_runs_joined_on_another_thread_hang_under_the_campaign_span(
     assert all(s["worker"] is None for s in runs)
 
 
+def test_each_pass_traces_only_its_own_spans(tmp_path, obs_on):
+    # One long-lived process, two passes: the second trace must not
+    # carry the first pass's campaign span or runs.
+    trace.reset()
+    first = Campaign(tmp_path / "first", sleep=lambda _: None)
+    first.execute(specs_for({"r0": CountingSource(0)}))
+    second = Campaign(tmp_path / "second", sleep=lambda _: None)
+    second.execute(specs_for({"r1": CountingSource(1)}))
+    trace.reset()
+    for campaign, run in ((first, "r0"), (second, "r1")):
+        spans = json.loads(campaign.trace_path.read_text())["spans"]
+        (root,) = [s for s in spans if s["name"] == "campaign"]
+        assert root["attrs"]["campaign"] == campaign.directory.name
+        runs = [s for s in spans if s["name"] == "campaign_run"]
+        assert [s["attrs"]["run"] for s in runs] == [run]
+
+
 def test_run_committed_before_a_crash_is_adopted_not_rerun(tmp_path):
     sources = {f"r{i}": CountingSource(i) for i in range(3)}
     ledger_path = tmp_path / "ledger.jsonl"

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -77,6 +78,25 @@ class TestCaptureAndProfile:
             ["capture", "--workload", "vpr", "--scale", "0.3", "-o", str(cap_path)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("workload", ["micro", "boot", "vpr"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_capture_matches_the_campaign_source(self, tmp_path, workload, seed):
+        from repro.experiments import SimulatedCaptureSource
+
+        path = tmp_path / "cap.npz"
+        main(
+            [
+                "capture", "--workload", workload, "--tm", "32", "--cm", "4",
+                "--scale", "0.3", "--seed", str(seed), "-o", str(path),
+            ]
+        )
+        source = SimulatedCaptureSource(
+            workload=workload, tm=32, cm=4, scale=0.3, seed=seed
+        )
+        np.testing.assert_array_equal(
+            repro_io.load_capture(path).magnitude, source.capture().magnitude
+        )
 
     def test_unknown_workload_exits(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.reportgen import ReportSection, generate_report
+from repro.experiments.reportgen import ARTIFACTS, generate_report
 
 
 class TestGenerateReport:
@@ -26,8 +26,10 @@ class TestGenerateReport:
         assert "batch_process" in path.read_text()
 
     def test_unknown_section_rejected(self, tmp_path):
+        target = tmp_path / "out"
         with pytest.raises(ValueError):
-            generate_report(tmp_path, include=["table9"])
+            generate_report(target, include=["table9"])
+        assert not target.exists()
 
     def test_creates_missing_directory(self, tmp_path):
         target = tmp_path / "deep" / "dir"
@@ -46,6 +48,34 @@ class TestCliIntegration:
         code = main(["reproduce", "-o", str(tmp_path), "--only", "perf"])
         assert code == 0
         assert (tmp_path / "results.md").exists()
+
+    def test_reproduce_rejects_unknown_artifact_before_writing(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "-o", str(out), "--only", "perf,table9"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "table9" in err
+        assert ", ".join(ARTIFACTS) in err
+
+    def test_table_prints_its_results_md_section(self, tmp_path, capsys):
+        from repro.cli import main
+
+        tables = [key for key in ARTIFACTS if key.startswith("table")]
+        text = generate_report(tmp_path, scale=0.5, include=tables).read_text()
+        for key in tables:
+            title = ARTIFACTS[key].title
+            section = text.split(f"## {title}\n\n```\n", 1)[1]
+            body = section.split("\n```\n", 1)[0]
+            capsys.readouterr()
+            assert main(["table", key.removeprefix("table"), "--scale", "0.5"]) == 0
+            assert capsys.readouterr().out == body + "\n", key
 
     def test_compare_subcommand(self, tmp_path, capsys):
         from repro import io as repro_io

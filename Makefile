@@ -26,14 +26,15 @@ regress:
 	PYTHONPATH=src $(PYTHON) -m repro obs regress LEDGER_obs.jsonl --allow-missing
 
 # The default verification flow: static analysis + perf history +
-# the engine and simulator differential harnesses (docs/engine.md and
-# docs/simulator.md equivalence contracts: the vectorized engine and
-# the block simulator are bit-identical to their frozen references;
-# the flight and streaming suites pin the pipeline's flight-recorder
-# and streaming == batch bit identity) +
+# the engine, simulator and quality-monitor differential harnesses
+# (docs/engine.md, docs/simulator.md and docs/robustness.md
+# equivalence contracts: the vectorized engine, the block simulator
+# and the per-chunk quality monitor are bit-identical to their frozen
+# references; the flight and streaming suites pin the pipeline's
+# flight-recorder and streaming == batch bit identity) +
 # the supervised-service chaos suite (docs/service.md invariants).
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_sim_equivalence.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:

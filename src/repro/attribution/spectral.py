@@ -18,6 +18,7 @@ segments, like the (manually marked) horizontal bands of Fig. 14.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -159,7 +160,11 @@ class SpectralProfiler:
         return spec, self._smooth(labels)
 
     def _smooth(self, labels: List[str]) -> List[str]:
-        """Majority vote over a sliding window of frames."""
+        """Majority vote over a sliding window of frames.
+
+        A tie goes to the label seen first in the window, so the vote
+        does not depend on string hashing (``PYTHONHASHSEED``).
+        """
         k = self.smoothing_frames
         if k == 1 or len(labels) <= 2:
             return labels
@@ -169,7 +174,7 @@ class SpectralProfiler:
             lo = max(0, i - half)
             hi = min(len(labels), i + half + 1)
             window = labels[lo:hi]
-            smoothed.append(max(set(window), key=window.count))
+            smoothed.append(Counter(window).most_common(1)[0][0])
         return smoothed
 
     def attribute(self, signal: np.ndarray, rate_hz: float) -> RegionTimeline:

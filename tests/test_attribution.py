@@ -1,5 +1,11 @@
 """Unit tests for spectral attribution."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +88,43 @@ class TestSpectralProfiler:
             {"a": tone(1e6, 2048, rng=rng), "b": tone(8e6, 2048, rng=rng)}, RATE
         )
         assert set(prof.regions) == {"a", "b"}
+
+
+# Every 3-frame window of these labels is a three-way tie (or a
+# two-way one at the edges), so only the tie rule picks the winner.
+TIED_LABELS = [f"region_{name}" for name in "qwertyuiopasdfgh"]
+TIED_VOTE = (
+    "import json, sys\n"
+    "from repro.attribution.spectral import SpectralProfiler\n"
+    "labels = json.loads(sys.argv[1])\n"
+    "print(json.dumps(SpectralProfiler(smoothing_frames=3)._smooth(labels)))\n"
+)
+
+
+class TestMajorityVote:
+    def test_majority_first_then_first_seen(self):
+        labels = ["a", "b", "b", "a", "c"]
+        assert SpectralProfiler(smoothing_frames=3)._smooth(labels) == [
+            "a", "b", "b", "b", "a",
+        ]
+
+    def test_ties_do_not_depend_on_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        answers = set()
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", TIED_VOTE, json.dumps(TIED_LABELS)],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            answers.add(tuple(json.loads(out)))
+        assert answers == {tuple(TIED_LABELS[:1] + TIED_LABELS[:-1])}
 
 
 class TestRegionTimeline:

@@ -28,9 +28,8 @@ from repro.obs import set_obs_enabled
 N_SAMPLES = 1_000_000
 SAMPLE_RATE_HZ = 40e6
 CLOCK_HZ = 1e9
-REPEATS = 5
-# The flight guard compares two allocation-heavy paths; more rounds
-# give each side's minimum more chances to land on a quiet moment.
+# Each guard compares two allocation-heavy paths; more rounds give
+# each side's minimum more chances to land on a quiet moment.
 FLIGHT_ROUNDS = 9
 
 
@@ -42,17 +41,6 @@ def big_signal():
     for start in range(5_000, N_SAMPLES - 40, 10_000):
         signal[start:start + 12] *= 0.1
     return np.maximum(signal, 0.0)
-
-
-def _best_of(func, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        func()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best
 
 
 def _timed_without_gc(func):
@@ -93,12 +81,14 @@ def test_disabled_obs_overhead_within_ten_percent(big_signal):
         # Sanity: both paths see the same stalls.
         assert len(instrumented().stalls) == len(baseline()) > 50
 
-        # Interleave measurements so drift hits both paths equally.
+        # Interleaved rounds, so drift hits both sides equally.
         baseline_best = float("inf")
         instrumented_best = float("inf")
-        for _ in range(REPEATS):
-            baseline_best = min(baseline_best, _best_of(baseline, 1))
-            instrumented_best = min(instrumented_best, _best_of(instrumented, 1))
+        for _ in range(FLIGHT_ROUNDS):
+            baseline_best = min(baseline_best, _timed_without_gc(baseline))
+            instrumented_best = min(
+                instrumented_best, _timed_without_gc(instrumented)
+            )
     finally:
         set_contracts_enabled(contracts_previous)
         set_obs_enabled(obs_previous)

@@ -52,8 +52,8 @@ chaos:
 chaos-service:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py -q
 
-# Quick perf-tracking benches; writes BENCH_obs.json (latest session,
-# atomic) and appends per-bench history to LEDGER_obs.jsonl.
+# Quick perf-tracking benches; appends one record per bench to the run
+# ledger LEDGER_obs.jsonl (`repro obs ledger LEDGER_obs.jsonl --kind bench`).
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_baseline.py benchmarks/test_streaming_throughput.py --benchmark-only -s
 
@@ -88,9 +88,10 @@ trace:
 
 # Self-contained live-telemetry demo: a synthetic streaming producer,
 # the line-JSON status server, and the terminal watch client in one
-# process.  No hardware, no prior state; exits on its own.
+# process, then the run's metrics snapshot and span summary.  No
+# hardware, no prior state; exits on its own.
 watch-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.cli watch --demo
+	PYTHONPATH=src $(PYTHON) -m repro obs demo
 
 # Flight-recorder demo: build a faulted microbenchmark capture, then
 # `repro explain` it — provenance cards on stdout, a self-contained

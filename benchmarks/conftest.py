@@ -6,17 +6,13 @@ wins, by roughly what factor, where the crossovers are).  Each bench
 runs its experiment exactly once under pytest-benchmark timing.
 
 Each run also executes with observability enabled against a clean
-metrics registry, and the session persists two artefacts:
-
-* ``BENCH_obs.json`` at the repo root - the latest session's
-  snapshot (one entry per benchmark: wall time, metric snapshot,
-  per-span timing aggregate), stamped with a schema version and the
-  git revision, and written atomically (temp file + rename) so a
-  crashed session never leaves a torn file;
-* ``LEDGER_obs.jsonl`` at the repo root - one appended
-  :class:`repro.obs.ledger.RunRecord` (kind ``bench``) per benchmark,
-  accumulating history across sessions.  ``repro obs regress`` judges
-  that history and ``repro obs dashboard`` renders it.
+metrics registry, and the session appends one
+:class:`repro.obs.ledger.RunRecord` (kind ``bench``: wall time, metric
+snapshot, per-span timing aggregate, git revision) per benchmark to
+``LEDGER_obs.jsonl`` at the repo root, accumulating history across
+sessions.  The ledger is the only bench output: ``repro obs ledger
+--kind bench`` lists its rows, ``repro obs regress`` judges the
+history and ``repro obs dashboard`` renders it.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from repro.obs import ledger as obs_ledger
 
 _BENCH_RESULTS: List[Dict[str, Any]] = []
 _REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUT_PATH = _REPO_ROOT / "BENCH_obs.json"
 _LEDGER_PATH = _REPO_ROOT / obs_ledger.DEFAULT_LEDGER_NAME
 
 
@@ -65,17 +60,9 @@ def once(benchmark, request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the per-benchmark observability artefacts, if any ran."""
+    """Append one ledger record per benchmark that ran, if any did."""
     if not _BENCH_RESULTS:
         return
-    payload = {
-        "format": "repro-obs-bench",
-        "schema_version": 1,
-        "version": 1,
-        "git_rev": obs_ledger.git_rev(),
-        "benchmarks": _BENCH_RESULTS,
-    }
-    obs_ledger.atomic_write_json(_OUT_PATH, payload)
     records = [
         obs_ledger.record(
             kind="bench",

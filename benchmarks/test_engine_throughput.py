@@ -5,9 +5,8 @@ per-sample Python state machines with vectorized passes; this bench
 records samples/second for every production path on a ~1M-sample
 capture, times the frozen seed loop on a subset, and pins the
 headline claim: the engine is at least 5x faster than the per-sample
-implementation it replaced.  Results land in ``BENCH_obs.json`` and
-the run ledger, so ``repro obs regress`` guards the speedup across
-future sessions.
+implementation it replaced.  Results land in the run ledger, so
+``repro obs regress`` guards the speedup across future sessions.
 """
 
 from __future__ import annotations

@@ -19,10 +19,13 @@ Mirrors a real measurement campaign's workflow:
   :data:`repro.experiments.reportgen.ARTIFACTS`;
 * ``faults``     - chaos demo: inject impairments into a capture and
   compare the hardened streaming profile against the clean one;
-* ``obs``        - pretty-print an observability snapshot (or run a
-  live instrumented demo); see ``docs/observability.md``;
-* ``campaignd``  - the supervised campaign daemon and its protocol
-  clients (submit/status/cancel/drain/shutdown); see
+* ``obs``        - the ``repro-obs`` command tree (show, demo, ledger,
+  regress, dashboard, tail, watch), mounted from
+  :func:`repro.obs.cli.add_subcommands`; see ``docs/observability.md``;
+* ``campaignd``  - the ``repro-campaignd`` command tree: the supervised
+  campaign daemon and its protocol clients
+  (submit/status/cancel/drain/shutdown), mounted from
+  :func:`repro.experiments.service.add_subcommands`; see
   ``docs/service.md``.
 
 Global ``--quiet`` / ``--verbose`` flags control the stdlib-logging
@@ -316,23 +319,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs(args: argparse.Namespace) -> int:
-    # Delegate to the repro-obs entry point so argument handling (and
-    # the 0/2/3 exit-code contract) exist in exactly one place; it gets
-    # everything after `obs` verbatim, in order.
-    from .obs.cli import main as obs_main
-
-    return obs_main(args.forward)
-
-
-def cmd_campaignd(args: argparse.Namespace) -> int:
-    # Same delegation shape as `obs`: the repro-campaignd entry point
-    # owns the daemon/client argument handling, this just forwards.
-    from .experiments.service import main as campaignd_main
-
-    return campaignd_main(args.forward)
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .experiments.runner import microbenchmark_window, run_device
 
@@ -488,7 +474,9 @@ def _artifact_names(text: str) -> List[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from .experiments import service
     from .experiments.reportgen import ARTIFACTS
+    from .obs import cli as obs_cli
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -704,62 +692,28 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--scale", type=float, default=1.0)
     tab.set_defaults(func=cmd_table)
 
-    ob = sub.add_parser(
-        "obs",
-        help="observability tools: snapshot pretty-printer, run ledger, "
-        "regression gate, HTML dashboard",
-        description=(
-            "Forwards to the repro-obs entry point.  Forms: "
-            "`repro obs [metrics.json] [--trace spans.json] [--live]`, "
-            "`repro obs ledger LEDGER.jsonl`, "
-            "`repro obs regress LEDGER.jsonl`, "
-            "`repro obs dashboard LEDGER.jsonl -o out.html`."
-        ),
+    obs_cli.add_subcommands(
+        sub.add_parser(
+            "obs",
+            help="observability tools: snapshot and trace printer, run "
+            "ledger, regression gate, HTML dashboard, live events",
+            description=obs_cli.DESCRIPTION,
+        )
     )
-    ob.add_argument(
-        "args",
-        nargs="*",
-        help="subcommand (ledger/regress/dashboard) and its arguments, "
-        "or a metrics snapshot .json; omit everything to run a demo",
+    service.add_subcommands(
+        sub.add_parser(
+            "campaignd",
+            help="supervised campaign daemon and its protocol clients",
+            description=service.DESCRIPTION,
+        )
     )
-    ob.set_defaults(func=cmd_obs)
-
-    cd = sub.add_parser(
-        "campaignd",
-        help="supervised campaign daemon and its protocol clients",
-        description=(
-            "Forwards to the repro-campaignd entry point.  Forms: "
-            "`repro campaignd serve --dir DIR --workers N`, "
-            "`repro campaignd submit --addr HOST:PORT --json '{...}'`, "
-            "`repro campaignd status|cancel|drain|shutdown --addr "
-            "HOST:PORT`.  See docs/service.md."
-        ),
-    )
-    cd.add_argument(
-        "args",
-        nargs="*",
-        help="campaignd subcommand (serve/submit/status/cancel/drain/"
-        "shutdown) and its arguments",
-    )
-    cd.set_defaults(func=cmd_campaignd)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    # `obs` and `campaignd` forward their whole tail (including flags
-    # like --trace or --addr that only their own entry points know), so
-    # unknown arguments are tolerated for those commands alone.
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args, extra = parser.parse_known_args(argv)
-    if args.func in (cmd_obs, cmd_campaignd):
-        # The tail as typed: a positional after a flag it does not know
-        # must not be reordered ahead of that flag.
-        args.forward = argv[argv.index(args.command) + 1:]
-    elif extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = build_parser().parse_args(argv)
     verbosity = -1 if args.quiet else args.verbose
     obs.configure_logging(verbosity)
     return args.func(args)

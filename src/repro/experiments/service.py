@@ -630,15 +630,19 @@ def _client(args: argparse.Namespace) -> int:
     return 0 if response.get("ok") else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-campaignd",
-        description=(
-            "supervised campaign daemon: submit/status/cancel/drain/"
-            "shutdown over line JSON"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "supervised campaign daemon: submit/status/cancel/drain/shutdown "
+    "over line JSON"
+)
+
+
+def add_subcommands(parser: argparse.ArgumentParser) -> None:
+    """Mount the daemon and its protocol clients on ``parser``.
+
+    ``repro-campaignd`` (:func:`build_parser`) and ``repro campaignd``
+    (the main CLI) both call this, so the two spellings are one tree.
+    """
+    sub = parser.add_subparsers(dest="verb", required=True)
 
     serve = sub.add_parser("serve", help="run the daemon")
     serve.add_argument("--dir", default="campaignd", help="service root")
@@ -684,7 +688,15 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help='e.g. \'{"matrix": {"tm": [8, 16], "seed": [0, 1]}}\'',
             )
-        client.set_defaults(func=_client, verb=verb)
+        client.set_defaults(func=_client)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-campaignd`` parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro-campaignd", description=DESCRIPTION
+    )
+    add_subcommands(parser)
     return parser
 
 

@@ -1,45 +1,34 @@
-"""``repro-obs``: inspect observability artifacts from the terminal.
+"""``repro obs`` / ``repro-obs``: inspect observability artifacts.
 
-Two layers of interface, one exit-code contract:
+One command tree, mounted by both entry points
+(:func:`add_subcommands`):
 
-**Snapshot forms** (the original surface):
-
-* ``repro-obs metrics.json`` - pretty-print a metrics snapshot written
-  by ``repro profile --metrics-out``;
-* ``repro-obs --trace spans.json`` - summarize a span trace: one
-  written by ``repro profile --trace-out``, or a campaign pass's
-  ``trace.json``, which holds its forked workers' spans too (trace
-  payload versions 1 to 3 all read);
-* ``repro-obs --live`` (or no arguments) - run a small synthetic
-  capture+profile with observability enabled and print the result.
-
-**Observatory subcommands** (over the run ledger):
-
-* ``repro-obs ledger LEDGER.jsonl`` - list ledger entries;
-* ``repro-obs regress LEDGER.jsonl`` - judge the latest run of every
-  group against its history (:mod:`repro.obs.regress`);
-* ``repro-obs dashboard LEDGER.jsonl -o out.html`` - write the
-  self-contained HTML dashboard (:mod:`repro.obs.dashboard`).
-
-**Live subcommands** (over the event bus / status protocol):
-
-* ``repro-obs serve`` - serve the line-JSON status protocol
-  (:mod:`repro.obs.statusd`) over this process's event bus,
-  optionally pre-loading an NDJSON event file;
-* ``repro-obs tail HOST:PORT`` - print a live server's recent events;
-* ``repro-obs watch HOST:PORT`` - poll a live server and render
-  streaming progress (chunks/s, samples/s, stall rate, quality
-  flags); ``repro-obs watch --demo`` runs a self-contained demo
-  (producer + server + watcher in one process).
+* ``show [METRICS_JSON] [--trace SPANS_JSON]`` - pretty-print a
+  metrics snapshot written by ``repro profile --metrics-out`` and/or
+  summarize a span trace: one written by ``repro profile
+  --trace-out``, or a campaign pass's ``trace.json``, which holds its
+  forked workers' spans too (trace payload versions 1 to 3 all read);
+* ``demo`` - a self-contained live demo: a synthetic streaming
+  producer, the status server and the ``watch`` loop in one process,
+  then the run's metrics snapshot and span summary;
+* ``ledger LEDGER.jsonl`` - list run-ledger entries;
+* ``regress LEDGER.jsonl`` - judge the latest run of every group
+  against its history (:mod:`repro.obs.regress`);
+* ``dashboard LEDGER.jsonl -o out.html`` - write the self-contained
+  HTML dashboard (:mod:`repro.obs.dashboard`);
+* ``tail TARGET`` - print recent events, read from an NDJSON events
+  file (a campaign's ``events.ndjsonl``) or queried from a live
+  status server (:mod:`repro.obs.statusd`) at ``HOST:PORT``;
+* ``watch HOST:PORT`` - poll a live server and render streaming
+  progress (chunks/s, samples/s, stall rate, quality flags).
 
 Exit codes (CI contract, pinned by tests):
 
 * ``0`` - success; for ``regress``, no regression detected
   (insufficient history is success);
-* ``2`` - invalid input: a named file is missing or unreadable;
+* ``2`` - invalid input: a named file is missing or unreadable, or the
+  arguments do not parse;
 * ``3`` - ``regress`` found at least one regression.
-
-Also reachable as ``repro obs ...`` from the main CLI.
 """
 
 from __future__ import annotations
@@ -51,22 +40,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from .ledger import RunLedger
+from .ledger import RUN_KINDS, RunLedger
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_REGRESSION = 3
 
-_SUBCOMMANDS = (
-    "ledger",
-    "regress",
-    "dashboard",
-    "serve",
-    "tail",
-    "watch",
+DESCRIPTION = (
+    "EMPROF observability: snapshot and trace pretty-printer, run "
+    "ledger, regression gate, HTML dashboard and live event tools"
 )
-
-_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def format_metrics_snapshot(snapshot: Dict[str, Any]) -> str:
@@ -96,44 +79,15 @@ def format_metrics_snapshot(snapshot: Dict[str, Any]) -> str:
                 f"    count {count}   sum {hist.get('sum', 0.0):g}   "
                 f"min {hist.get('min')}   max {hist.get('max')}"
             )
-            if count:
+            percentiles = hist.get("percentiles") or {}
+            if count and percentiles:
                 quants = "   ".join(
-                    f"p{int(q * 100)} {_snapshot_quantile(hist, q):.3g}"
-                    for q in _QUANTILES
+                    f"{suffix} {value:.3g}" for suffix, value in percentiles.items()
                 )
                 lines.append(f"    {quants}")
     if not lines:
         lines.append("(no metrics recorded)")
     return "\n".join(lines)
-
-
-def _snapshot_quantile(hist: Dict[str, Any], q: float) -> float:
-    """Quantile estimate from a snapshot's cumulative buckets."""
-    buckets = hist.get("buckets", [])
-    total = hist.get("count", 0)
-    if not total or not buckets:
-        return 0.0
-    target = q * total
-    low = hist.get("min")
-    previous_cumulative = 0
-    previous_bound = low if isinstance(low, (int, float)) else 0.0
-    for bucket in buckets:
-        cumulative = bucket["count"]
-        in_bucket = cumulative - previous_cumulative
-        bound = bucket["le"]
-        upper = (
-            float(bound)
-            if isinstance(bound, (int, float))
-            else hist.get("max") or previous_bound
-        )
-        if cumulative >= target and in_bucket > 0:
-            frac = min(max((target - previous_cumulative) / in_bucket, 0.0), 1.0)
-            return previous_bound + frac * (upper - previous_bound)
-        if in_bucket > 0:
-            previous_bound = upper
-        previous_cumulative = cumulative
-    maximum = hist.get("max")
-    return float(maximum) if isinstance(maximum, (int, float)) else previous_bound
 
 
 def format_trace_summary(payload: Dict[str, Any]) -> str:
@@ -159,38 +113,38 @@ def format_trace_summary(payload: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def run_live_demo() -> str:
-    """Capture+profile a tiny synthetic workload with obs enabled.
-
-    Returns the pretty-printed metric snapshot plus a trace summary.
-    Imports the heavy pipeline lazily so ``repro-obs`` on a file stays
-    instant.
-    """
-    from . import metrics, set_obs_enabled, trace
-    from ..core.profiler import Emprof
-    from ..devices import olimex
-    from ..experiments.runner import run_device
-    from ..workloads import Microbenchmark
-
-    previous = set_obs_enabled(True)
-    trace.reset()
-    metrics.reset()
+def _read_json(path: str) -> Optional[Dict[str, Any]]:
+    """The JSON object in ``path``, or None after printing why not."""
     try:
-        workload = Microbenchmark(total_misses=64, consecutive_misses=4)
-        run = run_device(workload, olimex(), bandwidth_hz=40e6, seed=0)
-        # A second, streaming-free profile over the same capture keeps
-        # the demo deterministic and exercises profile() spans too.
-        Emprof.from_capture(run.capture).profile()
-    finally:
-        set_obs_enabled(previous)
-    parts = [
-        "live demo: micro workload on olimex @ 40 MHz",
-        "",
-        format_metrics_snapshot(metrics.snapshot()),
-        "",
-        format_trace_summary(trace.to_payload()),
-    ]
-    return "\n".join(parts)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"repro-obs: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(document, dict):
+        print(f"repro-obs: cannot read {path}: not a JSON object", file=sys.stderr)
+        return None
+    return document
+
+
+def cmd_show(args: argparse.Namespace) -> int:
+    """Pretty-print a metrics snapshot and/or summarize a span trace."""
+    if not args.metrics and not args.trace:
+        print(
+            "repro-obs: show needs METRICS_JSON and/or --trace SPANS_JSON",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
+    for path, render in (
+        (args.metrics, format_metrics_snapshot),
+        (args.trace, format_trace_summary),
+    ):
+        if path:
+            document = _read_json(path)
+            if document is None:
+                return EXIT_BAD_INPUT
+            print(render(document))
+    return EXIT_OK
 
 
 # -- ledger-backed subcommands ----------------------------------------------
@@ -308,80 +262,44 @@ def format_event(event) -> str:
     return f"{stamp}  {event.source:<8} {event.kind:<19} {attrs}".rstrip()
 
 
-def _parse_target(address: str):
-    """``(host, port)`` or an exit code, printable-error included."""
+def cmd_tail(args: argparse.Namespace) -> int:
+    """Print recent events from an events file or a live server."""
     from . import statusd
+    from .events import Event, read_events
 
-    try:
-        return statusd.parse_address(address)
-    except ValueError as exc:
-        print(f"repro-obs: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve the status protocol over this process's event bus."""
-    from . import metrics, statusd
-    from .events import bus, read_events
-
-    if args.events:
-        events, bad_lines = read_events(args.events)
-        if not events and not Path(args.events).is_file():
+    note = ""
+    if Path(args.target).is_file():
+        events, bad_lines = read_events(args.target)
+        events = events[-args.n:] if args.n > 0 else []
+        if bad_lines:
+            note = f" ({bad_lines} unparseable lines skipped)"
+    else:
+        try:
+            host, port = statusd.parse_address(args.target)
+        except ValueError:
             print(
-                f"repro-obs: cannot read {args.events}: no such file",
+                f"repro-obs: {args.target} is neither an events file "
+                "nor HOST:PORT",
                 file=sys.stderr,
             )
             return EXIT_BAD_INPUT
-        for event in events:
-            bus.ingest(event.to_dict())
-        note = f" ({bad_lines} unparseable lines skipped)" if bad_lines else ""
-        print(f"loaded {len(events)} event(s) from {args.events}{note}")
-    server = statusd.StatusServer(
-        bus, metrics=metrics, host=args.host, port=args.port
-    ).start()
-    print(
-        f"serving line-JSON status on {server.host}:{server.port} "
-        "(status / metrics / tail N / health / watch)"
-    )
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:  # pragma: no cover - interactive foreground serve
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        server.close()
-    return EXIT_OK
-
-
-def cmd_tail(args: argparse.Namespace) -> int:
-    """Print a live server's most recent events."""
-    from . import statusd
-    from .events import Event
-
-    target = _parse_target(args.address)
-    if isinstance(target, int):
-        return target
-    host, port = target
-    try:
-        response = statusd.query(host, port, {"req": "tail", "n": args.n})
-    except (OSError, ValueError) as exc:
-        print(f"repro-obs: cannot query {host}:{port}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not response.get("ok"):
-        print(f"repro-obs: server error: {response.get('error')}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    events = []
-    for payload in response.get("events", []):
         try:
-            events.append(Event.from_dict(payload))
-        except ValueError:
-            continue
+            response = statusd.query(host, port, {"req": "tail", "n": args.n})
+        except (OSError, ValueError) as exc:
+            print(f"repro-obs: cannot query {host}:{port}: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if not response.get("ok"):
+            print(f"repro-obs: server error: {response.get('error')}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        events = []
+        for payload in response.get("events", []):
+            try:
+                events.append(Event.from_dict(payload))
+            except ValueError:
+                continue
     for event in events:
         print(format_event(event))
-    print(f"{len(events)} event(s)")
+    print(f"{len(events)} event(s){note}")
     return EXIT_OK
 
 
@@ -488,27 +406,32 @@ def _watch_loop(
             return EXIT_OK
 
 
-def run_watch_demo(
-    duration_s: float = 2.0, interval_s: float = 0.25
-) -> int:
+#: How long ``demo`` streams before it prints its snapshot.
+_DEMO_DURATION_S = 2.0
+
+
+def cmd_demo(args: argparse.Namespace) -> int:
     """Self-contained live demo: producer + status server + watcher.
 
     Streams a synthetic dip signal through :class:`StreamingEmprof` on
     a background thread (emitting per-chunk events and heartbeats),
-    serves the bus on an ephemeral port, and runs the watch loop
-    against it - one process, no arguments, bounded runtime.  This is
+    serves the bus on an ephemeral port and runs the watch loop
+    against it, then prints the run's metrics snapshot and span
+    summary - one process, no arguments, bounded runtime.  This is
     what ``make watch-demo`` runs.
     """
     import threading
 
     import numpy as np
 
-    from . import set_obs_enabled, statusd
+    from . import metrics, set_obs_enabled, statusd, trace
     from .events import bus
     from ..core.streaming import StreamingEmprof
 
     previous_enabled = set_obs_enabled(True)
     bus.reset()
+    metrics.reset()
+    trace.reset()
     previous_source = bus.set_source("demo")
     stop = threading.Event()
 
@@ -527,15 +450,15 @@ def run_watch_demo(
 
     server = statusd.StatusServer(bus).start()
     producer = threading.Thread(
-        target=_produce, name="watch-demo-producer", daemon=True
+        target=_produce, name="obs-demo-producer", daemon=True
     )
     producer.start()
     print(
-        f"watch demo: streaming profile on {server.host}:{server.port} "
-        f"for {duration_s:.0f}s"
+        f"demo: streaming profile on {server.host}:{server.port} "
+        f"for {_DEMO_DURATION_S:.0f}s"
     )
     try:
-        return _watch_loop(server.host, server.port, interval_s, duration_s)
+        code = _watch_loop(server.host, server.port, 0.25, _DEMO_DURATION_S)
     finally:
         stop.set()
         producer.join(timeout=2.0)
@@ -543,22 +466,22 @@ def run_watch_demo(
         bus.reset()
         bus.set_source(previous_source)
         set_obs_enabled(previous_enabled)
+    print()
+    print(format_metrics_snapshot(metrics.snapshot()))
+    print()
+    print(format_trace_summary(trace.to_payload()))
+    return code
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    """Render live progress from a status server (or run the demo)."""
-    if args.demo:
-        duration = args.duration if args.duration is not None else 3.0
-        return run_watch_demo(duration_s=duration, interval_s=args.interval)
-    if not args.address:
-        print(
-            "repro-obs: watch needs HOST:PORT (or --demo)", file=sys.stderr
-        )
+    """Render live progress from a status server."""
+    from . import statusd
+
+    try:
+        host, port = statusd.parse_address(args.address)
+    except ValueError as exc:
+        print(f"repro-obs: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    target = _parse_target(args.address)
-    if isinstance(target, int):
-        return target
-    host, port = target
     return _watch_loop(
         host,
         port,
@@ -568,16 +491,42 @@ def cmd_watch(args: argparse.Namespace) -> int:
     )
 
 
-def _build_sub_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-obs",
-        description="EMPROF run-ledger observatory",
-    )
+def add_subcommands(parser: argparse.ArgumentParser) -> None:
+    """Mount the obs command tree on ``parser``.
+
+    ``repro-obs`` (:func:`build_parser`) and ``repro obs`` (the main
+    CLI) both call this, so the two spellings are one tree.
+    """
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    show = sub.add_parser(
+        "show", help="pretty-print a metrics snapshot and/or a span trace"
+    )
+    show.add_argument(
+        "metrics",
+        nargs="?",
+        metavar="METRICS_JSON",
+        help="metrics snapshot .json (from `repro profile --metrics-out`)",
+    )
+    show.add_argument(
+        "--trace",
+        metavar="SPANS_JSON",
+        help="summarize a span trace (from `repro profile --trace-out` "
+        "or a campaign pass's trace.json)",
+    )
+    show.set_defaults(func=cmd_show)
+
+    sub.add_parser(
+        "demo",
+        help="live demo: streaming producer, status server and watch "
+        "loop in one process, then the run's metrics and spans",
+    ).set_defaults(func=cmd_demo)
 
     led = sub.add_parser("ledger", help="list run-ledger entries")
     led.add_argument("ledger", help="ledger .jsonl path")
-    led.add_argument("--kind", help="only entries of this run kind")
+    led.add_argument(
+        "--kind", choices=RUN_KINDS, help="only entries of this run kind"
+    )
     led.add_argument(
         "--tail",
         type=int,
@@ -591,7 +540,9 @@ def _build_sub_parser() -> argparse.ArgumentParser:
         "regress", help="compare the latest runs against ledger history"
     )
     reg.add_argument("ledger", help="ledger .jsonl path")
-    reg.add_argument("--kind", help="only judge entries of this run kind")
+    reg.add_argument(
+        "--kind", choices=RUN_KINDS, help="only judge entries of this run kind"
+    )
     reg.add_argument(
         "--window", type=int, default=5, help="baseline window size"
     )
@@ -628,40 +579,24 @@ def _build_sub_parser() -> argparse.ArgumentParser:
     )
     dash.set_defaults(func=cmd_dashboard)
 
-    serve = sub.add_parser(
-        "serve", help="serve the line-JSON status protocol"
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="bind port (default: 0 = ephemeral, printed at startup)",
-    )
-    serve.add_argument(
-        "--events", help="pre-load an NDJSON event file into the bus"
-    )
-    serve.add_argument(
-        "--duration", type=float, default=None,
-        help="serve for this many seconds then exit (default: forever)",
-    )
-    serve.set_defaults(func=cmd_serve)
-
     tail = sub.add_parser(
-        "tail", help="print a live status server's recent events"
+        "tail", help="print recent events from an events file or a server"
     )
-    tail.add_argument("address", help="HOST:PORT of a status server")
     tail.add_argument(
-        "-n", type=int, default=20, help="events to fetch (default: 20)"
+        "target",
+        metavar="TARGET",
+        help="an NDJSON events file (e.g. a campaign's events.ndjsonl), "
+        "or HOST:PORT of a live status server",
+    )
+    tail.add_argument(
+        "-n", type=int, default=20, help="events to show (default: 20)"
     )
     tail.set_defaults(func=cmd_tail)
 
     watch = sub.add_parser(
         "watch", help="render live progress from a status server"
     )
-    watch.add_argument(
-        "address", nargs="?", help="HOST:PORT of a status server"
-    )
+    watch.add_argument("address", help="HOST:PORT of a status server")
     watch.add_argument(
         "--interval", type=float, default=1.0,
         help="seconds between progress lines (default: 1)",
@@ -671,10 +606,6 @@ def _build_sub_parser() -> argparse.ArgumentParser:
         help="stop after this many seconds (default: until interrupted)",
     )
     watch.add_argument(
-        "--demo", action="store_true",
-        help="run a self-contained producer+server+watcher demo",
-    )
-    watch.add_argument(
         "--reconnect-timeout", type=float, default=10.0, metavar="S",
         help="keep retrying a dropped server for this long with capped "
         "exponential backoff; 0 gives up on the first miss "
@@ -682,69 +613,18 @@ def _build_sub_parser() -> argparse.ArgumentParser:
     )
     watch.set_defaults(func=cmd_watch)
 
-    return parser
-
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-obs",
-        description=(
-            "pretty-print EMPROF observability artifacts; see also the "
-            "'ledger', 'regress' and 'dashboard' subcommands"
-        ),
-    )
-    parser.add_argument(
-        "metrics",
-        nargs="?",
-        help="metrics snapshot .json (from `repro profile --metrics-out`)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="SPANS_JSON",
-        help="summarize a span trace (from `repro profile --trace-out` "
-        "or a campaign pass's trace.json)",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="run a small synthetic workload with observability on",
-    )
+    """The ``repro-obs`` parser."""
+    parser = argparse.ArgumentParser(prog="repro-obs", description=DESCRIPTION)
+    add_subcommands(parser)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        args = _build_sub_parser().parse_args(argv)
-        return args.func(args)
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if not args.metrics and not args.trace and not args.live:
-        print(run_live_demo())
-        return EXIT_OK
-
-    if args.live:
-        print(run_live_demo())
-    if args.metrics:
-        try:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro-obs: cannot read {args.metrics}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        print(format_metrics_snapshot(snapshot))
-    if args.trace:
-        try:
-            with open(args.trace, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro-obs: cannot read {args.trace}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        print(format_trace_summary(payload))
-    return EXIT_OK
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ only) and exports as:
 
 * JSON - a single document mirroring :meth:`MetricsRegistry.snapshot`
   exactly, so ``json.loads(registry.to_json()) == registry.snapshot()``
-  round-trips;
+  round-trips.  It carries values, labels and histogram percentiles
+  but no help text, so a ledger row does not repeat the catalogue's
+  descriptions;
 * Prometheus text exposition format - counters/gauges/histograms with
   ``# HELP`` / ``# TYPE`` headers and escaped label values, suitable
   for a textfile collector.
@@ -114,7 +116,7 @@ class Counter(_Instrument):
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-pure state."""
-        return {"help": self.help, "labels": dict(self.labels), "value": self._value}
+        return {"labels": dict(self.labels), "value": self._value}
 
     def prometheus_lines(self) -> List[str]:
         """Text-exposition lines for this instrument."""
@@ -160,7 +162,7 @@ class Gauge(_Instrument):
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-pure state."""
-        return {"help": self.help, "labels": dict(self.labels), "value": self._value}
+        return {"labels": dict(self.labels), "value": self._value}
 
     def prometheus_lines(self) -> List[str]:
         """Text-exposition lines for this instrument."""
@@ -297,7 +299,6 @@ class Histogram(_Instrument):
                 for suffix, q in self.EXPORT_QUANTILES
             }
             return {
-                "help": self.help,
                 "labels": dict(self.labels),
                 "count": self._count,
                 "sum": self._sum,

@@ -17,8 +17,6 @@ request        response
 ``tail``       the last ``n`` events (``{"req": "tail", "n": 10}``)
 ``health``     liveness verdict: ``healthy`` plus seconds since the
                last event
-``watch``      subscription: one ``{"event": ...}`` line per event,
-               streamed until the client disconnects
 =============  ==========================================================
 
 Every response carries ``"ok": true/false``; malformed requests get
@@ -35,10 +33,9 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from .events import Event, EventBus
+from .events import EventBus
 
 PROTOCOL = "repro-obs-statusd"
 PROTOCOL_VERSION = 1
@@ -48,30 +45,6 @@ PROTOCOL_VERSION = 1
 DEFAULT_STALL_AFTER_S = 10.0
 
 _MAX_TAIL = 1000
-
-
-class _Subscription:
-    """A bounded per-connection queue fed by the bus (watch requests)."""
-
-    def __init__(self, capacity: int = 1024):
-        self._events: deque = deque(maxlen=capacity)
-        self._ready = threading.Condition()
-        self.closed = False
-
-    def write(self, event: Event) -> None:
-        """Bus-sink interface: enqueue one event."""
-        with self._ready:
-            self._events.append(event)
-            self._ready.notify_all()
-
-    def pop(self, timeout_s: float = 0.5) -> List[Event]:
-        """Drain queued events, waiting up to ``timeout_s`` for one."""
-        with self._ready:
-            if not self._events:
-                self._ready.wait(timeout=timeout_s)
-            batch = list(self._events)
-            self._events.clear()
-        return batch
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -102,9 +75,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 ):
                     return
                 continue
-            if request.get("req") == "watch":
-                self._stream()
-                return
             response = self.server.owner.answer(request)
             if not self._respond(response):
                 return
@@ -117,20 +87,6 @@ class _Handler(socketserver.StreamRequestHandler):
             return True
         except OSError:
             return False
-
-    def _stream(self) -> None:
-        owner = self.server.owner
-        subscription = _Subscription()
-        owner.bus.add_sink(subscription)
-        try:
-            if not self._respond({"ok": True, "streaming": True}):
-                return
-            while not owner.closing:
-                for event in subscription.pop(timeout_s=0.5):
-                    if not self._respond({"event": event.to_dict()}):
-                        return
-        finally:
-            owner.bus.remove_sink(subscription)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -182,7 +138,6 @@ class StatusServer:
         self.extra_requests = dict(extra_requests or {})
         self.stall_after_s = float(stall_after_s)
         self.started_unix_s = 0.0
-        self.closing = False
         self._server: Optional[_TCPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -217,7 +172,6 @@ class StatusServer:
 
     def close(self) -> None:
         """Stop serving and release the socket."""
-        self.closing = True
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -235,7 +189,7 @@ class StatusServer:
     # -- request dispatch ----------------------------------------------------
 
     def answer(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The response object for one (non-streaming) request."""
+        """The response object for one request."""
         req = request.get("req")
         if req == "status":
             return self._status()
@@ -264,7 +218,7 @@ class StatusServer:
                 # down the server thread or drop the connection.
                 return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         verbs = ", ".join(
-            ["status", "metrics", "tail", "health", "watch"]
+            ["status", "metrics", "tail", "health"]
             + sorted(self.extra_requests)
         )
         return {
@@ -334,54 +288,6 @@ def query(
     if not isinstance(payload, dict):
         raise ValueError("status server response is not a JSON object")
     return payload
-
-
-def watch(
-    host: str,
-    port: int,
-    timeout_s: float = 5.0,
-) -> Iterator[Event]:
-    """Subscribe to a server's event stream; yields events until the
-    server goes away.
-
-    ``timeout_s`` bounds both the connect and each read, so a silent
-    (but living) server surfaces as a paused generator, not a hang;
-    per-read timeouts are swallowed and the read retried.
-    """
-    sock = socket.create_connection((host, int(port)), timeout=timeout_s)
-    try:
-        sock.sendall(b'{"req": "watch"}\n')
-        sock.settimeout(timeout_s)
-        # Raw recv + manual line splitting: a buffered makefile() reader
-        # becomes permanently unreadable after one socket timeout, and
-        # timing out on a quiet stream is this function's normal state.
-        buffer = bytearray()
-        banner_seen = False
-        while True:
-            newline = buffer.find(b"\n")
-            if newline < 0:
-                try:
-                    chunk = sock.recv(65536)
-                except socket.timeout:
-                    continue
-                if not chunk:
-                    return
-                buffer.extend(chunk)
-                continue
-            line = bytes(buffer[: newline]).strip()
-            del buffer[: newline + 1]
-            if not banner_seen:
-                # The {"ok": true, "streaming": true} acknowledgement.
-                banner_seen = True
-                continue
-            try:
-                payload = json.loads(line)
-                event = Event.from_dict(payload.get("event"))
-            except (json.JSONDecodeError, ValueError, AttributeError):
-                continue
-            yield event
-    finally:
-        sock.close()
 
 
 def parse_address(address: str, default_port: int = 0) -> Tuple[str, int]:

@@ -169,3 +169,58 @@ class TestAttributeCommand:
         out = capsys.readouterr().out
         assert "Region" in out
         assert "optimization target" in out
+
+
+def _subcommands(parser):
+    """The subcommand names a parser's (only) subparsers action offers."""
+    import argparse
+
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestMountedTrees:
+    """`repro obs` / `repro campaignd` are their entry points' trees."""
+
+    @pytest.mark.parametrize(
+        "command, module",
+        [("obs", "repro.obs.cli"), ("campaignd", "repro.experiments.service")],
+    )
+    def test_same_subcommands_as_the_entry_point(self, command, module):
+        import importlib
+
+        from repro.cli import build_parser
+
+        mounted = _subcommands(_subcommands(build_parser())[command])
+        standalone = _subcommands(importlib.import_module(module).build_parser())
+        assert list(mounted) == list(standalone)
+        for name, parser in standalone.items():
+            assert [a.dest for a in mounted[name]._actions] == [
+                a.dest for a in parser._actions
+            ]
+
+    def test_obs_tree(self):
+        from repro.obs.cli import build_parser
+
+        assert list(_subcommands(build_parser())) == [
+            "show", "demo", "ledger", "regress", "dashboard", "tail", "watch",
+        ]
+
+    def test_same_output_and_exit_code_both_ways(self, tmp_path, capsys):
+        from repro.obs.cli import main as obs_main
+
+        missing = str(tmp_path / "absent.jsonl")
+        outputs = []
+        for run in (main, obs_main):
+            prefix = ["obs"] if run is main else []
+            assert run(prefix + ["regress", missing, "--allow-missing"]) == 0
+            assert run(prefix + ["ledger", missing]) == 2
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_campaignd_client_reaches_its_verb(self, capsys):
+        # A bad address fails in the client, after the verb parsed.
+        assert main(["campaignd", "status", "--addr", "nowhere"]) == 2
+        assert "bad address" in capsys.readouterr().err

@@ -1,6 +1,4 @@
-"""The repro-obs live subcommands: serve, tail, watch."""
-
-import threading
+"""The repro-obs live subcommands: tail, watch, demo."""
 
 import pytest
 
@@ -8,7 +6,7 @@ from repro.obs import cli as obs_cli
 from repro.obs import set_obs_enabled
 from repro.obs.cli import EXIT_BAD_INPUT, EXIT_OK
 from repro.obs.events import Event, EventBus, NDJSONFileSink
-from repro.obs.statusd import StatusServer, query
+from repro.obs.statusd import StatusServer
 
 
 @pytest.fixture()
@@ -18,75 +16,73 @@ def obs_on():
     set_obs_enabled(previous)
 
 
-def _write_events(path, sources=("main", "worker0")):
+def _heartbeats(sources=("main", "worker0")):
+    return [
+        Event(kind="heartbeat", t_unix_s=0.1 * index, seq=index,
+              pid=10 + index, source=source)
+        for index, source in enumerate(sources * 4)
+    ]
+
+
+def _write_events(path):
     bus = EventBus(auto_drain=False)
     bus.add_sink(NDJSONFileSink(path))
-    for index, source in enumerate(sources * 4):
-        bus.ingest(
-            Event(kind="heartbeat", t_unix_s=0.1 * index, seq=index,
-                  pid=10 + index, source=source).to_dict()
-        )
+    for event in _heartbeats():
+        bus.ingest(event.to_dict())
     bus.drain()
     bus.close()
 
 
-class TestServeAndTail:
-    def test_serve_preloads_events_and_tail_reads_them(
-        self, tmp_path, capsys, obs_on
-    ):
+class TestTail:
+    def test_tail_reads_an_events_file(self, tmp_path, capsys):
         events_path = tmp_path / "events.ndjsonl"
         _write_events(events_path)
+        with open(events_path, "a", encoding="utf-8") as handle:
+            handle.write('{"torn": \n')
 
-        # serve --duration in a thread; grab the advertised port.
-        ready = threading.Event()
-        ports = []
+        code = obs_cli.main(["tail", str(events_path), "-n", "3"])
+        output = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert output.count("heartbeat") == 3
+        assert "worker0" in output
+        assert "3 event(s) (1 unparseable lines skipped)" in output
 
-        original = StatusServer.start
-
-        def patched(self):
-            result = original(self)
-            ports.append(self.port)
-            ready.set()
-            return result
-
-        StatusServer.start = patched
-        try:
-            server_thread = threading.Thread(
-                target=obs_cli.main,
-                args=(
-                    ["serve", "--port", "0", "--events", str(events_path),
-                     "--duration", "4"],
-                ),
-                daemon=True,
-            )
-            server_thread.start()
-            assert ready.wait(5.0)
-            reply = query("127.0.0.1", ports[0], {"req": "status"})
-            assert reply["events"]["counts"]["heartbeat"] == 8
-
-            code = obs_cli.main(["tail", f"127.0.0.1:{ports[0]}", "-n", "3"])
-            output = capsys.readouterr().out
-            assert code == EXIT_OK
-            assert output.count("heartbeat") >= 3
-        finally:
-            StatusServer.start = original
+    def test_tail_queries_a_live_server(self, tmp_path, capsys, obs_on):
+        bus = EventBus(auto_drain=False)
+        for event in _heartbeats():
+            bus.ingest(event.to_dict())
+        with StatusServer(bus) as server:
+            code = obs_cli.main(["tail", f"127.0.0.1:{server.port}", "-n", "3"])
+        bus.close()
+        output = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert output.count("heartbeat") == 3
+        assert "3 event(s)" in output
 
     def test_tail_against_dead_server_is_bad_input(self, capsys):
         assert obs_cli.main(["tail", "127.0.0.1:1"]) == EXIT_BAD_INPUT
 
+    def test_tail_of_a_missing_file_is_bad_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.ndjsonl")
+        assert obs_cli.main(["tail", missing]) == EXIT_BAD_INPUT
+        assert "neither an events file nor HOST:PORT" in capsys.readouterr().err
+
 
 class TestWatchDemo:
     def test_demo_runs_standalone_and_prints_rates(self, capsys):
-        code = obs_cli.main(
-            ["watch", "--demo", "--duration", "1.2", "--interval", "0.3"]
-        )
+        code = obs_cli.main(["demo"])
         output = capsys.readouterr().out
         assert code == EXIT_OK
         assert "chunks/s" in output
         assert "samples/s" in output
+        # Then the run's metrics snapshot and span summary.
+        assert "stalls_detected_total" in output
+        assert "streaming.chunk" in output
 
-    def test_watch_without_address_or_demo_is_bad_input(self, capsys):
-        assert obs_cli.main(["watch"]) == EXIT_BAD_INPUT
+    def test_watch_without_address_is_bad_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_cli.main(["watch"])
+        assert exc.value.code == EXIT_BAD_INPUT
 
 
 class TestFormatEvent:

@@ -175,6 +175,22 @@ class TestRegistry:
         assert "g" in snap["gauges"]
         assert "h_seconds" in snap["histograms"]
 
+    def test_snapshot_leaves_help_to_prometheus(self, obs_on, registry):
+        # Ledger rows carry snapshots: values, not the catalogue's text.
+        registry.counter("c_total", "counted things").inc()
+        registry.gauge("g", "a level").set(2.0)
+        registry.histogram("h_seconds", "a latency").observe(0.5)
+        snap = registry.snapshot()
+        for kind, name in (
+            ("counters", "c_total"),
+            ("gauges", "g"),
+            ("histograms", "h_seconds"),
+        ):
+            assert "help" not in snap[kind][name]
+        text = registry.to_prometheus()
+        assert "# HELP c_total counted things" in text
+        assert "# HELP h_seconds a latency" in text
+
     def test_json_round_trips_snapshot(self, obs_on, registry):
         registry.counter("c_total").inc(3)
         registry.gauge("g").set(1.5)

@@ -148,10 +148,19 @@ class TestCliArtifacts:
         main(["profile", str(cap_path), "--trace-out", str(spans_path),
               "--metrics-out", str(metrics_path)])
         capsys.readouterr()
-        assert main(["obs", str(metrics_path), "--trace", str(spans_path)]) == 0
+        # Flag before positional: both reach `show` in the order typed.
+        assert main(
+            ["obs", "show", "--trace", str(spans_path), str(metrics_path)]
+        ) == 0
         out = capsys.readouterr().out
         assert "stalls_detected_total" in out
+        # Histograms print the percentiles the snapshot exports.
+        assert "p50 " in out and "p95 " in out and "p99 " in out
         assert "spans" in out
+
+    def test_obs_show_needs_an_artifact(self, capsys):
+        assert main(["obs", "show"]) == 2
+        assert "show needs" in capsys.readouterr().err
 
     def test_obs_summarizes_version_2_trace_payloads(self, tmp_path, capsys):
         # A per-process trace file written before payload version 3.
@@ -174,7 +183,7 @@ class TestCliArtifacts:
         }
         path = tmp_path / "worker0.trace.json"
         path.write_text(json.dumps(payload))
-        assert main(["obs", "--trace", str(path)]) == 0
+        assert main(["obs", "show", "--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "2 spans (1 dropped)" in out
         assert "campaign_worker" in out and "500.000ms" in out
@@ -182,7 +191,7 @@ class TestCliArtifacts:
     def test_obs_subcommand_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["obs", str(bad)]) == 2
+        assert main(["obs", "show", str(bad)]) == 2
         assert capsys.readouterr().err
 
     def test_chrome_trace_format(self, obs_clean, tmp_path):

@@ -189,3 +189,12 @@ class TestRegressCliGate:
         assert obs_cli.main(["regress", path]) == obs_cli.EXIT_REGRESSION
         code = obs_cli.main(["regress", path, "--kind", "profile"])
         assert code == obs_cli.EXIT_OK
+
+    @pytest.mark.parametrize("subcommand", ["regress", "ledger"])
+    def test_mistyped_kind_exits_two(self, tmp_path, capsys, subcommand):
+        # A typo must not filter the ledger down to nothing and pass.
+        path = self._write(tmp_path, [1.0, 1.0, 1.0, 1.0, 3.0])
+        with pytest.raises(SystemExit) as exc:
+            obs_cli.main([subcommand, path, "--kind", "benh"])
+        assert exc.value.code == obs_cli.EXIT_BAD_INPUT
+        assert "invalid choice: 'benh'" in capsys.readouterr().err

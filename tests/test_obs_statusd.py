@@ -1,14 +1,13 @@
-"""The line-JSON status server: queries, streaming, errors."""
+"""The line-JSON status server: queries and errors."""
 
 import json
 import socket
-import threading
 
 import pytest
 
 from repro.obs import set_obs_enabled
 from repro.obs.events import EventBus
-from repro.obs.statusd import StatusServer, parse_address, query, watch
+from repro.obs.statusd import StatusServer, parse_address, query
 
 
 @pytest.fixture()
@@ -69,6 +68,15 @@ class TestQueries:
         assert "unknown request 'emit'" in reply["error"]
         assert bus.stats()["total"] == 0
 
+    def test_watch_is_an_unknown_request(self, obs_on, server):
+        # Live progress is polled through `status`; nothing streams.
+        status, _ = server
+        reply = query("127.0.0.1", status.port, {"req": "watch"})
+        assert reply["ok"] is False
+        assert reply["error"].endswith(
+            "expected one of: status, metrics, tail, health"
+        )
+
     def test_malformed_json_yields_error_not_hangup(self, obs_on, server):
         status, _ = server
         with socket.create_connection(("127.0.0.1", status.port), 5) as sock:
@@ -100,39 +108,6 @@ class TestQueries:
             reply = query("127.0.0.1", status.port, {"req": "status"})
             assert reply["ok"] is True
             assert "on fire" in reply["extra"]["error"]
-        finally:
-            status.close()
-            bus.close()
-
-
-class TestWatch:
-    def test_watch_streams_live_events(self, obs_on):
-        # Streaming needs the drainer thread: subscriptions are sinks.
-        bus = EventBus()
-        status = StatusServer(bus, port=0)
-        status.start()
-        received = []
-        done = threading.Event()
-
-        def consume():
-            for event in watch("127.0.0.1", status.port, timeout_s=5.0):
-                received.append(event)
-                if len(received) >= 3:
-                    break
-            done.set()
-
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        try:
-            # Give the subscription a moment to attach, then produce.
-            deadline_beats = 0
-            while not done.is_set() and deadline_beats < 200:
-                bus.emit("heartbeat", n=deadline_beats)
-                deadline_beats += 1
-                done.wait(0.02)
-            assert done.wait(5.0)
-            assert len(received) >= 3
-            assert all(e.kind == "heartbeat" for e in received)
         finally:
             status.close()
             bus.close()

@@ -86,8 +86,8 @@ class TestProfileCliLedger:
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_obs_subcommand_delegates_with_flags(self, tmp_path):
-        # `repro obs regress ... --allow-missing` must survive the
-        # outer parser (unknown-flag forwarding is obs-only).
+        # `repro obs regress ... --allow-missing` parses in the mounted
+        # repro-obs tree.
         missing = str(tmp_path / "absent.jsonl")
         assert main(["obs", "regress", missing, "--allow-missing"]) == 0
 
@@ -236,7 +236,6 @@ class TestBenchHarness:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "_OUT_PATH", tmp_path / "BENCH_obs.json")
         monkeypatch.setattr(
             module, "_LEDGER_PATH", tmp_path / "LEDGER_obs.jsonl"
         )
@@ -255,29 +254,22 @@ class TestBenchHarness:
         )
         module.pytest_sessionfinish(session=None, exitstatus=0)
 
-    def test_snapshot_is_schema_stamped(self, bench_conftest):
-        self._session(bench_conftest, "benchmarks/test_a.py::test_a", 0.5)
-        payload = json.loads(bench_conftest._OUT_PATH.read_text())
-        assert payload["format"] == "repro-obs-bench"
-        assert payload["schema_version"] == 1
-        assert payload["git_rev"]
-        assert len(payload["benchmarks"]) == 1
-
     def test_two_sessions_two_ledger_entries(self, bench_conftest):
         # The acceptance check: `make bench` twice appends two ledger
-        # entries while BENCH_obs.json holds only the latest session.
+        # entries, and the ledger is the session's only output.
         self._session(bench_conftest, "benchmarks/test_a.py::test_a", 0.5)
         self._session(bench_conftest, "benchmarks/test_a.py::test_a", 0.6)
         records = RunLedger(bench_conftest._LEDGER_PATH).read()
         assert [r.kind for r in records] == ["bench", "bench"]
         assert [r.wall_time_s for r in records] == [0.5, 0.6]
-        payload = json.loads(bench_conftest._OUT_PATH.read_text())
-        assert len(payload["benchmarks"]) == 1  # latest session only
+        assert all(r.git_rev for r in records)
+        assert [p.name for p in bench_conftest._LEDGER_PATH.parent.iterdir()] == [
+            bench_conftest._LEDGER_PATH.name
+        ]
 
     def test_no_results_no_files(self, bench_conftest):
         bench_conftest._BENCH_RESULTS.clear()
         bench_conftest.pytest_sessionfinish(session=None, exitstatus=0)
-        assert not bench_conftest._OUT_PATH.exists()
         assert not bench_conftest._LEDGER_PATH.exists()
 
     def test_snapshot_write_leaves_no_temp(self, bench_conftest, tmp_path):

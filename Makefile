@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-cold regress check dashboard chaos chaos-service bench bench-all bench-e2e bench-engine trace watch-demo explain-demo reproduce examples selftest clean
+.PHONY: install test lint regress check dashboard chaos chaos-service bench bench-all bench-e2e bench-engine trace watch-demo explain-demo reproduce examples selftest clean
 
 install:
 	pip install -e .
@@ -10,14 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Whole-program analysis (per-file + cross-module rules) with the
-# incremental content-hash cache; known debt lives in the baseline.
+# Whole-program analysis (per-file + cross-module rules) in one pass
+# over every file; known debt lives in the baseline.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/ --baseline .emlint_baseline.json
-
-# Cache-busted run: proves the cold path and re-validates every file.
-lint-cold:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/ --baseline .emlint_baseline.json --no-cache
 
 # Judge the run ledger against its own recent history; exits 3 on a
 # statistically significant slowdown, 0 when stable or when the ledger
@@ -110,9 +106,8 @@ selftest:
 	$(PYTHON) -m repro selftest
 
 # Removes derived artefacts only: the run ledger (LEDGER_obs.jsonl)
-# is history, not output, and survives a clean.  The emlint cache is
-# derived (content-hashed) and goes.
+# is history, not output, and survives a clean.
 clean:
 	rm -rf results/ .pytest_cache .benchmarks
-	rm -f dashboard_obs.html .emlint_cache.json
+	rm -f dashboard_obs.html
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -7,10 +7,9 @@ Two halves, both specific to this codebase's failure modes:
   per-file rules (:mod:`repro.devtools.rules`: unit safety,
   determinism, config immutability, float equality, mutable defaults,
   silent excepts) and extracts a per-module fact base
-  (:mod:`repro.devtools.facts`), cached by content hash
-  (:mod:`repro.devtools.cache`) and extracted in parallel.  Phase 2
-  runs cross-module rules (:mod:`repro.devtools.xrules`) over the
-  import graph and layer map (:mod:`repro.devtools.graph`,
+  (:mod:`repro.devtools.facts`) in one parse and walk of each file.
+  Phase 2 runs cross-module rules (:mod:`repro.devtools.xrules`) over
+  the import graph and layer map (:mod:`repro.devtools.graph`,
   configured via ``pyproject.toml`` ``[tool.emlint]``): architecture
   layering, import cycles, concurrency safety (shared mutable state,
   fork-unsafe import-time captures, unpicklable worker targets), and
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 __all__ = [
     "baseline",
-    "cache",
     "contracts",
     "engine",
     "facts",

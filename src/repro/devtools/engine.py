@@ -1,10 +1,15 @@
 """emlint core: findings, suppressions, and the file/tree driver.
 
-The engine is rule-agnostic: a :class:`Rule` walks one parsed module
+The engine is rule-agnostic: a :class:`Rule` inspects one parsed module
 and yields :class:`Finding` objects; the engine parses files, collects
 findings from every rule, and drops those silenced by a
 ``# emlint: disable=<rule>`` comment.  Rules themselves live in
 :mod:`repro.devtools.rules`.
+
+Each file takes one step (:func:`_check_source`): it is parsed once,
+its suppression map is built once, and its nodes are walked once into
+:attr:`FileContext.nodes`, which every per-file rule and the fact
+extractor share.
 
 Suppression comments work at line granularity:
 
@@ -25,6 +30,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+from .facts import ModuleFacts, extract_facts, module_name_for
 
 _SUPPRESS_RE = re.compile(r"#\s*emlint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
@@ -49,11 +56,16 @@ class Finding:
 
 @dataclass(frozen=True)
 class FileContext:
-    """Everything a rule may consult about the module being linted."""
+    """Everything a rule may consult about the module being linted.
+
+    ``nodes`` holds every node of ``tree`` in :func:`ast.walk` order;
+    rules iterate it rather than walking the tree again.
+    """
 
     path: str
     source: str
     tree: ast.Module
+    nodes: Tuple[ast.AST, ...]
 
 
 class Rule:
@@ -86,17 +98,14 @@ class LintResult:
     """Aggregate outcome of linting one or more files.
 
     The whole-program driver (:func:`analyze_paths`) additionally
-    fills the cache counters (warm-run accounting), the count of
-    findings silenced by an adopt-now baseline, and the keys of
-    baseline entries that no longer match anything (stale — the debt
-    was paid, remove the entry).
+    fills the count of findings silenced by an adopt-now baseline, and
+    the keys of baseline entries that no longer match anything (stale
+    — the debt was paid, remove the entry).
     """
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed_count: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     baseline_suppressed: int = 0
     stale_baseline: List[str] = field(default_factory=list)
 
@@ -143,13 +152,18 @@ def _default_rules() -> Sequence[Rule]:
     return [cls() for cls in ALL_RULES]
 
 
-def lint_source(
+def _check_source(
     source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintResult:
-    """Lint one module's source text (per-file rules only)."""
-    active = list(rules) if rules is not None else list(_default_rules())
+    path: str,
+    rules: Sequence[Rule],
+    module: Optional[str] = None,
+    is_package: bool = False,
+) -> Tuple[LintResult, Optional[ModuleFacts]]:
+    """Phase 1 for one module: per-file rules, plus facts when ``module``.
+
+    The source is parsed once and walked once; the rules and
+    :func:`repro.devtools.facts.extract_facts` share the node list.
+    """
     result = LintResult(files_checked=1)
     try:
         tree = ast.parse(source, filename=path)
@@ -163,19 +177,65 @@ def lint_source(
                 message=f"could not parse module: {exc.msg}",
             )
         )
-        return result
+        return result, None
 
-    context = FileContext(path=path, source=source, tree=tree)
+    context = FileContext(
+        path=path, source=source, tree=tree, nodes=tuple(ast.walk(tree))
+    )
     suppressions = _parse_suppressions(source)
     raw: List[Finding] = []
-    for rule in active:
+    for rule in rules:
         raw.extend(rule.check(context))
     for finding in sorted(raw, key=lambda f: (f.line, f.col, f.rule)):
         if _is_suppressed(finding, suppressions):
             result.suppressed_count += 1
         else:
             result.findings.append(finding)
-    return result
+    if module is None:
+        return result, None
+    facts = extract_facts(
+        tree,
+        module=module,
+        path=path,
+        suppressions=suppressions,
+        is_package=is_package,
+        nodes=context.nodes,
+    )
+    return result, facts
+
+
+def _check_file(
+    path: Path, rules: Sequence[Rule], with_facts: bool
+) -> Tuple[LintResult, Optional[ModuleFacts]]:
+    """Phase 1 for one file: read it once, then :func:`_check_source`."""
+    try:
+        source = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        unreadable = Finding(
+            path=str(path),
+            line=1,
+            col=1,
+            rule="io-error",
+            message=f"could not read file: {exc}",
+        )
+        return LintResult(findings=[unreadable], files_checked=1), None
+    return _check_source(
+        source,
+        str(path),
+        rules,
+        module=module_name_for(path) if with_facts else None,
+        is_package=path.name == "__init__.py",
+    )
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    rules: Optional[Sequence[Rule]] = None,
+) -> LintResult:
+    """Lint one module's source text (per-file rules only)."""
+    active = list(rules) if rules is not None else list(_default_rules())
+    return _check_source(source, path, active)[0]
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -195,35 +255,6 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield candidate
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintResult:
-    """Lint every Python file under ``paths`` and aggregate the result."""
-    active = list(rules) if rules is not None else list(_default_rules())
-    total = LintResult()
-    for file_path in iter_python_files(Path(p) for p in paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            total.findings.append(
-                Finding(
-                    path=str(file_path),
-                    line=1,
-                    col=1,
-                    rule="io-error",
-                    message=f"could not read file: {exc}",
-                )
-            )
-            total.files_checked += 1
-            continue
-        one = lint_source(source, path=str(file_path), rules=active)
-        total.findings.extend(one.findings)
-        total.suppressed_count += one.suppressed_count
-        total.files_checked += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # whole-program analysis (two-phase driver)
 # ---------------------------------------------------------------------------
@@ -241,19 +272,19 @@ def analyze_paths(
     cross_rules=None,
     *,
     layers=None,
-    cache_path: Optional[Path] = None,
     baseline=None,
 ) -> LintResult:
     """Two-phase whole-program analysis over every file under ``paths``.
 
-    Phase 1 runs the per-file rules and extracts a
-    :class:`repro.devtools.facts.ModuleFacts` summary per file —
-    cached by content hash when ``cache_path`` is given.  Phase 2 assembles the project fact base (import
-    graph + layer map) and runs the cross-module rules over it.
-    Inline ``# emlint: disable=`` suppressions apply to cross findings
-    through the cached suppression maps; an optional adopt-now
-    ``baseline`` (:class:`repro.devtools.baseline.Baseline`) filters
-    the final finding list and reports stale entries.
+    Phase 1 runs the per-file rules and, when there are cross rules,
+    extracts a :class:`repro.devtools.facts.ModuleFacts` summary per
+    file, in one read, parse and walk of each file.  Phase 2 assembles
+    the project fact base (import graph + layer map) and runs the
+    cross-module rules over it.  Inline ``# emlint: disable=``
+    suppressions apply to cross findings through the suppression maps
+    the facts carry; an optional adopt-now ``baseline``
+    (:class:`repro.devtools.baseline.Baseline`) filters the final
+    finding list and reports stale entries.
 
     Args:
         paths: files or directories to analyze.
@@ -263,11 +294,8 @@ def analyze_paths(
         layers: a :class:`repro.devtools.graph.LayerConfig`; default
             loads ``pyproject.toml`` from the current directory,
             falling back to the built-in repository map.
-        cache_path: location of the incremental cache; ``None``
-            disables caching.
         baseline: adopt-now suppression file, already loaded.
     """
-    from .cache import FactCache, extract_outcomes
     from .graph import load_layer_config
     from .xrules import ProgramFacts
 
@@ -275,30 +303,22 @@ def analyze_paths(
     active_cross = (
         list(cross_rules) if cross_rules is not None else _default_cross_rules()
     )
-    layer_config = layers if layers is not None else load_layer_config()
 
-    cache = FactCache(cache_path) if cache_path is not None else None
-    outcomes, hits, misses = extract_outcomes(
-        [Path(p) for p in paths], active, cache=cache
-    )
-
-    result = LintResult(
-        files_checked=len(outcomes), cache_hits=hits, cache_misses=misses
-    )
-    for outcome in outcomes:
-        result.findings.extend(outcome.findings)
-        result.suppressed_count += outcome.suppressed_count
+    result = LintResult()
+    modules: Dict[str, ModuleFacts] = {}
+    for path in sorted(iter_python_files(Path(p) for p in paths), key=str):
+        one, facts = _check_file(path, active, bool(active_cross))
+        result.findings.extend(one.findings)
+        result.files_checked += 1
+        result.suppressed_count += one.suppressed_count
+        if facts is not None:
+            modules[facts.module] = facts
 
     if active_cross:
-        modules = {
-            o.facts.module: o.facts for o in outcomes if o.facts is not None
-        }
+        layer_config = layers if layers is not None else load_layer_config()
         program = ProgramFacts.build(modules, layers=layer_config)
-        suppression_by_path: Dict[str, Dict[int, Set[str]]] = {
-            facts.path: {
-                line: set(names) for line, names in facts.suppressions.items()
-            }
-            for facts in modules.values()
+        suppression_by_path = {
+            facts.path: facts.suppressions for facts in modules.values()
         }
         cross_findings: List[Finding] = []
         for rule in active_cross:

@@ -1,12 +1,11 @@
 """Phase 1 of the whole-program analyzer: per-file fact extraction.
 
 The cross-module rules in :mod:`repro.devtools.xrules` never touch an
-AST: they run over :class:`ModuleFacts` — a compact, JSON-serializable
-summary of everything a cross-module rule may need to know about one
-module.  That split is what makes the analyzer incremental: facts are
-pure functions of a file's content, so they can be cached by content
-hash (:mod:`repro.devtools.cache`) and extracted in parallel, while
-the (cheap) cross-module phase re-runs on every invocation.
+AST: they run over :class:`ModuleFacts` — a compact summary of
+everything a cross-module rule may need to know about one module.
+Facts are extracted in the same parse and walk of a file as the
+per-file rules (see :mod:`repro.devtools.engine`), and the cheap
+cross-module phase runs over all of them at once.
 
 Facts recorded per module:
 
@@ -25,19 +24,15 @@ Facts recorded per module:
   registrations (with inline-lambda handlers scanned on the spot), and
   curated blocking / non-reentrant calls so the signal-handler rule
   can audit whatever ends up registered.
-* **suppressions** — the ``# emlint: disable=`` map, so cached files
-  still honor their inline suppressions when cross findings land on
-  them.
+* **suppressions** — the ``# emlint: disable=`` map, so a file's
+  inline suppressions also apply when cross findings land on it.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-#: Bump when the fact schema changes incompatibly (invalidates caches).
-FACTS_SCHEMA_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # fact records
@@ -168,66 +163,7 @@ class ModuleFacts:
     globals: Tuple[GlobalFact, ...] = ()
     functions: Tuple[FunctionFact, ...] = ()
     #: line -> rule names silenced there (from ``# emlint: disable=``).
-    suppressions: Dict[int, List[str]] = field(default_factory=dict)
-
-    # -- serialization (for the content-hash cache) -------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload["suppressions"] = {
-            str(line): sorted(names) for line, names in self.suppressions.items()
-        }
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ModuleFacts":
-        def _imp(d: dict) -> ImportFact:
-            d = dict(d)
-            d["names"] = tuple(d.get("names") or ())
-            return ImportFact(**d)
-
-        def _pairs(raw) -> Tuple[Tuple[str, int], ...]:
-            return tuple((str(n), int(l)) for n, l in raw or ())
-
-        def _sig(d: dict) -> SignalRegistrationFact:
-            d = dict(d)
-            d["inline_blocking"] = _pairs(d.get("inline_blocking"))
-            d["inline_nonreentrant"] = _pairs(d.get("inline_nonreentrant"))
-            return SignalRegistrationFact(**d)
-
-        def _fn(d: dict) -> FunctionFact:
-            return FunctionFact(
-                qualname=d["qualname"],
-                lineno=d["lineno"],
-                col=d["col"],
-                global_rebinds=_pairs(d.get("global_rebinds")),
-                mutations=tuple(
-                    MutationFact(**m) for m in d.get("mutations") or ()
-                ),
-                loops=tuple(LoopFact(**l) for l in d.get("loops") or ()),
-                process_targets=tuple(
-                    TargetFact(**t) for t in d.get("process_targets") or ()
-                ),
-                signal_registrations=tuple(
-                    _sig(s) for s in d.get("signal_registrations") or ()
-                ),
-                blocking_calls=_pairs(d.get("blocking_calls")),
-                nonreentrant_calls=_pairs(d.get("nonreentrant_calls")),
-            )
-
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            imports=tuple(_imp(d) for d in payload.get("imports") or ()),
-            globals=tuple(
-                GlobalFact(**d) for d in payload.get("globals") or ()
-            ),
-            functions=tuple(_fn(d) for d in payload.get("functions") or ()),
-            suppressions={
-                int(line): list(names)
-                for line, names in (payload.get("suppressions") or {}).items()
-            },
-        )
+    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -863,9 +799,9 @@ class _FunctionSummarizer:
         )
 
 
-def _numpy_aliases(tree: ast.Module) -> Set[str]:
+def _numpy_aliases(nodes: Sequence[ast.AST]) -> Set[str]:
     aliases: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "numpy" or alias.name.startswith("numpy."):
@@ -896,12 +832,18 @@ def extract_facts(
     path: str,
     suppressions: Optional[Dict[int, Set[str]]] = None,
     is_package: bool = False,
+    nodes: Optional[Sequence[ast.AST]] = None,
 ) -> ModuleFacts:
     """Summarize one parsed module into :class:`ModuleFacts`.
 
     ``is_package`` marks a package ``__init__.py`` so relative imports
     resolve against the package itself rather than its parent.
+    ``nodes`` is ``tree`` already walked (:attr:`FileContext.nodes
+    <repro.devtools.engine.FileContext.nodes>`); it is walked here
+    when not given.
     """
+    if nodes is None:
+        nodes = tuple(ast.walk(tree))
     imports: List[ImportFact] = []
 
     # Which import statements execute at module scope: walk the module
@@ -917,7 +859,7 @@ def extract_facts(
             module_scope_imports.add(id(node))
         stack.extend(ast.iter_child_nodes(node))
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imports.append(
@@ -967,7 +909,7 @@ def extract_facts(
 
     global_map = {g.name: g for g in globals_out}
     lock_names = {g.name for g in globals_out if g.kind == "lock"}
-    np_aliases = _numpy_aliases(tree)
+    np_aliases = _numpy_aliases(nodes)
 
     functions: List[FunctionFact] = []
     for qualname, node in _iter_functions(tree):
@@ -982,8 +924,5 @@ def extract_facts(
         imports=tuple(imports),
         globals=tuple(globals_out),
         functions=tuple(functions),
-        suppressions={
-            line: sorted(names)
-            for line, names in (suppressions or {}).items()
-        },
+        suppressions=dict(suppressions or {}),
     )

@@ -1,11 +1,11 @@
 """emlint command line: ``python -m repro.devtools.lint [paths...]``.
 
 Runs the two-phase whole-program analyzer: per-file rules plus the
-cross-module rule families (layering, concurrency safety, hot loops),
-with incremental content-hash caching.  Exit codes: 0 clean, 1
-findings reported, 2 usage error (unknown rule names, missing paths,
-broken baseline/config — always a diagnostic on stderr, never a
-traceback).  Also installed as the ``repro-lint`` console script.
+cross-module rule families (layering, concurrency safety, hot loops).
+Exit codes: 0 clean, 1 findings reported, 2 usage error (unknown rule
+names, missing paths, broken baseline/config — always a diagnostic on
+stderr, never a traceback).  Also installed as the ``repro-lint``
+console script.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .graph import load_layer_config
 from .reporters import render_json, render_sarif, render_text
 from .rules import ALL_RULES, rules_by_name
 from .xrules import ALL_CROSS_RULES, CrossRule, cross_rules_by_name
-
-#: default incremental cache location, relative to the invocation cwd.
-DEFAULT_CACHE_PATH = ".emlint_cache.json"
-
 
 def all_rule_names() -> List[str]:
     """Every registered rule id: per-file rules then cross rules."""
@@ -86,17 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the current findings to FILE as a baseline and exit 0 "
         "(carries justifications over from --baseline when given)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help=f"incremental fact cache (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (cold run)",
     )
     parser.add_argument(
         "--config",
@@ -185,7 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2
 
-    cache_path = None if args.no_cache else Path(args.cache)
     if args.no_cross:
         cross_rules = []
 
@@ -194,7 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rules=rules,
         cross_rules=cross_rules,
         layers=layers,
-        cache_path=cache_path,
         baseline=None if args.write_baseline else baseline,
     )
 

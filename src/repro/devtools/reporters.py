@@ -10,7 +10,7 @@ from typing import Dict, Optional
 from .engine import LintResult
 
 #: bumped whenever the JSON shape changes incompatibly
-JSON_FORMAT_VERSION = 2
+JSON_FORMAT_VERSION = 3
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -32,11 +32,6 @@ def render_text(result: LintResult) -> str:
         summary += f", {result.baseline_suppressed} baselined"
     summary += ")"
     lines.append(summary)
-    if result.cache_hits or result.cache_misses:
-        lines.append(
-            f"emlint: cache {result.cache_hits} hit(s), "
-            f"{result.cache_misses} miss(es)"
-        )
     for key in result.stale_baseline:
         lines.append(f"emlint: stale baseline entry (fixed? remove it): {key}")
     return "\n".join(lines)
@@ -51,8 +46,6 @@ def render_json(result: LintResult) -> str:
         "suppressed_count": result.suppressed_count,
         "baseline_suppressed": result.baseline_suppressed,
         "stale_baseline": list(result.stale_baseline),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
         "findings": [asdict(finding) for finding in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

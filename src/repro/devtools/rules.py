@@ -71,10 +71,10 @@ def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
+def _scopes(context: FileContext) -> Iterator[ast.AST]:
     """The module plus every (possibly nested) function definition."""
-    yield tree
-    for node in ast.walk(tree):
+    yield context.tree
+    for node in context.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -157,7 +157,7 @@ class UnitSafetyRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
@@ -215,7 +215,7 @@ class DeterminismRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         # local name -> module it refers to ("numpy" or "numpy.random")
         numpy_aliases: Dict[str, str] = {}
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -256,7 +256,7 @@ class DeterminismRule(Rule):
                                 f"numpy RNG; use an injected Generator",
                             )
 
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Attribute):
                 continue
             chain = _attribute_chain(node)
@@ -308,7 +308,7 @@ class ConfigImmutabilityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
                 dec = _dataclass_decorator(node)
                 if dec is None:
@@ -413,7 +413,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for scope in _scopes(context.tree):
+        for scope in _scopes(context):
             float_names = _float_names_in_scope(scope)
 
             def floatish(node: ast.AST) -> bool:
@@ -477,7 +477,7 @@ class MutableDefaultArgRule(Rule):
     description = "list/dict/set default argument shared across calls"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -530,7 +530,7 @@ class SilentExceptRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -569,7 +569,7 @@ class ObsEventSchemaRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = node.func

@@ -248,30 +248,3 @@ def test_logging_calls_are_nonreentrant_only_on_logging_receivers():
     assert ("warning", 2) in calls
     # `cursor.info` is not a logger; receiver-name heuristic holds.
     assert all(name != "info" for name, _ in calls)
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def test_facts_round_trip_through_json_dict():
-    facts = facts_of(
-        "import numpy as np\n"
-        "import signal\n"
-        "import time\n"
-        "CACHE = {}\n"
-        "def f(sig: np.ndarray):\n"
-        "    CACHE['k'] = 1\n"
-        "    for v in np.asarray(sig):\n"
-        "        pass\n"
-        "def install(h):\n"
-        "    signal.signal(signal.SIGTERM, h)\n"
-        "    signal.signal(signal.SIGINT, lambda s, f: time.sleep(1))\n"
-        "    time.sleep(0.1)\n",
-        suppressions={3: {"hot-loop"}},
-    )
-    import json
-
-    payload = json.loads(json.dumps(facts.to_dict()))
-    restored = ModuleFacts.from_dict(payload)
-    assert restored == facts
-    assert restored.suppressions == {3: ["hot-loop"]}

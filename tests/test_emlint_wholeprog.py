@@ -1,28 +1,21 @@
-"""Whole-program driver: cache, baseline, SARIF, and the repo gate.
+"""Whole-program driver: one pass per file, baseline, SARIF, the repo gate.
 
-Covers the incremental cache (hit/miss accounting, invalidation on
-content change and on rule-set change, corrupt-cache tolerance), the
-adopt-now baseline (suppress, stale detection, regeneration), SARIF
-output shape, the pyproject <-> built-in layer-map sync promise, and
-the repository-level guarantees: ``src/`` analyzes clean under the
-checked-in baseline and a warm cached run stays within the tier-1
-time budget.
+Covers the one-pass driver (each file parsed once, on the calling
+thread, with repeatable results), the adopt-now baseline (suppress,
+stale detection, regeneration), SARIF output shape, the pyproject <->
+built-in layer-map sync promise, and the repository-level guarantee
+that ``src/`` analyzes clean under the checked-in baseline.
 """
 
+import ast
 import json
-import time
 from pathlib import Path
 
 import pytest
 
+from repro.devtools import engine
 from repro.devtools.baseline import Baseline, write_baseline
-from repro.devtools.cache import (
-    DEFAULT_CACHE_NAME,
-    FactCache,
-    extract_outcomes,
-    ruleset_signature,
-)
-from repro.devtools.engine import Finding, analyze_paths
+from repro.devtools.engine import Finding, LintResult, analyze_paths
 from repro.devtools.graph import DEFAULT_LAYER_CONFIG, load_layer_config
 from repro.devtools.reporters import render_json, render_sarif
 from repro.devtools.rules import ALL_RULES
@@ -41,131 +34,68 @@ def write_module(root: Path, name: str, source: str) -> Path:
     return target
 
 
-# -- cache ------------------------------------------------------------------
+# -- one-pass driver --------------------------------------------------------
 
 
 def test_cold_extraction_of_the_tree_is_repeatable(monkeypatch):
     # Concurrent ast.parse calls used to fail with "SystemError: AST
     # constructor recursion depth mismatch", but only when the whole
-    # suite ran.  Pin the cause directly - every file is parsed on the
+    # suite ran.  Pin the cause directly - every file is checked on the
     # calling thread - and run repeated cold passes over the real tree.
     import threading
 
-    from repro.devtools import cache as cache_module
-
     threads = set()
-    process_one = cache_module._process_one
+    passes = []
+    check_file = engine._check_file
 
-    def recording(path, rules):
+    def recording(path, rules, with_facts):
         threads.add(threading.get_ident())
-        return process_one(path, rules)
+        result, facts = check_file(path, rules, with_facts)
+        passes[-1].append((str(path), result.findings, facts))
+        return result, facts
 
-    monkeypatch.setattr(cache_module, "_process_one", recording)
-    passes = [extract_outcomes([SRC], RULES)[0] for _ in range(2)]
+    monkeypatch.setattr(engine, "_check_file", recording)
+    for _ in range(2):
+        passes.append([])
+        analyze_paths([SRC], RULES, layers=DEFAULT_LAYER_CONFIG)
     assert threads == {threading.get_ident()}
     for outcomes in passes:
         assert len(outcomes) > 50
+        assert all(facts is not None for _, _, facts in outcomes)
         assert not [
-            f for o in outcomes for f in o.findings if f.rule == "parse-error"
+            f
+            for _, findings, _ in outcomes
+            for f in findings
+            if f.rule == "parse-error"
         ]
-    first = [(o.path, o.content_hash, o.findings) for o in passes[0]]
-    for outcomes in passes[1:]:
-        assert [(o.path, o.content_hash, o.findings) for o in outcomes] == first
+    assert passes[1] == passes[0]
 
 
-def test_cache_warm_run_hits_everything(tmp_path):
-    write_module(tmp_path, "a.py", "x = 1\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
+def test_analyze_paths_parses_each_file_once(tmp_path, monkeypatch):
+    """Per-file rules and fact extraction share one parse per file."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    files = [
+        write_module(pkg, "__init__.py", ""),
+        write_module(pkg, "a.py", "def f(x=[]):\n    return x\n"),
+        write_module(pkg, "b.py", "from .a import f\n"),
+        write_module(pkg, "broken.py", "def broken(:\n"),
+    ]
+    parsed = []
+    parse = ast.parse
 
-    _, hits, misses = extract_outcomes(
-        [tmp_path], RULES, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (0, 1)
-    assert cache_file.is_file()
+    def counting(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(str(filename))
+        return parse(source, filename, *args, **kwargs)
 
-    _, hits, misses = extract_outcomes(
-        [tmp_path], RULES, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (1, 0)
-
-
-def test_cache_invalidated_on_content_change(tmp_path):
-    module = write_module(tmp_path, "a.py", "x = 1\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    extract_outcomes([tmp_path], RULES, cache=FactCache(cache_file))
-
-    module.write_text("x = 2\n")
-    outcomes, hits, misses = extract_outcomes(
-        [tmp_path], RULES, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (0, 1)
-    assert not outcomes[0].from_cache
-
-    # ... and the rewrite is itself cached for the next run.
-    _, hits, misses = extract_outcomes(
-        [tmp_path], RULES, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (1, 0)
-
-
-def test_cache_invalidated_on_ruleset_change(tmp_path):
-    write_module(tmp_path, "a.py", "x = 1\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    extract_outcomes([tmp_path], RULES, cache=FactCache(cache_file))
-
-    subset = RULES[:2]
-    assert ruleset_signature(subset) != ruleset_signature(RULES)
-    _, hits, misses = extract_outcomes(
-        [tmp_path], subset, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (0, 1)
-
-
-def test_corrupt_cache_is_treated_as_empty(tmp_path):
-    write_module(tmp_path, "a.py", "x = 1\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    cache_file.write_text("{not json")
-
-    outcomes, hits, misses = extract_outcomes(
-        [tmp_path], RULES, cache=FactCache(cache_file)
-    )
-    assert (hits, misses) == (0, 1)
-    assert outcomes[0].facts is not None
-    # The corrupt file was replaced by a valid document.
-    payload = json.loads(cache_file.read_text())
-    assert payload["schema"] == "emlint-cache"
-
-
-def test_cache_prunes_deleted_files(tmp_path):
-    keep = write_module(tmp_path, "keep.py", "x = 1\n")
-    gone = write_module(tmp_path, "gone.py", "y = 2\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    extract_outcomes([tmp_path], RULES, cache=FactCache(cache_file))
-
-    gone.unlink()
-    extract_outcomes([tmp_path], RULES, cache=FactCache(cache_file))
-    payload = json.loads(cache_file.read_text())
-    assert set(payload["entries"]) == {str(keep)}
-
-
-def test_cached_findings_identical_to_fresh(tmp_path):
-    write_module(tmp_path, "a.py", "def f(x=[]):\n    return x\n")
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    cold = analyze_paths(
-        [tmp_path],
-        cross_rules=[],
-        layers=DEFAULT_LAYER_CONFIG,
-        cache_path=cache_file,
-    )
-    warm = analyze_paths(
-        [tmp_path],
-        cross_rules=[],
-        layers=DEFAULT_LAYER_CONFIG,
-        cache_path=cache_file,
-    )
-    assert warm.cache_misses == 0
-    assert warm.findings == cold.findings
-    assert any(f.rule == "mutable-default-arg" for f in warm.findings)
+    monkeypatch.setattr(ast, "parse", counting)
+    result = analyze_paths([tmp_path], layers=DEFAULT_LAYER_CONFIG)
+    assert result.files_checked == len(files)
+    assert sorted(parsed) == sorted(str(f) for f in files)
+    assert {f.rule for f in result.findings} >= {
+        "mutable-default-arg",
+        "parse-error",
+    }
 
 
 # -- baseline ---------------------------------------------------------------
@@ -264,8 +194,6 @@ def test_analyze_paths_reports_baseline_counters(tmp_path):
 
 
 def test_sarif_output_schema_sanity():
-    from repro.devtools.engine import LintResult
-
     result = LintResult(findings=[_finding()], files_checked=1)
     log = json.loads(render_sarif(result, {"hot-loop": "vectorize me"}))
     assert log["version"] == "2.1.0"
@@ -285,8 +213,6 @@ def test_sarif_output_schema_sanity():
 
 
 def test_sarif_rule_table_covers_unregistered_rules():
-    from repro.devtools.engine import LintResult
-
     result = LintResult(findings=[_finding(rule="parse-error")])
     log = json.loads(render_sarif(result))
     (run,) = log["runs"]
@@ -295,20 +221,14 @@ def test_sarif_rule_table_covers_unregistered_rules():
     assert run["results"][0]["ruleIndex"] == ids.index("parse-error")
 
 
-def test_json_report_carries_cache_and_baseline_counters():
-    from repro.devtools.engine import LintResult
-
+def test_json_report_carries_baseline_counters():
     result = LintResult(
         files_checked=3,
-        cache_hits=2,
-        cache_misses=1,
         baseline_suppressed=4,
         stale_baseline=["hot-loop::x.py::msg"],
     )
     payload = json.loads(render_json(result))
-    assert payload["version"] == 2
-    assert payload["cache_hits"] == 2
-    assert payload["cache_misses"] == 1
+    assert payload["version"] == 3
     assert payload["baseline_suppressed"] == 4
     assert payload["stale_baseline"] == ["hot-loop::x.py::msg"]
 
@@ -331,37 +251,17 @@ def test_pyproject_layer_map_matches_builtin_default():
 # -- repository gate --------------------------------------------------------
 
 
-def test_src_tree_clean_under_checked_in_baseline(tmp_path, monkeypatch):
+def test_src_tree_clean_under_checked_in_baseline(monkeypatch):
     """The tentpole acceptance check: src/ passes the full analyzer."""
     monkeypatch.chdir(REPO_ROOT)  # baseline paths are repo-relative
     result = analyze_paths(
         [SRC],
         layers=load_layer_config(REPO_ROOT / "pyproject.toml"),
-        cache_path=tmp_path / DEFAULT_CACHE_NAME,
         baseline=Baseline.load(BASELINE),
     )
     assert result.findings == []
     assert result.baseline_suppressed > 0  # the adopt-now worklist
     assert result.stale_baseline == []  # no rotting entries
-
-
-def test_warm_whole_repo_run_is_fast(tmp_path, monkeypatch):
-    """Tier-1 budget guard: a warm cached run re-parses nothing.
-
-    The budget is generous (CI machines vary wildly) but low enough to
-    catch the failure mode that matters: the cache silently missing and
-    every run paying the cold-parse cost.
-    """
-    monkeypatch.chdir(REPO_ROOT)
-    cache_file = tmp_path / DEFAULT_CACHE_NAME
-    analyze_paths([SRC], cache_path=cache_file)  # cold, populates cache
-
-    start = time.perf_counter()
-    warm = analyze_paths([SRC], cache_path=cache_file)
-    elapsed = time.perf_counter() - start
-    assert warm.cache_misses == 0
-    assert warm.cache_hits == warm.files_checked
-    assert elapsed < 5.0, f"warm whole-repo lint took {elapsed:.2f}s"
 
 
 def test_every_baseline_entry_is_justified():

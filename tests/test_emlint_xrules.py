@@ -465,9 +465,9 @@ def test_import_graph_edges_resolve_submodules(tmp_path):
     )
     result = analyze_paths([root], rules=[], cross_rules=[], layers=LAYERS)
     assert result.findings == []  # graph building alone yields nothing
-    from repro.devtools.cache import extract_outcomes
+    from repro.devtools.engine import _check_file, iter_python_files
 
-    outcomes, _, _ = extract_outcomes([root], [])
-    modules = {o.facts.module: o.facts for o in outcomes if o.facts}
+    facts = [_check_file(path, [], True)[1] for path in iter_python_files([root])]
+    modules = {f.module: f for f in facts}
     graph = build_import_graph(modules)
     assert graph["pkg.core.a"] == {"pkg.core.b", "pkg.cli"}

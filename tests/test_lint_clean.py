@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.engine import lint_paths
+from repro.devtools.engine import analyze_paths
 from repro.devtools.lint import main
 from repro.devtools.rules import rule_names
 from repro.devtools.xrules import cross_rule_names
@@ -45,7 +45,7 @@ VIOLATIONS = {
 
 
 def test_source_tree_is_lint_clean():
-    result = lint_paths([SRC])
+    result = analyze_paths([SRC], cross_rules=[])
     assert result.files_checked > 50
     details = "\n".join(f.format() for f in result.findings)
     assert result.findings == [], f"emlint regressions in src/:\n{details}"
@@ -53,22 +53,16 @@ def test_source_tree_is_lint_clean():
 
 def test_obs_package_is_lint_clean():
     """The observability layer holds to the same rules as the pipeline."""
-    result = lint_paths([SRC / "obs"])
+    result = analyze_paths([SRC / "obs"], cross_rules=[])
     assert result.files_checked >= 6
     details = "\n".join(f.format() for f in result.findings)
     assert result.findings == [], f"emlint regressions in src/repro/obs:\n{details}"
 
 
-def test_cli_exits_zero_on_clean_tree(tmp_path, capsys, monkeypatch):
+def test_cli_exits_zero_on_clean_tree(capsys, monkeypatch):
     """The full analyzer (cross rules included) passes under the baseline."""
     monkeypatch.chdir(REPO_ROOT)  # baseline paths are repo-relative
-    argv = [
-        str(SRC),
-        "--baseline",
-        str(REPO_ROOT / ".emlint_baseline.json"),
-        "--cache",
-        str(tmp_path / "cache.json"),
-    ]
+    argv = [str(SRC), "--baseline", str(REPO_ROOT / ".emlint_baseline.json")]
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert "0 findings" in captured.out
@@ -80,7 +74,7 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys, monkeypatch):
 def test_cli_flags_seeded_violation(rule, tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(VIOLATIONS[rule])
-    assert main([str(bad), "--no-cache"]) == 1
+    assert main([str(bad)]) == 1
     out = capsys.readouterr().out
     # file:line diagnostics naming the violated rule
     assert f"{bad}:" in out
@@ -126,7 +120,7 @@ def test_cli_rejects_broken_baseline(tmp_path, capsys):
 def test_cli_flags_syntax_error(tmp_path, capsys):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n")
-    assert main([str(bad), "--no-cache"]) == 1
+    assert main([str(bad)]) == 1
     assert "parse-error" in capsys.readouterr().out
 
 
@@ -151,8 +145,8 @@ def test_cli_write_baseline_roundtrip(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(items=[]):\n    return items\n")
     baseline = tmp_path / "base.json"
-    assert main([str(bad), "--no-cache", "--write-baseline", str(baseline)]) == 0
+    assert main([str(bad), "--write-baseline", str(baseline)]) == 0
     assert "wrote 1 baseline entry" in capsys.readouterr().out
     # The same tree now passes under the baseline it just wrote.
-    assert main([str(bad), "--no-cache", "--baseline", str(baseline)]) == 0
+    assert main([str(bad), "--baseline", str(baseline)]) == 0
     assert "1 baselined" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,10 +89,26 @@ class TestConfigFingerprint:
 
 
 class TestGitRev:
-    def test_inside_repo(self):
-        rev = git_rev(Path(__file__).resolve().parent.parent)
-        assert rev != "unknown"
+    def test_inside_repo(self, tmp_path):
+        # A repository of its own, so the test also holds on an
+        # exported tree that has no .git directory.
+        identity = ["-c", "user.name=test", "-c", "user.email=test@example.invalid"]
+
+        def git(*args):
+            return subprocess.run(
+                ["git", *identity, "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "first")
+        head = git("rev-parse", "HEAD")
+        rev = git_rev(tmp_path)
         assert len(rev) >= 7
+        assert head.startswith(rev)
 
     def test_outside_repo_is_unknown(self, tmp_path):
         assert git_rev(tmp_path) == "unknown"

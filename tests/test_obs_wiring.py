@@ -271,8 +271,3 @@ class TestBenchHarness:
         bench_conftest._BENCH_RESULTS.clear()
         bench_conftest.pytest_sessionfinish(session=None, exitstatus=0)
         assert not bench_conftest._LEDGER_PATH.exists()
-
-    def test_snapshot_write_leaves_no_temp(self, bench_conftest, tmp_path):
-        self._session(bench_conftest, "benchmarks/test_a.py::test_a", 0.5)
-        leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []

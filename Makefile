@@ -11,9 +11,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Whole-program analysis (per-file + cross-module rules) in one pass
-# over every file; known debt lives in the baseline.
+# over every file; findings are silenced only by inline comments.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/ --baseline .emlint_baseline.json
+	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/
 
 # Judge the run ledger against its own recent history; exits 3 on a
 # statistically significant slowdown, 0 when stable or when the ledger

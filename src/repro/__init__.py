@@ -25,12 +25,27 @@ Quickstart::
     print(profile.summary())
 """
 
-from .core.profiler import Emprof
-from .core.streaming import StreamingEmprof
-from .sim.machine import Machine, SimulationResult, simulate
-from .workloads.microbenchmark import Microbenchmark
+import importlib
 
 __version__ = "1.0.0"
+
+#: Quickstart name -> the module that defines it.  They load on first
+#: use, so importing a light submodule (``repro.devtools.lint``, say)
+#: does not pull in numpy and scipy.
+_LAZY = {
+    "Emprof": ".core.profiler",
+    "StreamingEmprof": ".core.streaming",
+    "Machine": ".sim.machine",
+    "SimulationResult": ".sim.machine",
+    "simulate": ".sim.machine",
+    "Microbenchmark": ".workloads.microbenchmark",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name], __name__), name)
 
 __all__ = [
     "Emprof",

@@ -9,14 +9,15 @@ Two halves, both specific to this codebase's failure modes:
   silent excepts) and extracts a per-module fact base
   (:mod:`repro.devtools.facts`) in one parse and walk of each file.
   Phase 2 runs cross-module rules (:mod:`repro.devtools.xrules`) over
-  the import graph and layer map (:mod:`repro.devtools.graph`,
-  configured via ``pyproject.toml`` ``[tool.emlint]``): architecture
-  layering, import cycles, concurrency safety (shared mutable state,
-  fork-unsafe import-time captures, unpicklable worker targets), and
-  hot-loop vectorization.  Known debt is carried in an adopt-now
-  baseline (:mod:`repro.devtools.baseline`); reports come out as
-  text, JSON, or SARIF (:mod:`repro.devtools.reporters`).  The
-  tier-1 tests ``tests/test_lint_clean.py`` keep the tree clean.
+  the import graph and the one layer map,
+  ``DEFAULT_LAYER_CONFIG`` in :mod:`repro.devtools.graph`:
+  architecture layering, import cycles, concurrency safety (shared
+  mutable state, fork-unsafe import-time captures, unpicklable worker
+  targets), and hot-loop vectorization.  ``rules.ALL_RULES`` registers
+  every rule of both phases.  A finding is silenced only by an inline
+  ``# emlint: disable=<rule>`` comment that carries its reason; reports
+  come out as text, JSON, or SARIF (:mod:`repro.devtools.reporters`).
+  The tier-1 tests ``tests/test_lint_clean.py`` keep the tree clean.
 
 * :mod:`repro.devtools.contracts` - runtime contracts (decorators and
   check functions) asserting the event invariants the analysis
@@ -27,14 +28,12 @@ Two halves, both specific to this codebase's failure modes:
   ``EMPROF_CONTRACTS=0`` environment variable.
 
 See ``docs/static-analysis.md`` for the rule catalogue, the layer
-map, the suppression syntax (``# emlint: disable=<rule>``), and the
-baseline workflow.
+map, and the suppression syntax.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "baseline",
     "contracts",
     "engine",
     "facts",

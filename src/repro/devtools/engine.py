@@ -3,8 +3,9 @@
 The engine is rule-agnostic: a :class:`Rule` inspects one parsed module
 and yields :class:`Finding` objects; the engine parses files, collects
 findings from every rule, and drops those silenced by a
-``# emlint: disable=<rule>`` comment.  Rules themselves live in
-:mod:`repro.devtools.rules`.
+``# emlint: disable=<rule>`` comment, the one way to silence a
+finding.  Rules themselves, and the one registry naming them all,
+live in :mod:`repro.devtools.rules`.
 
 Each file takes one step (:func:`_check_source`): it is parsed once,
 its suppression map is built once, and its nodes are walked once into
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .facts import ModuleFacts, extract_facts, module_name_for
+from .graph import DEFAULT_LAYER_CONFIG, LayerConfig
 
 _SUPPRESS_RE = re.compile(r"#\s*emlint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
@@ -95,19 +97,11 @@ class Rule:
 
 @dataclass
 class LintResult:
-    """Aggregate outcome of linting one or more files.
-
-    The whole-program driver (:func:`analyze_paths`) additionally
-    fills the count of findings silenced by an adopt-now baseline, and
-    the keys of baseline entries that no longer match anything (stale
-    — the debt was paid, remove the entry).
-    """
+    """Aggregate outcome of linting one or more files."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed_count: int = 0
-    baseline_suppressed: int = 0
-    stale_baseline: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -146,10 +140,18 @@ def _is_suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
     return "all" in names or finding.rule.lower() in names
 
 
-def _default_rules() -> Sequence[Rule]:
-    from .rules import ALL_RULES  # deferred: rules.py imports this module
+def _split_rules(rules: Optional[Sequence] = None) -> Tuple[List[Rule], list]:
+    """(per-file, whole-program) rules of ``rules`` (None = every rule).
 
-    return [cls() for cls in ALL_RULES]
+    A per-file rule is a :class:`Rule`; anything else is a cross rule
+    (:class:`repro.devtools.xrules.CrossRule`).
+    """
+    if rules is None:
+        from .rules import ALL_RULES  # deferred: rules.py imports this module
+
+        rules = [cls() for cls in ALL_RULES]
+    per_file = [rule for rule in rules if isinstance(rule, Rule)]
+    return per_file, [rule for rule in rules if not isinstance(rule, Rule)]
 
 
 def _check_source(
@@ -233,9 +235,8 @@ def lint_source(
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
-    """Lint one module's source text (per-file rules only)."""
-    active = list(rules) if rules is not None else list(_default_rules())
-    return _check_source(source, path, active)[0]
+    """Lint one module's source text (the per-file rules of ``rules``)."""
+    return _check_source(source, path, _split_rules(rules)[0])[0]
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -260,19 +261,11 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _default_cross_rules():
-    from .xrules import ALL_CROSS_RULES  # deferred: xrules imports this module
-
-    return [cls() for cls in ALL_CROSS_RULES]
-
-
 def analyze_paths(
     paths: Sequence[Path],
-    rules: Optional[Sequence[Rule]] = None,
-    cross_rules=None,
+    rules: Optional[Sequence] = None,
     *,
-    layers=None,
-    baseline=None,
+    layers: LayerConfig = DEFAULT_LAYER_CONFIG,
 ) -> LintResult:
     """Two-phase whole-program analysis over every file under ``paths``.
 
@@ -282,27 +275,19 @@ def analyze_paths(
     the project fact base (import graph + layer map) and runs the
     cross-module rules over it.  Inline ``# emlint: disable=``
     suppressions apply to cross findings through the suppression maps
-    the facts carry; an optional adopt-now ``baseline``
-    (:class:`repro.devtools.baseline.Baseline`) filters the final
-    finding list and reports stale entries.
+    the facts carry.
 
     Args:
         paths: files or directories to analyze.
-        rules: per-file rules (default: all registered).
-        cross_rules: cross-module rules (default: all registered);
-            pass ``[]`` to skip phase 2 entirely.
-        layers: a :class:`repro.devtools.graph.LayerConfig`; default
-            loads ``pyproject.toml`` from the current directory,
-            falling back to the built-in repository map.
-        baseline: adopt-now suppression file, already loaded.
+        rules: rule instances, per-file and cross-module mixed (default:
+            every registered rule); phase 2 runs only when a cross rule
+            is among them.
+        layers: the layer map the cross rules enforce (default: the
+            repository's own).
     """
-    from .graph import load_layer_config
-    from .xrules import ProgramFacts
+    from .xrules import ProgramFacts  # deferred: xrules imports this module
 
-    active = list(rules) if rules is not None else list(_default_rules())
-    active_cross = (
-        list(cross_rules) if cross_rules is not None else _default_cross_rules()
-    )
+    active, active_cross = _split_rules(rules)
 
     result = LintResult()
     modules: Dict[str, ModuleFacts] = {}
@@ -315,8 +300,7 @@ def analyze_paths(
             modules[facts.module] = facts
 
     if active_cross:
-        layer_config = layers if layers is not None else load_layer_config()
-        program = ProgramFacts.build(modules, layers=layer_config)
+        program = ProgramFacts.build(modules, layers=layers)
         suppression_by_path = {
             facts.path: facts.suppressions for facts in modules.values()
         }
@@ -332,12 +316,6 @@ def analyze_paths(
                 result.suppressed_count += 1
             else:
                 result.findings.append(finding)
-
-    if baseline is not None:
-        kept, suppressed = baseline.apply(result.findings)
-        result.findings = kept
-        result.baseline_suppressed = suppressed
-        result.stale_baseline = [e.key for e in baseline.stale_entries()]
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result

@@ -1,9 +1,7 @@
 """Phase 2 substrate: the project import graph and the layer map.
 
-The layer map is declared ``pyproject``-style under ``[tool.emlint]``
-(parsed with stdlib :mod:`tomllib`); :data:`DEFAULT_LAYER_CONFIG`
-encodes the repository's architecture as a built-in fallback so the
-analyzer works on any tree without configuration:
+:data:`DEFAULT_LAYER_CONFIG` is the one layer map: it encodes the
+repository's architecture, and a new module gets its layer there:
 
 * ``core`` / ``emsignal`` / ``sim`` (and the other library layers)
   must not import ``experiments`` / ``cli`` internals, nor the
@@ -24,15 +22,9 @@ edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .facts import ImportFact, ModuleFacts
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - older interpreters
-    tomllib = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +72,8 @@ class LayerConfig:
         )
 
 
-#: The repository's architecture, used when no ``[tool.emlint]`` table
-#: is found.  Kept in sync with ``pyproject.toml`` by a test.
+#: The repository's architecture.  Every module under ``src/repro``
+#: but the package root must have a layer here (a test checks it).
 DEFAULT_LAYER_CONFIG = LayerConfig(
     layers={
         "core": ("repro.core",),
@@ -129,58 +121,6 @@ DEFAULT_LAYER_CONFIG = LayerConfig(
     stdlib_only=("obs-api", "obs-internal"),
     hot=("repro.core", "repro.emsignal", "repro.attribution"),
 )
-
-
-def _as_str_tuple(value: object, context: str) -> Tuple[str, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise ValueError(f"[tool.emlint] {context} must be a list of strings")
-    return tuple(value)
-
-
-def layer_config_from_dict(payload: Mapping[str, object]) -> LayerConfig:
-    """Build a :class:`LayerConfig` from a ``[tool.emlint]`` table."""
-    layers = {
-        str(name): _as_str_tuple(prefixes, f"layers.{name}")
-        for name, prefixes in (payload.get("layers") or {}).items()
-    }
-    forbidden = {
-        str(name): _as_str_tuple(targets, f"forbidden.{name}")
-        for name, targets in (payload.get("forbidden") or {}).items()
-    }
-    for source, targets in forbidden.items():
-        unknown = [t for t in (source, *targets) if t not in layers]
-        if unknown:
-            raise ValueError(
-                f"[tool.emlint] forbidden references unknown layer(s): "
-                f"{', '.join(sorted(set(unknown)))}"
-            )
-    stdlib_only = _as_str_tuple(payload.get("stdlib_only") or [], "stdlib_only")
-    hot = _as_str_tuple(payload.get("hot") or [], "hot")
-    return LayerConfig(
-        layers=layers, forbidden=forbidden, stdlib_only=stdlib_only, hot=hot
-    )
-
-
-def load_layer_config(pyproject: Optional[Path] = None) -> LayerConfig:
-    """Layer config from ``pyproject.toml``, else the built-in default.
-
-    Raises:
-        ValueError: the ``[tool.emlint]`` table is malformed (an
-            unreadable/absent file silently falls back to the default;
-            a *broken* config must not).
-    """
-    if pyproject is None:
-        pyproject = Path("pyproject.toml")
-    if tomllib is None or not Path(pyproject).is_file():
-        return DEFAULT_LAYER_CONFIG
-    with open(pyproject, "rb") as handle:
-        payload = tomllib.load(handle)
-    table = payload.get("tool", {}).get("emlint")
-    if not table:
-        return DEFAULT_LAYER_CONFIG
-    return layer_config_from_dict(table)
 
 
 # ---------------------------------------------------------------------------

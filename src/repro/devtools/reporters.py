@@ -10,7 +10,7 @@ from typing import Dict, Optional
 from .engine import LintResult
 
 #: bumped whenever the JSON shape changes incompatibly
-JSON_FORMAT_VERSION = 3
+JSON_FORMAT_VERSION = 4
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -23,17 +23,11 @@ def render_text(result: LintResult) -> str:
     """One ``path:line:col: rule: message`` line per finding + summary."""
     lines = [finding.format() for finding in result.findings]
     noun = "finding" if len(result.findings) == 1 else "findings"
-    summary = (
+    lines.append(
         f"emlint: {len(result.findings)} {noun} in "
         f"{result.files_checked} file(s) "
-        f"({result.suppressed_count} suppressed"
+        f"({result.suppressed_count} suppressed)"
     )
-    if result.baseline_suppressed:
-        summary += f", {result.baseline_suppressed} baselined"
-    summary += ")"
-    lines.append(summary)
-    for key in result.stale_baseline:
-        lines.append(f"emlint: stale baseline entry (fixed? remove it): {key}")
     return "\n".join(lines)
 
 
@@ -44,8 +38,6 @@ def render_json(result: LintResult) -> str:
         "files_checked": result.files_checked,
         "finding_count": len(result.findings),
         "suppressed_count": result.suppressed_count,
-        "baseline_suppressed": result.baseline_suppressed,
-        "stale_baseline": list(result.stale_baseline),
         "findings": [asdict(finding) for finding in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

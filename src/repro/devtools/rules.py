@@ -1,7 +1,7 @@
-"""emlint rules: the project's domain invariants as AST checks.
+"""emlint rules: the per-file checks and the one registry of every rule.
 
-Seven rules ship with the tool (see ``docs/static-analysis.md`` for
-the full catalogue with examples):
+Seven per-file rules ship with the tool (see ``docs/static-analysis.md``
+for the full catalogue with examples):
 
 ``unit-safety``
     EMPROF juggles processor cycles, receiver samples, seconds, and
@@ -46,14 +46,28 @@ the full catalogue with examples):
     ``schema_version=`` keyword (``FLIGHT_SCHEMA_VERSION``) so a
     recorded log can never silently change meaning across versions;
     positional or omitted versions are flagged.
+
+:data:`ALL_RULES` registers them together with the cross-module rules
+of :mod:`repro.devtools.xrules`; :func:`rules_by_name` looks up either
+kind.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .engine import FileContext, Finding, Rule
+from .xrules import (
+    CrossRule,
+    ForkUnsafetyRule,
+    HotLoopRule,
+    ImportCycleRule,
+    LayeringRule,
+    SharedMutableStateRule,
+    SignalHandlerRule,
+    UnpicklableTargetRule,
+)
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -603,10 +617,12 @@ class ObsEventSchemaRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: every rule, per-file and cross-module
 # ---------------------------------------------------------------------------
 
-ALL_RULES: Tuple[Type[Rule], ...] = (
+#: Every emlint rule, the per-file ones first.  The driver tells the two
+#: kinds apart by class (:class:`Rule` vs. :class:`CrossRule`).
+ALL_RULES: Tuple[type, ...] = (
     UnitSafetyRule,
     DeterminismRule,
     ConfigImmutabilityRule,
@@ -614,6 +630,13 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     MutableDefaultArgRule,
     SilentExceptRule,
     ObsEventSchemaRule,
+    LayeringRule,
+    ImportCycleRule,
+    SharedMutableStateRule,
+    ForkUnsafetyRule,
+    UnpicklableTargetRule,
+    SignalHandlerRule,
+    HotLoopRule,
 )
 
 
@@ -622,14 +645,14 @@ def rule_names() -> List[str]:
     return [cls.name for cls in ALL_RULES]
 
 
-def rules_by_name(names: Sequence[str]) -> List[Rule]:
-    """Instantiate the rules named in ``names``.
+def rules_by_name(names: Sequence[str]) -> List[Union[Rule, CrossRule]]:
+    """Instantiate the rules named in ``names``, per-file or cross-module.
 
     Raises:
         KeyError: if a name is not registered.
     """
     registry = {cls.name: cls for cls in ALL_RULES}
-    out: List[Rule] = []
+    out: List[Union[Rule, CrossRule]] = []
     for name in names:
         if name not in registry:
             raise KeyError(name)

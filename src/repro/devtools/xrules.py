@@ -6,7 +6,7 @@ the import graph, the layer map, and every module's extracted facts.
 Three families ship:
 
 **Architecture layering** (``layering``, ``import-cycle``) — the
-declarative layer map (``pyproject.toml`` ``[tool.emlint]``) says
+declarative layer map (:data:`repro.devtools.graph.DEFAULT_LAYER_CONFIG`) says
 which layers may import which; violations and module-level import
 cycles are findings.  ``obs`` additionally stays stdlib-only at
 import time.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Set, Tuple
 
 from .engine import Finding
 from .facts import ModuleFacts
@@ -438,33 +438,3 @@ class HotLoopRule(CrossRule):
                 f"replace with vectorized run-length/boundary detection"
             )
         return None
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-ALL_CROSS_RULES: Tuple[Type[CrossRule], ...] = (
-    LayeringRule,
-    ImportCycleRule,
-    SharedMutableStateRule,
-    ForkUnsafetyRule,
-    UnpicklableTargetRule,
-    SignalHandlerRule,
-    HotLoopRule,
-)
-
-
-def cross_rule_names() -> List[str]:
-    return [cls.name for cls in ALL_CROSS_RULES]
-
-
-def cross_rules_by_name(names: Sequence[str]) -> List[CrossRule]:
-    """Instantiate the cross rules named; unknown names raise KeyError."""
-    registry = {cls.name: cls for cls in ALL_CROSS_RULES}
-    out: List[CrossRule] = []
-    for name in names:
-        if name not in registry:
-            raise KeyError(name)
-        out.append(registry[name]())
-    return out

@@ -366,16 +366,17 @@ class Campaign:
         """Enforce ``flight_retain``: drop the oldest ``.flight`` files.
 
         Best-effort: concurrent workers may race to delete the same
-        file, so a vanished path is not an error.
+        file, so a path that vanishes between the listing, its ``stat``
+        and its ``unlink`` is skipped, not an error.
         """
         if self.flight_retain is None:
             return
-        sidecars = sorted(
-            self.directory.glob("*.flight"),
-            key=lambda p: p.stat().st_mtime,
-            reverse=True,
-        )
-        for stale in sidecars[self.flight_retain:]:
+        aged = []
+        for sidecar in self.directory.glob("*.flight"):
+            with contextlib.suppress(FileNotFoundError):
+                aged.append((sidecar.stat().st_mtime, sidecar))
+        aged.sort(key=lambda pair: pair[0], reverse=True)
+        for _, stale in aged[self.flight_retain:]:
             with contextlib.suppress(FileNotFoundError):
                 stale.unlink()
 

@@ -366,9 +366,17 @@ def load_ground_truth(path: PathLike) -> GroundTruth:
 
 
 def _decode_ground_truth(data, fmt: str, path: PathLike) -> GroundTruth:
-    """Decode the columnar arrays of one ground-truth npz."""
-    n_miss = len(data["miss_addr"])
-    n_stall = len(data["stall_begin"])
+    """Decode the columnar arrays of one ground-truth npz.
+
+    Each ``data[key]`` decompresses its whole member again, so every
+    column is read exactly once.
+    """
+    miss_addr = data["miss_addr"]
+    miss_detect = data["miss_detect"]
+    stall_begin = data["stall_begin"]
+    stall_end = data["stall_end"]
+    n_miss = len(miss_addr)
+    n_stall = len(stall_begin)
     if fmt == _TRUTH_FORMAT:
         _verify_lengths_and_checksum(
             path,
@@ -376,33 +384,37 @@ def _decode_ground_truth(data, fmt: str, path: PathLike) -> GroundTruth:
             actual_n=n_miss,
             expected_crc=int(data["checksum"]),
             arrays=(
-                np.asarray(data["miss_addr"], dtype=np.int64),
-                np.asarray(data["miss_detect"], dtype=np.int64),
-                np.asarray(data["stall_begin"], dtype=np.int64),
-                np.asarray(data["stall_end"], dtype=np.int64),
+                np.asarray(miss_addr, dtype=np.int64),
+                np.asarray(miss_detect, dtype=np.int64),
+                np.asarray(stall_begin, dtype=np.int64),
+                np.asarray(stall_end, dtype=np.int64),
             ),
             what="ground truth",
         )
-        if int(data["n_stalls"]) != n_stall:
+        n_stalls_header = int(data["n_stalls"])
+        if n_stalls_header != n_stall:
             raise CorruptCaptureError(
                 f"truncated ground truth: header promises "
-                f"{int(data['n_stalls'])} stalls, file holds {n_stall}",
+                f"{n_stalls_header} stalls, file holds {n_stall}",
                 path=path,
             )
+    kind = data["miss_kind"].tolist()
+    addr = miss_addr.tolist()
+    detect = miss_detect.tolist()
+    ready = data["miss_ready"].tolist()
+    miss_stall = data["miss_stall"].tolist()
+    miss_refresh = data["miss_refresh"].tolist()
+    miss_region = data["miss_region"].tolist()
     misses = [
         MissRecord(
             miss_id=i,
-            kind=str(data["miss_kind"][i]),
-            addr=int(data["miss_addr"][i]),
-            detect_cycle=int(data["miss_detect"][i]),
-            ready_cycle=int(data["miss_ready"][i]),
-            stall_id=(
-                None
-                if int(data["miss_stall"][i]) < 0
-                else int(data["miss_stall"][i])
-            ),
-            refresh_blocked=bool(data["miss_refresh"][i]),
-            region=int(data["miss_region"][i]),
+            kind=str(kind[i]),
+            addr=int(addr[i]),
+            detect_cycle=int(detect[i]),
+            ready_cycle=int(ready[i]),
+            stall_id=None if int(miss_stall[i]) < 0 else int(miss_stall[i]),
+            refresh_blocked=bool(miss_refresh[i]),
+            region=int(miss_region[i]),
         )
         for i in range(n_miss)
     ]
@@ -412,15 +424,20 @@ def _decode_ground_truth(data, fmt: str, path: PathLike) -> GroundTruth:
         raise CorruptCaptureError(
             f"malformed stall_misses JSON: {exc}", path=path
         ) from exc
+    begin = stall_begin.tolist()
+    end = stall_end.tolist()
+    cause = data["stall_cause"].tolist()
+    stall_refresh = data["stall_refresh"].tolist()
+    stall_region = data["stall_region"].tolist()
     stalls = [
         StallRecord(
             stall_id=i,
-            begin_cycle=int(data["stall_begin"][i]),
-            end_cycle=int(data["stall_end"][i]),
-            cause=str(data["stall_cause"][i]),
+            begin_cycle=int(begin[i]),
+            end_cycle=int(end[i]),
+            cause=str(cause[i]),
             miss_ids=list(miss_lists[i]),
-            refresh=bool(data["stall_refresh"][i]),
-            region=int(data["stall_region"][i]),
+            refresh=bool(stall_refresh[i]),
+            region=int(stall_region[i]),
         )
         for i in range(n_stall)
     ]

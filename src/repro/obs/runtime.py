@@ -37,5 +37,7 @@ def set_obs_enabled(enabled: bool) -> bool:
     """Enable/disable observability; returns the previous setting."""
     global _enabled
     previous = _enabled
-    _enabled = bool(enabled)
+    # A process-wide feature flag flipped before worker threads start;
+    # a lock would not change observable behavior.
+    _enabled = bool(enabled)  # emlint: disable=shared-mutable-state
     return previous

@@ -11,12 +11,11 @@ EMPROF validation methodology needs (Section V-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
-from ..workloads.base import Workload
 from .cache import CacheHierarchy
 from .config import MachineConfig
 from .dram import MainMemory
@@ -26,6 +25,11 @@ from .power import PowerAccumulator
 from .prefetcher import StridePrefetcher
 from .tlb import Tlb
 from .trace import GroundTruth
+
+if TYPE_CHECKING:
+    # Annotations only: workloads.base imports sim.config, whose package
+    # imports this module, so a runtime import here is circular.
+    from ..workloads.base import Workload
 
 _SIM_CYCLES = _metrics.counter(
     "sim_cycles_total", "processor cycles simulated across all runs"
@@ -126,7 +130,7 @@ class Machine:
     ) -> SimulationResult:
         """Execute ``workload`` from cold caches and collect results."""
         region_names: Dict[int, str] = {}
-        if isinstance(workload, Workload) or hasattr(workload, "instructions"):
+        if hasattr(workload, "instructions"):
             stream = workload.instructions(self.config)
             region_names = dict(getattr(workload, "region_names", {}) or {})
         else:

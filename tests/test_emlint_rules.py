@@ -419,7 +419,8 @@ class TestReporters:
 
 
 def test_rules_by_name_roundtrip():
-    rules = rules_by_name(["determinism", "unit-safety"])
-    assert [r.name for r in rules] == ["determinism", "unit-safety"]
+    # one lookup serves per-file and cross-module rules alike
+    rules = rules_by_name(["determinism", "hot-loop", "unit-safety"])
+    assert [r.name for r in rules] == ["determinism", "hot-loop", "unit-safety"]
     with pytest.raises(KeyError):
         rules_by_name(["nope"])

@@ -1,31 +1,31 @@
-"""Whole-program driver: one pass per file, baseline, SARIF, the repo gate.
+"""Whole-program driver: one pass per file, reports, the one layer map.
 
 Covers the one-pass driver (each file parsed once, on the calling
-thread, with repeatable results), the adopt-now baseline (suppress,
-stale detection, regeneration), SARIF output shape, the pyproject <->
-built-in layer-map sync promise, and the repository-level guarantee
-that ``src/`` analyzes clean under the checked-in baseline.
+thread, with repeatable results), the JSON and SARIF output shapes,
+the one rule registry, the layer map covering every module of the
+package, and the repository-level guarantee that ``src/`` analyzes
+clean under the full analyzer.
 """
 
 import ast
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.devtools import engine
-from repro.devtools.baseline import Baseline, write_baseline
-from repro.devtools.engine import Finding, LintResult, analyze_paths
-from repro.devtools.graph import DEFAULT_LAYER_CONFIG, load_layer_config
+from repro.devtools.engine import (
+    Finding,
+    LintResult,
+    analyze_paths,
+    iter_python_files,
+)
+from repro.devtools.facts import module_name_for
+from repro.devtools.graph import DEFAULT_LAYER_CONFIG
 from repro.devtools.reporters import render_json, render_sarif
 from repro.devtools.rules import ALL_RULES
-from repro.devtools.xrules import ALL_CROSS_RULES, cross_rule_names
+from repro.devtools.xrules import CrossRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / ".emlint_baseline.json"
-
-RULES = [cls() for cls in ALL_RULES]
 
 
 def write_module(root: Path, name: str, source: str) -> Path:
@@ -57,7 +57,7 @@ def test_cold_extraction_of_the_tree_is_repeatable(monkeypatch):
     monkeypatch.setattr(engine, "_check_file", recording)
     for _ in range(2):
         passes.append([])
-        analyze_paths([SRC], RULES, layers=DEFAULT_LAYER_CONFIG)
+        analyze_paths([SRC])
     assert threads == {threading.get_ident()}
     for outcomes in passes:
         assert len(outcomes) > 50
@@ -89,7 +89,7 @@ def test_analyze_paths_parses_each_file_once(tmp_path, monkeypatch):
         return parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting)
-    result = analyze_paths([tmp_path], layers=DEFAULT_LAYER_CONFIG)
+    result = analyze_paths([tmp_path])
     assert result.files_checked == len(files)
     assert sorted(parsed) == sorted(str(f) for f in files)
     assert {f.rule for f in result.findings} >= {
@@ -98,96 +98,8 @@ def test_analyze_paths_parses_each_file_once(tmp_path, monkeypatch):
     }
 
 
-# -- baseline ---------------------------------------------------------------
-
-
 def _finding(rule="hot-loop", path="pkg/mod.py", line=3, message="msg"):
     return Finding(path=path, line=line, col=1, rule=rule, message=message)
-
-
-def test_baseline_suppresses_matching_finding(tmp_path):
-    baseline_path = tmp_path / "base.json"
-    write_baseline(baseline_path, [_finding()])
-    baseline = Baseline.load(baseline_path)
-
-    kept, suppressed = baseline.apply([_finding(), _finding(rule="layering")])
-    assert suppressed == 1
-    assert [f.rule for f in kept] == ["layering"]
-    assert baseline.stale_entries() == []
-
-
-def test_baseline_matches_independent_of_line_number(tmp_path):
-    baseline_path = tmp_path / "base.json"
-    write_baseline(baseline_path, [_finding(line=3)])
-    baseline = Baseline.load(baseline_path)
-    kept, suppressed = baseline.apply([_finding(line=99)])
-    assert (kept, suppressed) == ([], 1)
-
-
-def test_baseline_stale_entry_surfaced(tmp_path):
-    baseline_path = tmp_path / "base.json"
-    write_baseline(baseline_path, [_finding(), _finding(message="other")])
-    baseline = Baseline.load(baseline_path)
-    kept, suppressed = baseline.apply([_finding()])
-    assert (kept, suppressed) == ([], 1)
-    (stale,) = baseline.stale_entries()
-    assert stale.message == "other"
-
-
-def test_write_baseline_preserves_justifications(tmp_path):
-    baseline_path = tmp_path / "base.json"
-    write_baseline(baseline_path, [_finding()])
-    payload = json.loads(baseline_path.read_text())
-    payload["entries"][0]["justification"] = "reviewed: fine"
-    baseline_path.write_text(json.dumps(payload))
-
-    previous = Baseline.load(baseline_path)
-    write_baseline(
-        baseline_path, [_finding(), _finding(rule="layering")], previous
-    )
-    entries = {
-        e["rule"]: e["justification"]
-        for e in json.loads(baseline_path.read_text())["entries"]
-    }
-    assert entries["hot-loop"] == "reviewed: fine"
-    assert entries["layering"] == "TODO: justify or fix"
-
-
-def test_baseline_load_rejects_foreign_document(tmp_path):
-    bogus = tmp_path / "base.json"
-    bogus.write_text('{"schema": "something-else"}')
-    with pytest.raises(ValueError, match="not an emlint-baseline"):
-        Baseline.load(bogus)
-
-
-def test_analyze_paths_reports_baseline_counters(tmp_path):
-    pkg = tmp_path / "pkg" / "core"
-    pkg.mkdir(parents=True)
-    (tmp_path / "pkg" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "dsp.py").write_text(
-        "import numpy as np\n"
-        "def f(sig: np.ndarray):\n"
-        "    for v in sig:\n"
-        "        pass\n"
-    )
-    from repro.devtools.graph import LayerConfig
-
-    layers = LayerConfig(layers={"core": ("pkg.core",)}, hot=("pkg.core",))
-    unfiltered = analyze_paths([tmp_path], rules=[], layers=layers)
-    assert [f.rule for f in unfiltered.findings] == ["hot-loop"]
-
-    baseline_path = tmp_path / "base.json"
-    write_baseline(baseline_path, unfiltered.findings)
-    filtered = analyze_paths(
-        [tmp_path],
-        rules=[],
-        layers=layers,
-        baseline=Baseline.load(baseline_path),
-    )
-    assert filtered.findings == []
-    assert filtered.baseline_suppressed == 1
-    assert filtered.stale_baseline == []
 
 
 # -- reporters --------------------------------------------------------------
@@ -221,62 +133,45 @@ def test_sarif_rule_table_covers_unregistered_rules():
     assert run["results"][0]["ruleIndex"] == ids.index("parse-error")
 
 
-def test_json_report_carries_baseline_counters():
-    result = LintResult(
-        files_checked=3,
-        baseline_suppressed=4,
-        stale_baseline=["hot-loop::x.py::msg"],
-    )
+def test_json_report_shape():
+    result = LintResult(findings=[_finding()], files_checked=3, suppressed_count=2)
     payload = json.loads(render_json(result))
-    assert payload["version"] == 3
-    assert payload["baseline_suppressed"] == 4
-    assert payload["stale_baseline"] == ["hot-loop::x.py::msg"]
+    assert payload == {
+        "version": 4,
+        "files_checked": 3,
+        "finding_count": 1,
+        "suppressed_count": 2,
+        "findings": [
+            {
+                "path": "pkg/mod.py",
+                "line": 3,
+                "col": 1,
+                "rule": "hot-loop",
+                "message": "msg",
+            }
+        ],
+    }
 
 
-# -- layer-map sync ---------------------------------------------------------
+# -- the one layer map and the one registry ---------------------------------
 
 
-def test_pyproject_layer_map_matches_builtin_default():
-    """pyproject.toml [tool.emlint] mirrors DEFAULT_LAYER_CONFIG.
-
-    Both files promise this in comments; this is the test they cite.
-    """
-    config = load_layer_config(REPO_ROOT / "pyproject.toml")
-    assert dict(config.layers) == dict(DEFAULT_LAYER_CONFIG.layers)
-    assert dict(config.forbidden) == dict(DEFAULT_LAYER_CONFIG.forbidden)
-    assert set(config.stdlib_only) == set(DEFAULT_LAYER_CONFIG.stdlib_only)
-    assert set(config.hot) == set(DEFAULT_LAYER_CONFIG.hot)
-
-
-# -- repository gate --------------------------------------------------------
-
-
-def test_src_tree_clean_under_checked_in_baseline(monkeypatch):
-    """The tentpole acceptance check: src/ passes the full analyzer."""
-    monkeypatch.chdir(REPO_ROOT)  # baseline paths are repo-relative
-    result = analyze_paths(
-        [SRC],
-        layers=load_layer_config(REPO_ROOT / "pyproject.toml"),
-        baseline=Baseline.load(BASELINE),
-    )
-    assert result.findings == []
-    assert result.baseline_suppressed > 0  # the adopt-now worklist
-    assert result.stale_baseline == []  # no rotting entries
-
-
-def test_every_baseline_entry_is_justified():
-    """Adopt-now debt must carry a reviewed one-line justification."""
-    payload = json.loads(BASELINE.read_text())
-    for entry in payload["entries"]:
-        justification = entry.get("justification", "")
-        assert justification and not justification.startswith("TODO"), (
-            f"baseline entry for {entry['rule']} at {entry['path']} "
-            "has no justification"
-        )
+def test_every_package_module_has_a_layer():
+    """A new top-level module cannot slip past ``layering`` unseen."""
+    modules = [
+        module_name_for(path) for path in iter_python_files([SRC / "repro"])
+    ]
+    assert len(modules) > 50
+    unmapped = [
+        module
+        for module in modules
+        if module != "repro" and DEFAULT_LAYER_CONFIG.layer_of(module) is None
+    ]
+    assert unmapped == [], f"add these modules to DEFAULT_LAYER_CONFIG: {unmapped}"
 
 
 def test_cross_rule_registry_complete():
-    names = set(cross_rule_names())
+    names = {cls.name for cls in ALL_RULES if issubclass(cls, CrossRule)}
     assert names == {
         "layering",
         "import-cycle",
@@ -286,4 +181,14 @@ def test_cross_rule_registry_complete():
         "signal-handler",
         "hot-loop",
     }
-    assert len(ALL_CROSS_RULES) == len(names)
+    assert len({cls.name for cls in ALL_RULES}) == len(ALL_RULES) == 14
+
+
+# -- repository gate --------------------------------------------------------
+
+
+def test_src_tree_clean_under_full_analyzer():
+    """The tentpole acceptance check: src/ passes the full analyzer."""
+    result = analyze_paths([SRC])
+    assert result.findings == []
+    assert result.suppressed_count > 0  # inline, each with its reason

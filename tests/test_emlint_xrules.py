@@ -8,16 +8,15 @@ family, plus graph construction and suppression mechanics.
 
 from pathlib import Path
 
-import pytest
-
 from repro.devtools.engine import analyze_paths
 from repro.devtools.graph import (
+    DEFAULT_LAYER_CONFIG,
     LayerConfig,
     build_import_graph,
     find_cycles,
-    layer_config_from_dict,
-    load_layer_config,
 )
+from repro.devtools.rules import ALL_RULES
+from repro.devtools.xrules import CrossRule
 
 LAYERS = LayerConfig(
     layers={
@@ -50,7 +49,9 @@ def write_tree(tmp_path: Path, files: dict) -> Path:
 def analyze(tmp_path: Path, files: dict, **kw):
     root = write_tree(tmp_path, files)
     kw.setdefault("layers", LAYERS)
-    kw.setdefault("rules", [])  # cross-module rules only
+    kw.setdefault(  # cross-module rules only
+        "rules", [cls() for cls in ALL_RULES if issubclass(cls, CrossRule)]
+    )
     return analyze_paths([root], **kw)
 
 
@@ -411,47 +412,17 @@ def test_inline_suppression_silences_cross_finding(tmp_path):
     assert result.suppressed_count == 1
 
 
-# -- layer config loading ---------------------------------------------------
-
-
-def test_layer_config_from_pyproject(tmp_path):
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text(
-        "[tool.emlint]\n"
-        'hot = ["pkg.core"]\n'
-        'stdlib_only = ["obs"]\n'
-        "[tool.emlint.layers]\n"
-        'core = ["pkg.core"]\n'
-        'obs = ["pkg.obs"]\n'
-        "[tool.emlint.forbidden]\n"
-        'core = ["obs"]\n'
-    )
-    config = load_layer_config(pyproject)
-    assert config.layer_of("pkg.core.detect") == "core"
-    assert config.forbidden["core"] == ("obs",)
-    assert config.is_hot("pkg.core.detect")
-    assert not config.is_hot("pkg.obs.metrics")
-
-
-def test_layer_config_rejects_unknown_forbidden_layer():
-    with pytest.raises(ValueError, match="unknown layer"):
-        layer_config_from_dict(
-            {"layers": {"core": ["pkg.core"]}, "forbidden": {"core": ["nope"]}}
-        )
-
-
-def test_missing_pyproject_falls_back_to_default(tmp_path):
-    config = load_layer_config(tmp_path / "does-not-exist.toml")
-    assert config.layer_of("repro.core.detect") == "core"
-    assert config.layer_of("repro.obs.metrics") == "obs-api"
-    assert config.layer_of("repro.obs.ledger") == "obs-internal"
+# -- layer map ---------------------------------------------------------------
 
 
 def test_longest_prefix_wins():
-    config = load_layer_config(Path("/nonexistent"))
+    config = DEFAULT_LAYER_CONFIG
+    assert config.layer_of("repro.core.detect") == "core"
     # repro.obs.trace is carved out of repro.obs by the longer prefix.
     assert config.layer_of("repro.obs.trace") == "obs-api"
+    assert config.layer_of("repro.obs.metrics") == "obs-api"
     assert config.layer_of("repro.obs.dashboard") == "obs-internal"
+    assert config.layer_of("repro.obs.ledger") == "obs-internal"
 
 
 def test_import_graph_edges_resolve_submodules(tmp_path):
@@ -463,7 +434,7 @@ def test_import_graph_edges_resolve_submodules(tmp_path):
             "pkg/cli/__init__.py": "def main():\n    return 0\n",
         },
     )
-    result = analyze_paths([root], rules=[], cross_rules=[], layers=LAYERS)
+    result = analyze_paths([root], rules=[], layers=LAYERS)
     assert result.findings == []  # graph building alone yields nothing
     from repro.devtools.engine import _check_file, iter_python_files
 

@@ -195,6 +195,42 @@ class TestGroundTruthRoundtrip:
         with pytest.raises(ValueError):
             repro_io.load_ground_truth(path)
 
+    def test_large_truth_reads_each_column_once(self, tmp_path, monkeypatch):
+        # NpzFile[key] decompresses the whole member on every access, so
+        # a per-record column read made loading quadratic in the misses.
+        n = 3000
+        misses = [
+            MissRecord(i, DLOAD if i % 3 else IFETCH, 0x1000 + 64 * i,
+                       10 * i, 10 * i + 280,
+                       stall_id=None if i % 7 == 0 else i // 2,
+                       refresh_blocked=i % 11 == 0, region=i % 4)
+            for i in range(n)
+        ]
+        stalls = [
+            StallRecord(j, 20 * j, 20 * j + 260, CAUSE_DATA_MEM,
+                        [2 * j, 2 * j + 1], j % 5 == 0, j % 4)
+            for j in range(n // 2)
+        ]
+        truth = GroundTruth(misses=misses, stalls=stalls,
+                            total_cycles=10 * n + 300,
+                            total_instructions=40 * n)
+        path = tmp_path / "truth.npz"
+        repro_io.save_ground_truth(path, truth)
+
+        reads = {}
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(self, key):
+            reads[key] = reads.get(key, 0) + 1
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        loaded = repro_io.load_ground_truth(path)
+        assert loaded.misses == truth.misses
+        assert loaded.stalls == truth.stalls
+        assert "miss_addr" in reads
+        assert max(reads.values()) == 1, reads
+
 
 class TestCorruptionDetection:
     """v2 checksum/length verification and typed corruption errors."""

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,29 @@ class TestCampaignTelemetry:
         campaign.execute(self._specs(1))
         assert list((tmp_path / "camp").glob("*.flight")) == []
         assert repro_io.load_report(campaign.report_path("r0")).evidence is None
+
+    def test_prune_skips_a_sidecar_a_sibling_just_deleted(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = Campaign(tmp_path / "camp", flight=True, flight_retain=1)
+        for age, name in enumerate(["r0", "r1", "r2", "r3"]):
+            sidecar = campaign.directory / f"{name}.flight"
+            sidecar.write_text("x")
+            os.utime(sidecar, (1000 + age, 1000 + age))
+        vanishing = campaign.directory / "r1.flight"
+        stat = Path.stat
+
+        def racing_stat(self, *args, **kwargs):
+            if self == vanishing:
+                # A sibling worker unlinks it between glob() and stat().
+                os.unlink(self)
+            return stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", racing_stat)
+        campaign._prune_flights()
+        monkeypatch.undo()
+        remaining = sorted(p.name for p in campaign.directory.glob("*.flight"))
+        assert remaining == ["r3.flight"]
 
     def test_flight_retain_validated(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Tests for the one-command reproduction report generator."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.reportgen import ARTIFACTS, generate_report
@@ -14,16 +13,6 @@ class TestGenerateReport:
         assert "# EMPROF reproduction" in text
         assert "perf baseline anecdote" in text
         assert "32768 / 14543" in text
-
-    def test_figure_sections_save_series(self, tmp_path):
-        generate_report(tmp_path, scale=0.5, include=["fig12"])
-        data = np.load(tmp_path / "fig12_sweep.npz")
-        assert len(data["bandwidth_hz"]) == 10  # 2 devices x 5 bandwidths
-        assert (data["detected"] >= 0).all()
-
-    def test_table5_section(self, tmp_path):
-        path = generate_report(tmp_path, include=["table5"])
-        assert "batch_process" in path.read_text()
 
     def test_unknown_section_rejected(self, tmp_path):
         target = tmp_path / "out"
@@ -64,18 +53,14 @@ class TestCliIntegration:
         assert "table9" in err
         assert ", ".join(ARTIFACTS) in err
 
-    def test_table_prints_its_results_md_section(self, tmp_path, capsys):
+    def test_table_prints_its_results_md_section(self, capsys):
         from repro.cli import main
+        from tests.test_golden_report import golden_section
 
-        tables = [key for key in ARTIFACTS if key.startswith("table")]
-        text = generate_report(tmp_path, scale=0.5, include=tables).read_text()
-        for key in tables:
-            title = ARTIFACTS[key].title
-            section = text.split(f"## {title}\n\n```\n", 1)[1]
-            body = section.split("\n```\n", 1)[0]
+        for key in (key for key in ARTIFACTS if key.startswith("table")):
             capsys.readouterr()
-            assert main(["table", key.removeprefix("table"), "--scale", "0.5"]) == 0
-            assert capsys.readouterr().out == body + "\n", key
+            assert main(["table", key.removeprefix("table"), "--scale", "1"]) == 0
+            assert capsys.readouterr().out == golden_section(key) + "\n", key
 
     def test_compare_subcommand(self, tmp_path, capsys):
         from repro import io as repro_io

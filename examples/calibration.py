@@ -12,12 +12,12 @@ recovering a working configuration, plus the sensitivity profile that
 says which knobs actually matter on this target.
 """
 
-from repro.acquire import SimulatedSource
 from repro.core.calibrate import calibrate_detector, sensitivity
 from repro.core.markers import find_marker_window
 from repro.core.profiler import Emprof
 from repro.devices import samsung
 from repro.emsignal.channel import ChannelConfig
+from repro.experiments.runner import simulate_and_measure
 from repro.workloads import Microbenchmark
 
 
@@ -27,8 +27,7 @@ def main() -> None:
     # A mediocre probe position: low-ish SNR, noticeable drift.
     channel = ChannelConfig(probe_gain=0.4, snr_db=18.0, drift_amplitude=0.1,
                             seed=7)
-    source = SimulatedSource(workload, device=device, channel=channel, seed=7)
-    capture = source.capture()
+    _, capture = simulate_and_measure(workload, device, channel=channel, seed=7)
     print(f"calibration capture: {len(capture.magnitude)} samples on "
           f"{device.name} (SNR 18 dB, 10% drift)")
 
@@ -53,8 +52,7 @@ def main() -> None:
         print(f"  {knob:22s} {cells}")
 
     # Use the calibrated configuration on a fresh capture.
-    fresh = SimulatedSource(workload, device=device, channel=channel,
-                            seed=8).capture()
+    _, fresh = simulate_and_measure(workload, device, channel=channel, seed=8)
     profiler = Emprof.from_capture(fresh, config=result.config)
     window = find_marker_window(profiler.signal, marker_min_samples=200)
     report = profiler.profile_window(window.begin_sample, window.end_sample)

@@ -848,12 +848,18 @@ def extract_facts(
 
     # Which import statements execute at module scope: walk the module
     # body without descending into function bodies (class bodies *do*
-    # execute at import time).
+    # execute at import time) or the body of ``if TYPE_CHECKING:``.
     module_scope_imports: Set[int] = set()
     stack: List[ast.AST] = list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in (
+            getattr(node.test, "id", None),  # TYPE_CHECKING
+            getattr(node.test, "attr", None),  # typing.TYPE_CHECKING
+        ):
+            stack.extend(node.orelse)
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             module_scope_imports.add(id(node))

@@ -159,18 +159,36 @@ def resolve_import_edges(
     return edges
 
 
-def build_import_graph(
-    modules: Mapping[str, ModuleFacts],
-    module_level_only: bool = True,
-) -> Dict[str, Set[str]]:
-    """Adjacency map of project-internal imports (no external edges)."""
+def import_edges(
+    importer: str, fact: ImportFact, known_modules: Set[str]
+) -> List[str]:
+    """Every project module one import statement loads when it runs.
+
+    :func:`resolve_import_edges`, plus each package ``__init__`` on the
+    way that ``importer`` is not already inside: ``from a.b.c import x``
+    also runs ``a/__init__`` and ``a/b/__init__``.
+    """
+    edges: List[str] = []
+    for target in resolve_import_edges(fact, known_modules):
+        parts = target.split(".")
+        for depth in range(1, len(parts)):
+            package = ".".join(parts[:depth])
+            inside = f"{importer}.".startswith(f"{package}.")
+            if package in known_modules and not inside:
+                edges.append(package)
+        edges.append(target)
+    return edges
+
+
+def build_import_graph(modules: Mapping[str, ModuleFacts]) -> Dict[str, Set[str]]:
+    """Adjacency map of the project-internal imports that run at import time."""
     known = set(modules)
     graph: Dict[str, Set[str]] = {name: set() for name in known}
     for name, facts in modules.items():
         for imp in facts.imports:
-            if module_level_only and not imp.module_level:
+            if not imp.module_level:
                 continue
-            for edge in resolve_import_edges(imp, known):
+            for edge in import_edges(name, imp, known):
                 if edge != name:
                     graph[name].add(edge)
     return graph

@@ -41,6 +41,7 @@ from .graph import (
     LayerConfig,
     build_import_graph,
     find_cycles,
+    import_edges,
     resolve_import_edges,
 )
 
@@ -180,7 +181,7 @@ class ImportCycleRule(CrossRule):
             for imp in anchor.imports:
                 if imp.module_level and any(
                     edge in next_in_cycle
-                    for edge in resolve_import_edges(imp, set(program.modules))
+                    for edge in import_edges(cycle[0], imp, set(program.modules))
                 ):
                     lineno, col = imp.lineno, imp.col
                     break

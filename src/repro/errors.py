@@ -91,13 +91,3 @@ class ServiceError(EmprofError, RuntimeError):
     connection.
     """
 
-
-class JobInterruptedError(EmprofError, RuntimeError):
-    """A supervised campaign job's worker died, hung, or timed out.
-
-    Never raised through user code - the supervisor synthesizes it to
-    *describe* why a lease was revoked (the message lands in the
-    manifest's ``error`` field and the requeue ledger record), keeping
-    watchdog verdicts distinguishable from in-run failures
-    (:class:`AcquisitionError`), which are terminal and not requeued.
-    """

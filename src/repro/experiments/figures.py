@@ -15,6 +15,7 @@ import numpy as np
 
 from ..attribution.spectral import RegionTimeline
 from ..core.normalize import moving_average
+from ..core.profiler import Emprof
 from ..core.refresh import refresh_stats
 from ..core.stats import latency_histogram
 from ..devices.models import alcatel, by_name, olimex, sesc
@@ -23,6 +24,7 @@ from ..emsignal.receiver import MHZ, PAPER_BANDWIDTHS_HZ
 from ..emsignal.spectrogram import Spectrogram, compute_spectrogram
 from ..sim.config import MachineConfig
 from ..sim.isa import NO_CONSUMER, alu, branch, load
+from ..sim.machine import Machine
 from ..workloads.base import StreamWorkload
 from ..workloads.boot import BootWorkload
 from ..workloads.microbenchmark import Microbenchmark
@@ -30,6 +32,7 @@ from ..workloads.spec import spec_workload
 from .runner import (
     SPECTRAL_WINDOW_SAMPLES,
     ExperimentRun,
+    measure_result,
     run_attributed,
     run_device,
     run_simulator,
@@ -549,20 +552,24 @@ def fig12_bandwidth_sweep(
     """Effect of 20-160 MHz measurement bandwidth (Fig. 12).
 
     Uses fine-grained power bins (5 cycles) so every bandwidth up to
-    160 MHz is a true decimation of the source trace.
+    160 MHz is a true decimation of the source trace.  Each device runs
+    the benchmark once; only the receiver differs between bandwidths.
     """
     points = []
     for name in devices:
         device = by_name(name, bin_cycles=5)
-        workload = spec_workload(benchmark, scale=scale)
+        result = Machine(device, seed=seed).run(
+            spec_workload(benchmark, scale=scale)
+        )
         for bw in bandwidths_hz:
-            run = run_device(workload, device, bandwidth_hz=bw, seed=seed)
-            lat = run.report.latencies_cycles()
+            capture = measure_result(result, device, bandwidth_hz=bw, seed=seed)
+            report = Emprof.from_capture(capture).profile()
+            lat = report.latencies_cycles()
             points.append(
                 Fig12Point(
                     device=name,
                     bandwidth_hz=float(bw),
-                    detected_stalls=run.report.miss_count,
+                    detected_stalls=report.miss_count,
                     mean_stall_cycles=float(lat.mean()) if len(lat) else 0.0,
                     total_stall_cycles=float(lat.sum()) if len(lat) else 0.0,
                 )

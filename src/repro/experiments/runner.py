@@ -127,12 +127,24 @@ def simulate_and_measure(
     emission: Optional[EmissionModel] = None,
     seed: int = 0,
 ) -> Tuple[SimulationResult, Capture]:
-    """Run ``workload`` on ``device`` and record it through the EM apparatus.
+    """Run ``workload`` on ``device``, then :func:`measure_result` it."""
+    result = Machine(device, seed=seed).run(workload)
+    return result, measure_result(result, device, bandwidth_hz, channel, emission, seed)
+
+
+def measure_result(
+    result: SimulationResult,
+    device: MachineConfig,
+    bandwidth_hz: float = 40 * MHZ,
+    channel: Optional[ChannelConfig] = None,
+    emission: Optional[EmissionModel] = None,
+    seed: int = 0,
+) -> Capture:
+    """Record a simulation through a fresh EM apparatus (it only reads it).
 
     The channel defaults to the device's probe setup (see
     :func:`repro.devices.default_channel`).
     """
-    result = Machine(device, seed=seed).run(workload)
     apparatus = Apparatus(
         emission=emission if emission is not None else EmissionModel(),
         channel=(
@@ -142,7 +154,7 @@ def simulate_and_measure(
         ),
         bandwidth_hz=bandwidth_hz,
     )
-    return result, apparatus.measure(result)
+    return apparatus.measure(result)
 
 
 @dataclass(frozen=True)
@@ -284,8 +296,8 @@ def run_device(
 ) -> ExperimentRun:
     """Simulate, measure through the EM apparatus, and profile.
 
-    See :func:`simulate_and_measure` for the defaults of ``channel``
-    and ``emission``.
+    See :func:`measure_result` for the defaults of ``channel`` and
+    ``emission``.
     """
     begin = time.perf_counter()
     result, capture = simulate_and_measure(

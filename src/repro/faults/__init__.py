@@ -7,34 +7,30 @@ transmitters burst into the measurement band.  This package provides
 both halves of the robustness story:
 
 * :mod:`repro.faults.inject` - a deterministic, seeded fault-injection
-  layer that applies composable impairments to a signal or chunk
-  stream and records every injected event in an
-  :class:`~repro.faults.inject.ImpairmentLog`, so tests know ground
-  truth;
+  layer that applies composable impairments to a signal, records every
+  injected event in an :class:`~repro.faults.inject.ImpairmentLog`, so
+  tests know ground truth, and splits the result into the chunk stream
+  the streaming engine consumes (:func:`~repro.faults.inject.iter_chunks`);
 * :mod:`repro.faults.quality` - the runtime monitors the hardened
   streaming pipeline uses to *detect* impairments in an unknown
   capture and quality-gate the stalls it reports
   (``DetectedStall.low_confidence``).
 
 See ``docs/robustness.md`` for the fault model and gating semantics.
+The test doubles built on this package (faulty, flaky, crashing and
+stalling sources) live in ``tests/doubles.py``.
 """
 
 from .inject import (
     BurstFault,
-    ChunkResequencer,
     ClippingFault,
-    CrashingSource,
     DcDriftFault,
     DropoutFault,
     FaultInjector,
-    FaultySource,
-    FlakySource,
     GainStepFault,
-    StallingSource,
     ImpairedSignal,
     ImpairmentEvent,
     ImpairmentLog,
-    NumberedChunk,
     applied_clip_level,
     iter_chunks,
 )
@@ -43,20 +39,14 @@ from .quality import QualityConfig, QualityMonitor
 __all__ = [
     "BurstFault",
     "applied_clip_level",
-    "ChunkResequencer",
     "ClippingFault",
-    "CrashingSource",
     "DcDriftFault",
     "DropoutFault",
     "FaultInjector",
-    "FaultySource",
-    "FlakySource",
     "GainStepFault",
     "ImpairedSignal",
     "ImpairmentEvent",
     "ImpairmentLog",
-    "NumberedChunk",
-    "StallingSource",
     "QualityConfig",
     "QualityMonitor",
     "iter_chunks",

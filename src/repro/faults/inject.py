@@ -1,30 +1,28 @@
 """Deterministic, seeded injection of acquisition impairments.
 
 Every fault is a frozen dataclass; an injector applies a sequence of
-them to a magnitude signal (or a chunk stream) with a
-``numpy.random.Generator`` seeded at construction, so a given
-``(faults, seed)`` pair always produces bit-identical output.  Every
-injected event is recorded in an :class:`ImpairmentLog` in
-*output-stream* coordinates, giving chaos tests ground truth to check
-the pipeline's quality gating against.
+them to a magnitude signal with a ``numpy.random.Generator`` seeded
+at construction, so a given ``(faults, seed)`` pair always produces
+bit-identical output.  Every injected event is recorded in an
+:class:`ImpairmentLog` in *output-stream* coordinates, giving chaos
+tests ground truth to check the pipeline's quality gating against.
 
 Value-level faults (gain steps, DC drift, bursts, clipping) preserve
 sample count; :class:`DropoutFault` removes samples, which is what a
 digitizer overrun does - downstream sees a shorter stream with
 discontinuities, not padded zeros.  The injector applies dropouts
-last and remaps earlier events through the cut.
+last and remaps earlier events through the cut, and
+:func:`iter_chunks` splits the result into the ``(chunk, gap_before)``
+pairs that :class:`~repro.core.streaming.StreamingEmprof` consumes.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from ..errors import TransientAcquisitionError
 
 # ---------------------------------------------------------------------------
 # impairment ground truth
@@ -37,7 +35,7 @@ class ImpairmentEvent:
 
     Attributes:
         kind: ``dropout`` / ``clip`` / ``gain_step`` / ``burst`` /
-            ``dc_drift`` / ``chunk_dup`` / ``chunk_reorder``.
+            ``dc_drift``.
         begin_sample / end_sample: half-open impaired interval.  For a
             dropout both bounds equal the cut position (the samples no
             longer exist); the surrounding guard is the monitor's job.
@@ -419,220 +417,3 @@ def iter_chunks(
         for start in range(seg_begin, seg_end, chunk_samples):
             end = min(start + chunk_samples, seg_end)
             yield x[start:end], (gap_before if start == seg_begin else 0)
-
-
-# ---------------------------------------------------------------------------
-# chunk-stream faults and the self-healing resequencer
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumberedChunk:
-    """One transport frame: a sequence number plus its samples."""
-
-    seq: int
-    data: np.ndarray
-
-
-class ChunkResequencer:
-    """Repairs a numbered chunk stream: drops duplicates, reorders, gaps.
-
-    Digitizer transports (USB, network) can duplicate or reorder
-    frames; the sequence number is the ground truth.  ``push`` returns
-    the ``(chunk, gap_before)`` pairs that are now in order; chunks
-    arriving more than ``max_reorder`` frames early are held until the
-    missing frames arrive or are declared lost (their samples counted
-    into ``gap_before`` using ``lost_samples_per_frame``).
-    """
-
-    def __init__(self, max_reorder: int = 4, lost_samples_per_frame: int = 0):
-        if max_reorder < 1:
-            raise ValueError("max_reorder must be at least 1")
-        self.max_reorder = max_reorder
-        self.lost_samples_per_frame = lost_samples_per_frame
-        self._next_seq = 0
-        self._pending: dict = {}
-        self.duplicates_dropped = 0
-        self.frames_declared_lost = 0
-
-    def push(self, chunk: NumberedChunk) -> List[Tuple[np.ndarray, int]]:
-        """Feed one frame; return frames now deliverable in order."""
-        if chunk.seq < self._next_seq or chunk.seq in self._pending:
-            self.duplicates_dropped += 1
-            return []
-        self._pending[chunk.seq] = chunk.data
-        out: List[Tuple[np.ndarray, int]] = []
-        gap_samples = 0
-        while self._pending:
-            if self._next_seq in self._pending:
-                out.append((self._pending.pop(self._next_seq), gap_samples))
-                gap_samples = 0
-                self._next_seq += 1
-            elif max(self._pending) - self._next_seq >= self.max_reorder:
-                # The missing frame is declared lost.
-                self.frames_declared_lost += 1
-                gap_samples += max(1, self.lost_samples_per_frame)
-                self._next_seq += 1
-            else:
-                break
-        return out
-
-    def flush(self) -> List[Tuple[np.ndarray, int]]:
-        """Deliver everything still pending, declaring holes lost."""
-        out: List[Tuple[np.ndarray, int]] = []
-        gap_samples = 0
-        while self._pending:
-            if self._next_seq in self._pending:
-                out.append((self._pending.pop(self._next_seq), gap_samples))
-                gap_samples = 0
-            else:
-                self.frames_declared_lost += 1
-                gap_samples += max(1, self.lost_samples_per_frame)
-            self._next_seq += 1
-        return out
-
-
-def corrupt_chunk_stream(
-    chunks: Iterable[np.ndarray],
-    seed: int = 0,
-    duplicate_probability: float = 0.0,
-    swap_probability: float = 0.0,
-    log: Optional[ImpairmentLog] = None,
-) -> Iterator[NumberedChunk]:
-    """Number a chunk stream and corrupt its transport order.
-
-    Duplicates repeat a frame immediately; swaps exchange a frame with
-    its successor.  Deterministic in ``seed``.
-    """
-    rng = np.random.default_rng(seed)
-    held: Optional[NumberedChunk] = None
-    position = 0
-    for seq, data in enumerate(chunks):
-        frame = NumberedChunk(seq, np.asarray(data, dtype=np.float64))
-        if held is not None:
-            yield frame
-            yield held
-            if log is not None:
-                log.add("chunk_reorder", position, position + len(held.data))
-            held = None
-        elif swap_probability > 0 and rng.random() < swap_probability:
-            held = frame
-        else:
-            yield frame
-            if duplicate_probability > 0 and rng.random() < duplicate_probability:
-                yield frame
-                if log is not None:
-                    log.add("chunk_dup", position, position + len(frame.data))
-        position += len(frame.data)
-    if held is not None:
-        yield held
-
-
-# ---------------------------------------------------------------------------
-# source wrappers
-# ---------------------------------------------------------------------------
-
-
-class FaultySource:
-    """A :class:`~repro.acquire.SignalSource` whose captures are impaired.
-
-    Wraps any source; every ``capture()`` runs the injected fault mix
-    over the underlying magnitude.  The last ground-truth log is kept
-    on :attr:`last_log` (and the full :class:`ImpairedSignal` on
-    :attr:`last_impaired`) for validation flows.
-    """
-
-    def __init__(self, source, injector: FaultInjector):
-        self.source = source
-        self.injector = injector
-        self.last_log: Optional[ImpairmentLog] = None
-        self.last_impaired: Optional[ImpairedSignal] = None
-
-    def capture(self):
-        clean = self.source.capture()
-        impaired = self.injector.apply(clean.magnitude)
-        self.last_impaired = impaired
-        self.last_log = impaired.log
-        # Field-addressed rebuild of the (frozen) Capture, so this
-        # wrapper needs no import of the signal chain.
-        return dataclasses.replace(clean, magnitude=impaired.signal)
-
-
-class FlakySource:
-    """A source whose first ``failures`` captures raise transiently.
-
-    Models digitizer overruns/timeouts for exercising retry policies;
-    deterministic, no randomness.
-    """
-
-    def __init__(self, source, failures: int = 1, exc: Optional[Exception] = None):
-        self.source = source
-        self.failures = int(failures)
-        self.exc = exc
-        self.attempts = 0
-
-    def capture(self):
-        self.attempts += 1
-        if self.attempts <= self.failures:
-            if self.exc is not None:
-                raise self.exc
-            raise TransientAcquisitionError(
-                f"injected transient failure {self.attempts}/{self.failures}"
-            )
-        return self.source.capture()
-
-
-@dataclass(frozen=True)
-class CrashingSource:
-    """A poison source: kills its own process mid-capture.
-
-    ``os._exit`` (not ``sys.exit``) so no ``finally`` blocks, atexit
-    hooks, or buffered writes run - the closest a test can get to a
-    segfault or an OOM kill inside a campaign worker.  The supervisor
-    must observe only the vanished process, requeue the run, and
-    quarantine it once the spec has burned ``max_attempts`` workers.
-    Picklable (plain scalars only) so it survives any start method.
-
-    Attributes:
-        exit_code: the status the dying process reports.
-        delay_s: how long the capture pretends to work first, so the
-            ``started`` control message and a heartbeat or two get out
-            before the lights go off.
-    """
-
-    exit_code: int = 13
-    delay_s: float = 0.05
-
-    def capture(self):
-        import os
-        import time as _time
-
-        _time.sleep(self.delay_s)
-        os._exit(self.exit_code)
-
-
-@dataclass(frozen=True)
-class StallingSource:
-    """A hung source: the process stays alive but stops making progress.
-
-    Models a wedged SDR driver ioctl - the worker's acquisition call
-    never returns, but the process is healthy as far as the OS is
-    concerned (it even keeps heartbeating, since the worker's beat
-    thread is independent of the capture).  Only the per-job lease
-    deadline (``RunSpec.timeout_s`` / ``Campaign.job_timeout_s``) can
-    catch it; heartbeat silence is the *SIGSTOP* failure mode, which
-    the chaos tests drive directly.  Picklable.
-
-    Attributes:
-        hang_s: how long the capture sleeps; pick it far beyond the
-            campaign's heartbeat/job timeout so the watchdog always
-            fires first.
-    """
-
-    hang_s: float = 3600.0
-
-    def capture(self):
-        import time as _time
-
-        _time.sleep(self.hang_s)
-        raise TransientAcquisitionError("stalling source woke up")

@@ -156,22 +156,6 @@ class Event:
 # ---------------------------------------------------------------------------
 
 
-class InMemorySink:
-    """Collects events in a list; the test double and demo consumer."""
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-        self._lock = threading.Lock()
-
-    def write(self, event: Event) -> None:
-        """Record one event."""
-        with self._lock:
-            self.events.append(event)
-
-    def close(self) -> None:
-        """No-op (memory only)."""
-
-
 class NDJSONFileSink:
     """Appends one JSON line per event to a file.
 

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro import io as repro_io
-from repro.acquire import (
-    FileSource,
-    SdrSource,
-    SignalSource,
-    SimulatedSource,
-    profile_source,
-)
-from repro.devices import samsung
+from repro.acquire import FileSource, SdrSource, SignalSource
+from repro.devices import olimex
+from repro.experiments import SimulatedCaptureSource
+from repro.experiments.runner import simulate_and_measure
 from repro.workloads import Microbenchmark
 
 
@@ -22,36 +18,34 @@ def small_workload():
 
 
 class TestSimulatedSource:
-    def test_implements_protocol(self, small_workload):
-        assert isinstance(SimulatedSource(small_workload), SignalSource)
+    """The simulated source ``repro capture`` and the campaign daemon run."""
 
-    def test_capture_defaults_to_olimex(self, small_workload):
-        source = SimulatedSource(small_workload)
-        cap = source.capture()
+    def test_implements_protocol(self):
+        assert isinstance(SimulatedCaptureSource(), SignalSource)
+
+    def test_capture_defaults_to_olimex(self):
+        cap = SimulatedCaptureSource(tm=32, cm=4).capture()
         assert cap.clock_hz == pytest.approx(1.008e9)
         assert cap.bandwidth_hz == 40e6
         assert len(cap.magnitude) > 100
 
-    def test_custom_device(self, small_workload):
-        source = SimulatedSource(small_workload, device=samsung())
+    def test_custom_device(self):
+        source = SimulatedCaptureSource(tm=32, cm=4, device="samsung")
         assert source.capture().clock_hz == pytest.approx(0.8e9)
 
     def test_ground_truth_retained(self, small_workload):
-        source = SimulatedSource(small_workload)
-        assert source.last_result is None
-        source.capture()
-        assert source.last_result is not None
-        assert source.last_result.ground_truth.miss_count() > 30
+        result, _ = simulate_and_measure(small_workload, olimex())
+        assert result.ground_truth.miss_count() > 30
 
-    def test_deterministic_per_seed(self, small_workload):
-        a = SimulatedSource(small_workload, seed=5).capture()
-        b = SimulatedSource(small_workload, seed=5).capture()
+    def test_deterministic_per_seed(self):
+        a = SimulatedCaptureSource(tm=32, cm=4, seed=5).capture()
+        b = SimulatedCaptureSource(tm=32, cm=4, seed=5).capture()
         np.testing.assert_array_equal(a.magnitude, b.magnitude)
 
 
 class TestFileSource:
     def test_roundtrip(self, small_workload, tmp_path):
-        cap = SimulatedSource(small_workload).capture()
+        _, cap = simulate_and_measure(small_workload, olimex())
         path = tmp_path / "cap.npz"
         repro_io.save_capture(path, cap)
         loaded = FileSource(path).capture()
@@ -63,10 +57,3 @@ class TestSdrSource:
     def test_raises_with_adapter_hint(self):
         with pytest.raises(NotImplementedError, match="SoapySDR"):
             SdrSource()
-
-
-class TestProfileSource:
-    def test_profiles_any_source(self, small_workload):
-        capture, report = profile_source(SimulatedSource(small_workload))
-        assert report.miss_count > 0
-        assert report.clock_hz == capture.clock_hz

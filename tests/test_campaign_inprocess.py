@@ -23,10 +23,10 @@ from repro.emsignal.receiver import Capture
 from repro.errors import CampaignError
 from repro.experiments import Campaign, RunSpec
 from repro.experiments.campaign import IN_PROCESS_WORKER
-from repro.faults import CrashingSource, StallingSource
 from repro.obs import set_obs_enabled, trace
 from repro.obs.events import bus
 from repro.obs.ledger import LedgerAppender, RunLedger
+from tests.doubles import CrashingSource, StallingSource
 
 SMALL = EmprofConfig(
     normalizer=NormalizerConfig(window_samples=301),

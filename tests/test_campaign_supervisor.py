@@ -21,8 +21,8 @@ from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import EmprofConfig
 from repro.emsignal.receiver import Capture
 from repro.experiments import Campaign, RunSpec
-from repro.faults import CrashingSource, StallingSource
 from repro.obs.ledger import RunLedger
+from tests.doubles import CrashingSource, StallingSource
 
 SMALL = EmprofConfig(
     normalizer=NormalizerConfig(window_samples=301),

@@ -161,6 +161,48 @@ def test_cycle_broken_by_deferred_import_is_clean(tmp_path):
     assert rule_hits(result, "import-cycle") == []
 
 
+#: ``work.base`` imports ``sim.config``, which first runs ``sim/__init__``,
+#: which imports ``sim.machine``; the last module imports ``work.base``
+#: back as given.
+EAGER_INIT_TREE = {
+    "pkg/work/base.py": "from ..sim.config import Config\n",
+    "pkg/sim/__init__.py": "from .machine import Machine\n",
+    "pkg/sim/config.py": "Config = 1\n",
+}
+
+
+def test_import_cycle_through_an_eager_package_init(tmp_path):
+    result = analyze(
+        tmp_path,
+        {
+            **EAGER_INIT_TREE,
+            "pkg/sim/machine.py": "from ..work.base import Base\nMachine = 1\n",
+        },
+    )
+    (finding,) = rule_hits(result, "import-cycle")
+    assert (
+        "pkg.sim -> pkg.sim.machine -> pkg.work.base -> pkg.sim"
+        in finding.message
+    )
+    assert finding.path.endswith("__init__.py")
+
+
+def test_type_checking_import_closes_no_cycle(tmp_path):
+    result = analyze(
+        tmp_path,
+        {
+            **EAGER_INIT_TREE,
+            "pkg/sim/machine.py": (
+                "from typing import TYPE_CHECKING\n"
+                "if TYPE_CHECKING:\n"
+                "    from ..work.base import Base\n"
+                "Machine = 1\n"
+            ),
+        },
+    )
+    assert rule_hits(result, "import-cycle") == []
+
+
 def test_find_cycles_on_adjacency():
     graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
     assert find_cycles(graph) == [["a", "b", "c"]]

@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import TransientAcquisitionError
 from repro.faults import (
     BurstFault,
-    ChunkResequencer,
     ClippingFault,
     DcDriftFault,
     DropoutFault,
     FaultInjector,
-    FaultySource,
-    FlakySource,
     GainStepFault,
     ImpairmentLog,
-    NumberedChunk,
     iter_chunks,
 )
-from repro.faults.inject import corrupt_chunk_stream
 
 
 def base_signal(n=4000, seed=3):
@@ -152,77 +146,3 @@ class TestIterChunks:
         impaired = FaultInjector([], seed=0).apply(base_signal())
         with pytest.raises(ValueError):
             list(iter_chunks(impaired, chunk_samples=0))
-
-
-class TestResequencer:
-    def chunks(self, n=10, size=16):
-        rng = np.random.default_rng(0)
-        return [rng.random(size) for _ in range(n)]
-
-    def test_in_order_passthrough(self):
-        reseq = ChunkResequencer()
-        out = []
-        for seq, data in enumerate(self.chunks()):
-            out.extend(reseq.push(NumberedChunk(seq, data)))
-        out.extend(reseq.flush())
-        assert len(out) == 10
-        assert all(gap == 0 for _, gap in out)
-
-    def test_duplicates_dropped_and_swaps_repaired(self):
-        data = self.chunks()
-        stream = list(
-            corrupt_chunk_stream(
-                data, seed=1, duplicate_probability=0.5, swap_probability=0.5
-            )
-        )
-        assert len(stream) > len(data)  # at least one duplicate injected
-        reseq = ChunkResequencer(max_reorder=4)
-        out = []
-        for frame in stream:
-            out.extend(reseq.push(frame))
-        out.extend(reseq.flush())
-        assert len(out) == len(data)
-        for got, (want, _) in zip(data, out):
-            np.testing.assert_array_equal(got, want)
-        assert reseq.duplicates_dropped > 0
-
-    def test_lost_frame_becomes_gap(self):
-        data = self.chunks(n=8)
-        reseq = ChunkResequencer(max_reorder=2, lost_samples_per_frame=16)
-        out = []
-        for seq, chunk in enumerate(data):
-            if seq == 3:
-                continue  # frame lost in transport
-            out.extend(reseq.push(NumberedChunk(seq, chunk)))
-        out.extend(reseq.flush())
-        assert len(out) == 7
-        assert reseq.frames_declared_lost == 1
-        assert sum(gap for _, gap in out) == 16
-
-
-class TestSourceWrappers:
-    def make_source(self):
-        from repro.acquire import SimulatedSource
-        from repro.workloads import Microbenchmark
-
-        return SimulatedSource(Microbenchmark(total_misses=16, consecutive_misses=4))
-
-    def test_faulty_source_impairs_capture(self):
-        source = self.make_source()
-        clean = source.capture()
-        faulty = FaultySource(
-            self.make_source(), FaultInjector([DropoutFault(rate=0.02)], seed=0)
-        )
-        impaired = faulty.capture()
-        assert len(impaired.magnitude) < len(clean.magnitude)
-        assert impaired.sample_rate_hz == clean.sample_rate_hz
-        assert faulty.last_log is not None
-        assert faulty.last_impaired is not None
-
-    def test_flaky_source_raises_then_succeeds(self):
-        flaky = FlakySource(self.make_source(), failures=2)
-        for _ in range(2):
-            with pytest.raises(TransientAcquisitionError):
-                flaky.capture()
-        capture = flaky.capture()
-        assert len(capture.magnitude) > 0

@@ -18,7 +18,7 @@ from repro.errors import (
     TransientAcquisitionError,
 )
 from repro.experiments import Campaign, RetryPolicy, RunSpec, acquire_with_retry
-from repro.faults import FlakySource
+from tests.doubles import FlakySource
 
 SMALL = EmprofConfig(
     normalizer=NormalizerConfig(window_samples=301),

@@ -84,6 +84,21 @@ class TestFig12:
             assert p.detected_stalls >= 0
             assert p.total_stall_cycles >= p.mean_stall_cycles
 
+    def test_simulates_once_per_device(self, monkeypatch):
+        from repro.sim.machine import Machine
+
+        calls = []
+        run = Machine.run
+
+        def counting_run(self, workload):
+            calls.append(self.config.name)
+            return run(self, workload)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        points = figures.fig12_bandwidth_sweep(benchmark="twolf", scale=0.2)
+        assert len(points) == 10  # 2 devices x 5 bandwidths
+        assert calls == ["alcatel", "olimex"]
+
 
 class TestFig13:
     def test_contract(self):

@@ -11,10 +11,10 @@ from repro.obs.events import (
     EVENT_KINDS,
     Event,
     EventBus,
-    InMemorySink,
     NDJSONFileSink,
     read_events,
 )
+from tests.doubles import InMemorySink
 
 
 @pytest.fixture()

@@ -29,6 +29,7 @@ from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import Emprof
 from repro.devtools.contracts import set_contracts_enabled
 from repro.obs import set_obs_enabled
+from tests.doubles import InMemorySink
 
 N_SAMPLES = 1_000_000
 SAMPLE_RATE_HZ = 40e6
@@ -158,7 +159,7 @@ def test_disabled_obs_emits_zero_events(big_signal):
     """EMPROF_OBS off means the event bus sees *nothing* — not merely
     cheap events, zero events."""
     from repro.core.streaming import StreamingEmprof
-    from repro.obs.events import InMemorySink, bus
+    from repro.obs.events import bus
 
     obs_previous = set_obs_enabled(False)
     contracts_previous = set_contracts_enabled(False)

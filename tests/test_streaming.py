@@ -10,6 +10,7 @@ from repro.core.normalize import NormalizerConfig, normalize
 from repro.core.profiler import Emprof
 from repro.core.engine import ChunkDetector, ChunkNormalizer
 from repro.core.streaming import StreamingEmprof, profile_chunks
+from tests.doubles import InMemorySink
 
 NORM_CFG = NormalizerConfig(window_samples=301)
 DET_CFG = DetectorConfig()
@@ -162,7 +163,7 @@ class TestStreamingEmprof:
         """A second finish() returns an equal report and records nothing:
         no flight events, no counts, no bus events."""
         from repro import obs
-        from repro.obs.events import InMemorySink, bus
+        from repro.obs.events import bus
         from repro.obs.flight import FlightRecorder
 
         x = dip_signal()

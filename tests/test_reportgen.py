@@ -1,5 +1,6 @@
 """Tests for the one-command reproduction report generator."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.reportgen import ARTIFACTS, generate_report
@@ -13,6 +14,16 @@ class TestGenerateReport:
         assert "# EMPROF reproduction" in text
         assert "perf baseline anecdote" in text
         assert "32768 / 14543" in text
+
+    def test_figure_sections_save_series(self, tmp_path):
+        generate_report(tmp_path, scale=0.5, include=["fig12"])
+        data = np.load(tmp_path / "fig12_sweep.npz")
+        assert len(data["bandwidth_hz"]) == 10  # 2 devices x 5 bandwidths
+        assert (data["detected"] >= 0).all()
+
+    def test_table5_section(self, tmp_path):
+        path = generate_report(tmp_path, include=["table5"])
+        assert "batch_process" in path.read_text()
 
     def test_unknown_section_rejected(self, tmp_path):
         target = tmp_path / "out"

@@ -37,10 +37,6 @@ class Spectrogram:
         """Number of time frames."""
         return self.magnitude.shape[1]
 
-    def frame_spectrum(self, index: int) -> np.ndarray:
-        """Magnitude spectrum of one frame."""
-        return self.magnitude[:, index]
-
     def mean_spectrum(self) -> np.ndarray:
         """Average spectrum across all frames."""
         if self.n_frames == 0:

@@ -18,10 +18,12 @@ from ..core.normalize import moving_average
 from ..core.profiler import Emprof
 from ..core.refresh import refresh_stats
 from ..core.stats import latency_histogram
-from ..devices.models import alcatel, by_name, olimex, sesc
+from ..devices.models import alcatel, by_name, default_channel, olimex, sesc
+from ..emsignal.apparatus import measure
 from ..emsignal.memprobe import memory_probe_signal
 from ..emsignal.receiver import MHZ, PAPER_BANDWIDTHS_HZ
 from ..emsignal.spectrogram import Spectrogram, compute_spectrogram
+from ..obs import trace as _trace
 from ..sim.config import MachineConfig
 from ..sim.isa import NO_CONSUMER, alu, branch, load
 from ..sim.machine import Machine
@@ -32,7 +34,6 @@ from ..workloads.spec import spec_workload
 from .runner import (
     SPECTRAL_WINDOW_SAMPLES,
     ExperimentRun,
-    measure_result,
     run_attributed,
     run_device,
     run_simulator,
@@ -558,22 +559,24 @@ def fig12_bandwidth_sweep(
     points = []
     for name in devices:
         device = by_name(name, bin_cycles=5)
-        result = Machine(device, seed=seed).run(
-            spec_workload(benchmark, scale=scale)
-        )
-        for bw in bandwidths_hz:
-            capture = measure_result(result, device, bandwidth_hz=bw, seed=seed)
-            report = Emprof.from_capture(capture).profile()
-            lat = report.latencies_cycles()
-            points.append(
-                Fig12Point(
-                    device=name,
-                    bandwidth_hz=float(bw),
-                    detected_stalls=report.miss_count,
-                    mean_stall_cycles=float(lat.mean()) if len(lat) else 0.0,
-                    total_stall_cycles=float(lat.sum()) if len(lat) else 0.0,
-                )
+        channel = default_channel(name, seed=seed)
+        with _trace.span("fig12_device", workload=benchmark, device=name):
+            result = Machine(device, seed=seed).run(
+                spec_workload(benchmark, scale=scale)
             )
+            for bw in bandwidths_hz:
+                capture = measure(result, bandwidth_hz=bw, channel=channel)
+                report = Emprof.from_capture(capture).profile()
+                lat = report.latencies_cycles()
+                points.append(
+                    Fig12Point(
+                        device=name,
+                        bandwidth_hz=float(bw),
+                        detected_stalls=report.miss_count,
+                        mean_stall_cycles=float(lat.mean()) if len(lat) else 0.0,
+                        total_stall_cycles=float(lat.sum()) if len(lat) else 0.0,
+                    )
+                )
     return points
 
 

@@ -38,7 +38,7 @@ from ..core.events import ProfileReport
 from ..errors import AcquisitionError
 from ..obs import metrics as _metrics, trace as _trace
 from ..devices.models import default_channel
-from ..emsignal.apparatus import Apparatus
+from ..emsignal.apparatus import measure
 from ..emsignal.channel import ChannelConfig
 from ..emsignal.receiver import Capture, MHZ
 from ..emsignal.synth import EmissionModel
@@ -127,34 +127,15 @@ def simulate_and_measure(
     emission: Optional[EmissionModel] = None,
     seed: int = 0,
 ) -> Tuple[SimulationResult, Capture]:
-    """Run ``workload`` on ``device``, then :func:`measure_result` it."""
-    result = Machine(device, seed=seed).run(workload)
-    return result, measure_result(result, device, bandwidth_hz, channel, emission, seed)
-
-
-def measure_result(
-    result: SimulationResult,
-    device: MachineConfig,
-    bandwidth_hz: float = 40 * MHZ,
-    channel: Optional[ChannelConfig] = None,
-    emission: Optional[EmissionModel] = None,
-    seed: int = 0,
-) -> Capture:
-    """Record a simulation through a fresh EM apparatus (it only reads it).
+    """Run ``workload`` on ``device`` and record it through the EM apparatus.
 
     The channel defaults to the device's probe setup (see
     :func:`repro.devices.default_channel`).
     """
-    apparatus = Apparatus(
-        emission=emission if emission is not None else EmissionModel(),
-        channel=(
-            channel
-            if channel is not None
-            else default_channel(device.name, seed=seed)
-        ),
-        bandwidth_hz=bandwidth_hz,
-    )
-    return apparatus.measure(result)
+    result = Machine(device, seed=seed).run(workload)
+    if channel is None:
+        channel = default_channel(device.name, seed=seed)
+    return result, measure(result, bandwidth_hz, channel, emission)
 
 
 @dataclass(frozen=True)
@@ -296,7 +277,7 @@ def run_device(
 ) -> ExperimentRun:
     """Simulate, measure through the EM apparatus, and profile.
 
-    See :func:`measure_result` for the defaults of ``channel`` and
+    See :func:`simulate_and_measure` for the defaults of ``channel`` and
     ``emission``.
     """
     begin = time.perf_counter()

@@ -99,6 +99,25 @@ class TestFig12:
         assert len(points) == 10  # 2 devices x 5 bandwidths
         assert calls == ["alcatel", "olimex"]
 
+    def test_traces_one_span_per_device(self):
+        from repro.obs import set_obs_enabled, trace
+
+        previous = set_obs_enabled(True)
+        trace.reset()
+        try:
+            figures.fig12_bandwidth_sweep(
+                benchmark="twolf", bandwidths_hz=(20e6, 80e6), scale=0.2
+            )
+            spans = trace.records()
+        finally:
+            trace.reset()
+            set_obs_enabled(previous)
+        roots = [s for s in spans if s.name == "fig12_device"]
+        assert [s.attrs["device"] for s in roots] == ["alcatel", "olimex"]
+        captures = [s for s in spans if s.name == "receiver.capture"]
+        assert len(captures) == 4
+        assert {s.parent_id for s in captures} == {s.span_id for s in roots}
+
 
 class TestFig13:
     def test_contract(self):

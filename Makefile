@@ -43,10 +43,11 @@ chaos:
 
 # Supervisor/daemon chaos suite: kill -9 and SIGSTOP'd workers,
 # poison-spec quarantine, lease timeouts, graceful SIGTERM, the
-# 100-run exactly-once acceptance scenario (docs/service.md), and the
-# kill-a-worker-mid-run telemetry scenario (docs/observability.md).
+# 100-run exactly-once acceptance scenario (docs/service.md), the
+# kill-a-worker-mid-run telemetry scenario (docs/observability.md), and
+# the event bus's many-producer delivery check.
 chaos-service:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py tests/test_obs_events.py -q
 
 # Quick perf-tracking benches; appends one record per bench to the run
 # ledger LEDGER_obs.jsonl (`repro obs ledger LEDGER_obs.jsonl --kind bench`).

@@ -174,12 +174,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.output:
         repro_io.save_report(args.output, report)
         print(f"report -> {args.output}")
-    if args.metrics_out or args.ledger:
-        # Stamp the event bus's health gauges (drops, queue depth) into
-        # the registry so they land in the exported snapshot.
-        from .obs import events as obs_events
-
-        obs_events.export_gauges()
     if args.trace_out:
         obs.trace.write(args.trace_out, fmt=args.trace_format)
         print(f"trace ({len(obs.trace.records())} spans) -> {args.trace_out}")

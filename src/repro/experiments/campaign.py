@@ -55,7 +55,6 @@ import dataclasses
 import json
 import multiprocessing
 import multiprocessing.connection
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -82,12 +81,6 @@ IN_PROCESS_WORKER = "main"
 
 #: Cadence of campaign worker ``heartbeat`` events.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.25
-
-#: Event-bus totals copied into each pass's ``campaign`` ledger record.
-_BUS_ROLLUP = (
-    "total", "samples_total", "stalls_total", "quality_flags_total",
-    "dropped_events",
-)
 
 _RUNS_COMPLETED = _metrics.counter(
     "campaign_runs_completed_total", "campaign runs that produced a report"
@@ -354,13 +347,11 @@ class Campaign:
     def _save_manifest(
         self, runs: Dict[str, dict], progress: Dict[str, object]
     ) -> None:
-        """Atomically replace the manifest (tmp + ``os.replace``)."""
-        payload = {
-            "format": _MANIFEST_FORMAT, "runs": runs, "progress": progress
-        }
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, self.manifest_path)
+        """Atomically replace the manifest (sorted keys, tmp + rename)."""
+        obs_ledger.atomic_write_json(
+            self.manifest_path,
+            {"format": _MANIFEST_FORMAT, "runs": runs, "progress": progress},
+        )
 
     def _prune_flights(self) -> None:
         """Enforce ``flight_retain``: drop the oldest ``.flight`` files.
@@ -403,7 +394,9 @@ class Campaign:
         Call :meth:`CampaignExecution.join` for the merged result.
         Forked workers start leasing runs at once; their events reach
         the parent's event bus as ``join``'s supervision loop reads
-        their pipes, so a caller that wants to watch the pass live runs
+        their pipes.  A worker whose pipe is full waits for that read,
+        so a forked pass makes progress only while ``join`` runs, and
+        a caller that wants to watch the pass live runs
         ``join`` on one thread inside its own
         :class:`repro.obs.statusd.StatusServer` over that bus, as the
         campaign daemon does.  An in-process pass (see ``workers``)
@@ -439,7 +432,6 @@ class Campaign:
             _event_bus.emit(
                 "run_finished", op="campaign", campaign=self.directory.name
             )
-            _event_bus.flush(timeout_s=2.0)
             if sink is not None:
                 _event_bus.remove_sink(sink)
                 sink.close()
@@ -895,7 +887,9 @@ class CampaignExecution:
                 # record: the dashboard's "final" numbers can be checked
                 # against what the bus saw while the pass was in flight.
                 stats = _event_bus.stats()
-                extra["events"] = {key: stats[key] for key in _BUS_ROLLUP}
+                extra["events"] = {
+                    "total": stats["total"], "counts": stats["counts"]
+                }
             self._ledger(
                 "campaign",
                 "",
@@ -1302,7 +1296,7 @@ class CampaignExecution:
                 channel.send(("stop",))
         deadline = time.monotonic() + 5.0
         # Read every pipe to EOF instead of joining blind: a worker
-        # flushing its last events would block on a full pipe.
+        # sending its last events waits on a full pipe.
         while self._channels:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -1365,9 +1359,9 @@ def _worker_main(
     send_lock = threading.Lock()
 
     def send(verb: str, payload: Any = None) -> None:
-        # The beat thread, the bus drainer and the job loop all send;
-        # the lock keeps each message whole.  A vanished supervisor is
-        # not an error.
+        # The beat thread and the job loop both send, each event on
+        # the thread that emits it; the lock keeps each message whole.
+        # A vanished supervisor is not an error.
         with send_lock, contextlib.suppress(OSError):
             channel.send((label, verb, payload))
 
@@ -1406,5 +1400,3 @@ def _worker_main(
         stop.set()
         if obs_enabled():
             _event_bus.emit("heartbeat", worker=label, phase="end")
-            _event_bus.flush(timeout_s=2.0)
-            _event_bus.close()

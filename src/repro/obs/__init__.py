@@ -2,7 +2,7 @@
 
 EMPROF's pitch is profiling with zero observer effect; this package
 holds the reproduction to the same bar by making the profiler itself
-observable *without* perturbing it.  Three primitives, all stdlib-only:
+observable *without* perturbing it.  Four primitives, all stdlib-only:
 
 * :data:`trace` - a process-global span :class:`~repro.obs.trace.Tracer`
   (``with trace.span("detect", samples=n): ...``), thread-safe and
@@ -10,6 +10,9 @@ observable *without* perturbing it.  Three primitives, all stdlib-only:
 * :data:`metrics` - a process-global
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   histograms with JSON and Prometheus-text exporters;
+* :data:`bus` - the process-global :class:`~repro.obs.events.EventBus`
+  of live telemetry events, each written to every sink as it is
+  emitted, in ``seq`` order;
 * :func:`~repro.obs.logbridge.get_logger` - stdlib logging under the
   ``repro`` namespace, wired to the CLI's ``--quiet``/``--verbose``.
 

@@ -314,12 +314,12 @@ def _watch_line(previous: Dict[str, Any], stats: Dict[str, Any], dt: float) -> s
         return max(0.0, (now - before) / dt)
 
     alive = len(stats.get("last_heartbeat_unix_s", {}))
+    flags = stats.get("counts", {}).get("quality_flag", 0)
     return (
         f"{count_rate('chunk_processed'):>8.1f} chunks/s  "
         f"{rate('samples_total'):>12.0f} samples/s  "
         f"{rate('stalls_total'):>8.1f} stalls/s  "
-        f"{stats.get('quality_flags_total', 0):>4} quality flags  "
-        f"{stats.get('dropped_events', 0):>4} dropped  "
+        f"{flags:>4} quality flags  "
         f"{alive:>2} source(s)"
     )
 

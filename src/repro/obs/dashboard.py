@@ -354,47 +354,6 @@ def _metric_section(groups: Dict[str, List[RunRecord]]) -> List[str]:
     return parts
 
 
-def _gauge_value(entry: RunRecord, name: str) -> Optional[float]:
-    if not entry.metrics:
-        return None
-    row = entry.metrics.get("gauges", {}).get(name)
-    if not isinstance(row, dict):
-        return None
-    try:
-        return float(row["value"])
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-#: Event-bus health gauges (exported by
-#: :func:`repro.obs.events.export_gauges`) shown as dashboard tiles.
-_BUS_GAUGES = (
-    ("eventbus_dropped_events", "bus events dropped"),
-    ("eventbus_queue_depth", "bus queue depth"),
-    ("eventbus_sink_errors", "bus sink errors"),
-    ("eventbus_sinks", "bus sinks"),
-)
-
-
-def _bus_section(groups: Dict[str, List[RunRecord]]) -> List[str]:
-    """Event-bus health tiles from each group's latest snapshot."""
-    parts: List[str] = []
-    for group in sorted(groups):
-        latest = groups[group][-1]
-        tiles = [
-            _tile(f"{value:g}", label)
-            for name, label in _BUS_GAUGES
-            for value in [_gauge_value(latest, name)]
-            if value is not None
-        ]
-        if tiles:
-            parts.append(
-                f"<h2>event-bus health · {_esc(group)}</h2>"
-                f'<section class="tiles">{"".join(tiles)}</section>'
-            )
-    return parts
-
-
 #: Supervisor incident records surfaced alongside quality trouble.
 _INCIDENT_KINDS = {
     "campaign-requeue": "requeued",
@@ -491,7 +450,6 @@ def render_dashboard(
             body.append("<h2>span breakdown (latest entries)</h2>")
             body.append(f'<div class="cards">{"".join(span_cards)}</div>')
         body.extend(_metric_section(groups))
-        body.extend(_bus_section(groups))
         quality = _quality_section(records)
         if quality:
             body.append(quality)

@@ -441,14 +441,16 @@ class LedgerAppender:
 
 
 def atomic_write_json(path: PathLike, payload: Any, indent: int = 2) -> Path:
-    """Write ``payload`` as JSON via temp-file + ``os.replace``.
+    """Write ``payload`` as key-sorted JSON via temp-file + ``os.replace``.
 
     An interrupted writer leaves either the previous file or the new
-    one, never a torn hybrid - the same discipline the campaign
-    manifest uses.  Returns the destination path.
+    one, never a torn hybrid; the campaign manifest and each run's
+    outcome checkpoint are written this way.  Returns the destination
+    path.
     """
     destination = Path(path)
     tmp = destination.with_name(destination.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=indent) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=indent, sort_keys=True)
+    tmp.write_text(text + "\n", encoding="utf-8")
     os.replace(tmp, destination)
     return destination

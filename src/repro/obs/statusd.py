@@ -258,7 +258,6 @@ class StatusServer:
             "stalled": stalled,
             "since_last_event_s": since_last,
             "events_total": stats.get("total", 0),
-            "dropped_events": stats.get("dropped_events", 0),
         }
 
 

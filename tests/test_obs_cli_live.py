@@ -25,12 +25,11 @@ def _heartbeats(sources=("main", "worker0")):
 
 
 def _write_events(path):
-    bus = EventBus(auto_drain=False)
-    bus.add_sink(NDJSONFileSink(path))
+    bus = EventBus()
+    sink = bus.add_sink(NDJSONFileSink(path))
     for event in _heartbeats():
         bus.ingest(event.to_dict())
-    bus.drain()
-    bus.close()
+    sink.close()
 
 
 class TestTail:
@@ -48,12 +47,11 @@ class TestTail:
         assert "3 event(s) (1 unparseable lines skipped)" in output
 
     def test_tail_queries_a_live_server(self, tmp_path, capsys, obs_on):
-        bus = EventBus(auto_drain=False)
+        bus = EventBus()
         for event in _heartbeats():
             bus.ingest(event.to_dict())
         with StatusServer(bus) as server:
             code = obs_cli.main(["tail", f"127.0.0.1:{server.port}", "-n", "3"])
-        bus.close()
         output = capsys.readouterr().out
         assert code == EXIT_OK
         assert output.count("heartbeat") == 3

@@ -101,32 +101,6 @@ class TestRenderDashboard:
         assert "<svg onload" not in page
         assert "&lt;svg onload" in page
 
-    def test_bus_health_tiles_render_gauges(self):
-        entry = record(
-            kind="profile",
-            label="cap",
-            wall_time_s=0.4,
-            metrics={
-                "gauges": {
-                    "eventbus_dropped_events": {"value": 7.0},
-                    "eventbus_queue_depth": {"value": 3.0},
-                    "eventbus_sink_errors": {"value": 0.0},
-                    "eventbus_sinks": {"value": 2.0},
-                }
-            },
-        )
-        page = render_dashboard(_records() + [entry])
-        assert "event-bus health" in page
-        assert "bus events dropped" in page
-        assert "7" in page
-        parser = _Audit()
-        parser.feed(page)
-        assert parser.violations == []
-
-    def test_no_bus_section_without_gauges(self):
-        page = render_dashboard(_records())
-        assert "event-bus health" not in page
-
     def test_failed_campaign_runs_surface_in_overlay(self):
         failed = record(
             kind="campaign-run",

@@ -196,6 +196,13 @@ class TestAtomicWriteJson:
         atomic_write_json(target, {"v": 2})
         assert json.loads(target.read_text()) == {"v": 2}
 
+    def test_sorts_keys(self, tmp_path):
+        payload = {"b": {"d": 1, "c": 2}, "a": 0}
+        out = atomic_write_json(tmp_path / "out.json", payload)
+        assert out.read_text() == json.dumps(
+            {"a": 0, "b": {"c": 2, "d": 1}}, indent=2
+        ) + "\n"
+
     def test_leaves_no_temp_file(self, tmp_path):
         atomic_write_json(tmp_path / "out.json", {"v": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -175,7 +175,6 @@ def test_disabled_obs_emits_zero_events(big_signal):
             streaming.process(big_signal[begin:begin + 20_000])
         streaming.finish()
 
-        bus.flush()
         stats = bus.stats()
     finally:
         bus.remove_sink(sink)
@@ -185,4 +184,3 @@ def test_disabled_obs_emits_zero_events(big_signal):
 
     assert sink.events == []
     assert stats["total"] == 0
-    assert stats["dropped_events"] == 0

@@ -19,12 +19,11 @@ def obs_on():
 
 @pytest.fixture()
 def server():
-    bus = EventBus(auto_drain=False)
+    bus = EventBus()
     status = StatusServer(bus, port=0)
     status.start()
     yield status, bus
     status.close()
-    bus.close()
 
 
 class TestQueries:
@@ -85,7 +84,7 @@ class TestQueries:
         assert reply["ok"] is False
 
     def test_extra_status_callback_is_merged(self, obs_on):
-        bus = EventBus(auto_drain=False)
+        bus = EventBus()
         status = StatusServer(
             bus, port=0, extra_status=lambda: {"campaign": "night"}
         )
@@ -95,13 +94,12 @@ class TestQueries:
             assert reply["extra"]["campaign"] == "night"
         finally:
             status.close()
-            bus.close()
 
     def test_extra_status_errors_are_contained(self, obs_on):
         def broken():
             raise RuntimeError("status source on fire")
 
-        bus = EventBus(auto_drain=False)
+        bus = EventBus()
         status = StatusServer(bus, port=0, extra_status=broken)
         status.start()
         try:
@@ -110,7 +108,6 @@ class TestQueries:
             assert "on fire" in reply["extra"]["error"]
         finally:
             status.close()
-            bus.close()
 
 
 class TestParseAddress:

@@ -181,12 +181,10 @@ class TestStreamingEmprof:
             streamer.process(x[: dip + 6])
             streamer.process(x[dip + 6 :], gap_before=5)
             first = streamer.finish()
-            bus.flush()
             flight_events = len(recorder.events())
             counters = obs.metrics.snapshot()["counters"]
             bus_events = len(sink.events)
             second = streamer.finish()
-            bus.flush()
             assert len(recorder.events()) == flight_events
             assert obs.metrics.snapshot()["counters"] == counters
             assert len(sink.events) == bus_events

@@ -76,16 +76,16 @@ bench-engine:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_engine_throughput.py --benchmark-only -s
 
 # Capture + profile one microbenchmark with observability on; drops
-# spans.json (chrome://tracing compatible via --trace-format chrome),
-# metrics.json into results/.
+# spans.json (chrome://tracing compatible via --trace-format chrome)
+# into results/; `repro obs show --trace results/spans.json` rolls it up.
 trace:
 	mkdir -p results
 	PYTHONPATH=src EMPROF_OBS=1 $(PYTHON) -m repro capture --workload micro -o results/trace_capture.npz
-	PYTHONPATH=src EMPROF_OBS=1 $(PYTHON) -m repro profile results/trace_capture.npz --trace-out results/spans.json --metrics-out results/metrics.json
+	PYTHONPATH=src EMPROF_OBS=1 $(PYTHON) -m repro profile results/trace_capture.npz --trace-out results/spans.json
 
 # Self-contained live-telemetry demo: a synthetic streaming producer,
 # the line-JSON status server, and the terminal watch client in one
-# process, then the run's metrics snapshot and span summary.  No
+# process, then the run's span rollup.  No
 # hardware, no prior state; exits on its own.
 watch-demo:
 	PYTHONPATH=src $(PYTHON) -m repro obs demo

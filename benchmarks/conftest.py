@@ -6,9 +6,9 @@ wins, by roughly what factor, where the crossovers are).  Each bench
 runs its experiment exactly once under pytest-benchmark timing.
 
 Each run also executes with observability enabled against a clean
-metrics registry, and the session appends one
-:class:`repro.obs.ledger.RunRecord` (kind ``bench``: wall time, metric
-snapshot, per-span timing aggregate, git revision) per benchmark to
+tracer, and the session appends one
+:class:`repro.obs.ledger.RunRecord` (kind ``bench``: wall time, the
+per-span rollup of time and work, git revision) per benchmark to
 ``LEDGER_obs.jsonl`` at the repo root, accumulating history across
 sessions.  The ledger is the only bench output: ``repro obs ledger
 --kind bench`` lists its rows, ``repro obs regress`` judges the
@@ -37,7 +37,6 @@ def once(benchmark, request):
 
     def runner(func, *args, **kwargs):
         previous = obs.set_obs_enabled(True)
-        obs.metrics.reset()
         obs.trace.reset()
         t0 = time.perf_counter()
         try:
@@ -50,7 +49,6 @@ def once(benchmark, request):
                 {
                     "benchmark": request.node.nodeid,
                     "wall_time_s": elapsed,
-                    "metrics": obs.metrics.snapshot(),
                     "spans": obs.trace.aggregate(),
                 }
             )
@@ -68,7 +66,6 @@ def pytest_sessionfinish(session, exitstatus):
             kind="bench",
             label=entry["benchmark"],
             wall_time_s=entry["wall_time_s"],
-            metrics=entry["metrics"],
             spans=entry["spans"],
         )
         for entry in _BENCH_RESULTS

@@ -29,8 +29,8 @@ Mirrors a real measurement campaign's workflow:
   ``docs/service.md``.
 
 Global ``--quiet`` / ``--verbose`` flags control the stdlib-logging
-bridge (:mod:`repro.obs.logbridge`); ``profile --trace-out/--metrics-out``
-export spans and metrics from an instrumented run.
+bridge (:mod:`repro.obs.logbridge`); ``profile --trace-out`` exports
+the spans of an instrumented run.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     log = obs.get_logger("cli")
     wants_obs = bool(
         args.trace_out
-        or args.metrics_out
         or args.ledger
         or args.profile_out
         or args.span_memory
@@ -114,7 +113,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         obs.set_obs_enabled(True)
         log.info(
             "observability enabled for this run "
-            "(--trace-out/--metrics-out/--ledger/--profile-out)"
+            "(--trace-out/--ledger/--profile-out)"
         )
     run_begin = _time.perf_counter()
     capture = repro_io.load_capture(args.capture)
@@ -177,10 +176,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.trace_out:
         obs.trace.write(args.trace_out, fmt=args.trace_format)
         print(f"trace ({len(obs.trace.records())} spans) -> {args.trace_out}")
-    if args.metrics_out:
-        fmt = "prom" if args.metrics_out.endswith((".prom", ".txt")) else "json"
-        obs.metrics.write(args.metrics_out, fmt=fmt)
-        print(f"metrics -> {args.metrics_out}")
     if args.ledger:
         import dataclasses
         from pathlib import Path
@@ -192,7 +187,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             label=Path(args.capture).stem,
             wall_time_s=_time.perf_counter() - run_begin,
             config=config,
-            metrics=obs.metrics.snapshot(),
             spans=obs.trace.aggregate(),
             quality=(
                 dataclasses.asdict(report.quality)
@@ -537,12 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("json", "chrome"),
         default="json",
         help="trace file format: native JSON or chrome://tracing",
-    )
-    prof.add_argument(
-        "--metrics-out",
-        metavar="METRICS_FILE",
-        help="write the run's metric snapshot (.json, or .prom/.txt "
-        "for Prometheus text format; implies observability on)",
     )
     prof.add_argument(
         "--ledger",

@@ -22,14 +22,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d, uniform_filter1d
 
 from ..devtools.contracts import unit_interval_result
-from ..obs import metrics as _metrics, trace as _trace
-
-_NORMALIZE_SAMPLES = _metrics.counter(
-    "normalize_samples_total", "magnitude samples normalized by the batch path"
-)
-_NORMALIZE_CALLS = _metrics.counter(
-    "normalize_calls_total", "batch normalize() invocations"
-)
+from ..obs import trace as _trace
 
 
 @dataclass(frozen=True)
@@ -91,16 +84,10 @@ def presmooth(signal: np.ndarray, config: NormalizerConfig):
     return moving_average(x, config.smooth_samples), replace(config, smooth_samples=1)
 
 
-def _count_normalize(out, _elapsed_s, _attrs) -> None:
-    _NORMALIZE_CALLS.inc()
-    _NORMALIZE_SAMPLES.inc(len(out))
-
-
 @unit_interval_result
 @_trace.instrumented(
     "normalize",
     attrs=lambda signal, config: {"samples": int(np.size(signal))},
-    on_exit=_count_normalize,
 )
 def normalize(signal: np.ndarray, config: NormalizerConfig = None) -> np.ndarray:
     """Normalize magnitude to [0, 1] against moving extrema.

@@ -11,45 +11,15 @@ from ..devtools.contracts import (
     report_result,
     unit_interval_result,
 )
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from ..obs.events import bus as _event_bus
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, FlightEvent, build_evidence
 from ..obs.runtime import obs_enabled
 from .engine import ChunkDetector, ChunkNormalizer
 from .events import DetectedStall, ProfileReport
 
-_STALLS = _metrics.counter(
-    "stalls_detected_total", "LLC-miss stalls detected (every profiling mode)"
-)
-_REFRESH = _metrics.counter(
-    "refresh_stalls_total", "detected stalls classified refresh-coincident"
-)
-_LOW_CONFIDENCE = _metrics.counter(
-    "low_confidence_stalls_total",
-    "detected stalls flagged as overlapping impaired signal",
-)
-_DETECT_LATENCY = _metrics.histogram(
-    "detect_latency_seconds", "wall time of one whole-signal detection"
-)
-_GAPS = _metrics.counter(
-    "signal_gaps_total",
-    "stream discontinuities handled (overruns + non-finite runs)",
-)
-_DROPPED = _metrics.counter(
-    "dropped_samples_total", "samples lost across all stream gaps"
-)
-_NORMALIZED_SAMPLES = _metrics.counter(
-    "streaming_normalize_samples_total",
-    "magnitude samples consumed by the chunked normalizer",
-)
-_DETECTED_SAMPLES = _metrics.counter(
-    "streaming_detect_samples_total",
-    "normalized samples the chunked normalizer passed to the detector",
-)
 
-
-def _detect_done(stalls, elapsed_s, _attrs):
-    _DETECT_LATENCY.observe(elapsed_s)
+def _detect_done(stalls, _elapsed_s, _attrs):
     return {"stalls": len(stalls)}
 
 
@@ -70,8 +40,8 @@ class ProfilePipeline:
       at every stream discontinuity.
 
     Every stall leaves through one emission point, which applies the
-    quality flags, checks the monotonic-stream contract and feeds the
-    stall counters and ``stall_detected`` events.
+    quality flags, checks the monotonic-stream contract and emits the
+    ``stall_detected`` events; the ``report`` span counts the stalls.
 
     Args:
         sample_period_cycles: processor cycles per signal sample.
@@ -119,10 +89,7 @@ class ProfilePipeline:
             self.quality.observe(x, self.samples_seen)
         self.samples_seen += len(x)
         if self._normalizer is not None:
-            normalized = self._normalize(x)
-            _NORMALIZED_SAMPLES.inc(len(x))
-            _DETECTED_SAMPLES.inc(len(normalized))
-            x = normalized
+            x = self._normalize(x)
         return self._emit(self._detector.push(x))
 
     def finish(self) -> List[DetectedStall]:
@@ -139,9 +106,7 @@ class ProfilePipeline:
         self._record("gap", self.samples_seen, dropped=int(dropped))
         if self.quality is not None:
             self.quality.mark_gap(self.samples_seen, dropped)
-        self.samples_dropped += dropped
-        _GAPS.inc()
-        _DROPPED.inc(dropped)
+        self.samples_dropped += int(dropped)
         _event_bus.emit("quality_flag", flag="gap", dropped=int(dropped))
         stalls = self._drain() + self._detector.resync()
         if self._normalizer is not None:
@@ -174,14 +139,15 @@ class ProfilePipeline:
             for stall in vetoed:
                 begin, end = float(stall.begin_sample), float(stall.end_sample)
                 self._record("quality_veto", begin, begin=begin, end=end)
-            _LOW_CONFIDENCE.inc(len(vetoed))
             if vetoed:
                 _event_bus.emit("quality_flag", flag="low_confidence", count=len(vetoed))
             intervals = self.quality.intervals()
             summary = self.quality.summary()
             quality = summary if summary.any_impairment else None
-        with _trace.span("report", stalls=len(stalls)):
-            return ProfileReport(
+        with _trace.span(
+            "report", stalls=len(stalls), dropped=self.samples_dropped
+        ) as span:
+            report = ProfileReport(
                 stalls=stalls,
                 total_cycles=(self.samples_seen + self.samples_dropped)
                 * self.period,
@@ -201,6 +167,12 @@ class ProfilePipeline:
                     )
                 ),
             )
+            if obs_enabled():
+                span.set_attr(
+                    refresh=report.refresh_count,
+                    low_confidence=report.low_confidence_count,
+                )
+            return report
 
     def _record(self, kind: str, pos: float, **attrs) -> None:
         if self.flight is not None:
@@ -235,8 +207,6 @@ class ProfilePipeline:
             stalls = [self.quality.flag(s) for s in stalls]
         self.stalls.extend(stalls)
         if stalls and obs_enabled():
-            _STALLS.inc(len(stalls))
-            _REFRESH.inc(sum(1 for s in stalls if s.is_refresh))
             for stall in stalls:
                 _event_bus.emit(
                     "stall_detected",

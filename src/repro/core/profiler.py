@@ -15,26 +15,20 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from ..obs.flight import FlightRecorder
 from .detect import DetectorConfig
 from .events import ProfileReport
 from .normalize import NormalizerConfig, normalize, presmooth
 from .pipeline import ProfilePipeline
 
-_PROFILE_RUNS = _metrics.counter(
-    "profile_runs_total",
-    "Emprof.profile()/profile_chunked()/profile_window() invocations",
-)
-
 
 def _run_done(report, _elapsed_s, _attrs):
-    _PROFILE_RUNS.inc()
     return {"stalls": len(report.stalls)}
 
 
 def _instrumented_run(name: str, attrs):
-    """The span, counter and run events shared by every profiling mode."""
+    """The span and run events shared by every profiling mode."""
     return _trace.instrumented(name, attrs=attrs, on_exit=_run_done, run_events=True)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..faults.quality import QualityConfig, QualityMonitor
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from ..obs.events import bus as _event_bus
 from ..obs.flight import FlightRecorder
 from .detect import DetectorConfig
@@ -25,18 +25,8 @@ from .events import DetectedStall, ProfileReport
 from .normalize import NormalizerConfig
 from .pipeline import ProfilePipeline
 
-_STREAM_CHUNKS = _metrics.counter(
-    "streaming_chunks_total", "chunks fed through StreamingEmprof.process()"
-)
-_STREAM_CHUNK_LATENCY = _metrics.histogram(
-    "streaming_chunk_latency_seconds",
-    "wall time of one StreamingEmprof.process() chunk",
-)
-
 
 def _chunk_done(stalls, elapsed_s, attrs):
-    _STREAM_CHUNK_LATENCY.observe(elapsed_s)
-    _STREAM_CHUNKS.inc()
     _event_bus.emit(
         "chunk_processed",
         samples=attrs["samples"],

@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 class ImportFact:
     """One import statement, with relative levels already resolved."""
 
-    target: str  # dotted module imported, e.g. "repro.obs.metrics"
+    target: str  # dotted module imported, e.g. "repro.obs.trace"
     names: Tuple[str, ...]  # names bound by `from X import a, b`; () for bare
     lineno: int
     col: int

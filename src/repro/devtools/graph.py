@@ -6,7 +6,7 @@ repository's architecture, and a new module gets its layer there:
 * ``core`` / ``emsignal`` / ``sim`` (and the other library layers)
   must not import ``experiments`` / ``cli`` internals, nor the
   observatory's internals (``obs.ledger``, ``obs.dashboard``, ...).
-  The *instrumentation surface* (``obs.metrics`` / ``obs.trace`` /
+  The *instrumentation surface* (``obs.trace`` / ``obs.events`` /
   ``obs.runtime``) is its own layer precisely so hot code may import
   it.
 * ``obs`` stays stdlib-only at import time (deferred, function-level
@@ -39,7 +39,7 @@ class LayerConfig:
     Attributes:
         layers: layer name -> module prefixes.  A module belongs to the
             layer with the *longest* matching prefix (exact module or
-            dotted-prefix match), so ``repro.obs.metrics`` can sit in
+            dotted-prefix match), so ``repro.obs.trace`` can sit in
             ``obs-api`` while ``repro.obs`` as a whole is
             ``obs-internal``.
         forbidden: source layer -> layer names it must not import.
@@ -86,7 +86,6 @@ DEFAULT_LAYER_CONFIG = LayerConfig(
         "baselines": ("repro.baselines",),
         "errors": ("repro.errors",),
         "obs-api": (
-            "repro.obs.metrics",
             "repro.obs.trace",
             "repro.obs.runtime",
             "repro.obs.events",

@@ -23,12 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from .dsp import rms
-
-_CHANNEL_SAMPLES = _metrics.counter(
-    "channel_samples_total", "envelope samples distorted by Channel.apply()"
-)
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,6 @@ class Channel:
         attrs=lambda self, envelope, rate_hz: {
             "samples": len(np.atleast_1d(envelope))
         },
-        on_exit=lambda out, _elapsed_s, _attrs: _CHANNEL_SAMPLES.inc(len(out)),
     )
     def apply(self, envelope: np.ndarray, rate_hz: float) -> np.ndarray:
         """Distort an emitted envelope sampled at ``rate_hz``.

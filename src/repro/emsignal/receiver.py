@@ -25,16 +25,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..obs import metrics as _metrics, trace as _trace
-from ..obs.runtime import obs_enabled
+from ..obs import trace as _trace
 from .dsp import lowpass, resample_to_rate
-
-_CAPTURES_TOTAL = _metrics.counter(
-    "receiver_captures_total", "captures recorded through Receiver.capture()"
-)
-_CAPTURE_SAMPLES = _metrics.counter(
-    "receiver_samples_total", "magnitude samples produced by the receiver"
-)
 
 MHZ = 1e6
 
@@ -96,7 +88,7 @@ class Receiver:
             raise ValueError("rates must be positive")
         with _trace.span(
             "receiver.capture", bandwidth_hz=self.bandwidth_hz
-        ):
+        ) as span:
             x = np.asarray(envelope, dtype=np.float64)
             target_rate = self.bandwidth_hz
             if target_rate < rate_hz:
@@ -104,9 +96,7 @@ class Receiver:
                 x = lowpass(x, cutoff_hz=target_rate / 2.0, rate_hz=rate_hz)
             y = resample_to_rate(x, rate_hz, target_rate)
             y = np.maximum(y, 0.0)
-        if obs_enabled():
-            _CAPTURES_TOTAL.inc()
-            _CAPTURE_SAMPLES.inc(len(y))
+            span.set_attr(samples=len(y))
         return Capture(
             magnitude=y,
             sample_rate_hz=target_rate,

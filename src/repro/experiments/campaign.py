@@ -65,7 +65,7 @@ from .. import io as repro_io
 from ..core.events import ProfileReport
 from ..core.profiler import Emprof, EmprofConfig
 from ..errors import AcquisitionError, CampaignError
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from ..obs import ledger as obs_ledger
 from ..obs.events import Event, NDJSONFileSink, bus as _event_bus
 from ..obs.runtime import obs_enabled
@@ -81,24 +81,6 @@ IN_PROCESS_WORKER = "main"
 
 #: Cadence of campaign worker ``heartbeat`` events.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.25
-
-_RUNS_COMPLETED = _metrics.counter(
-    "campaign_runs_completed_total", "campaign runs that produced a report"
-)
-_RUNS_FAILED = _metrics.counter(
-    "campaign_runs_failed_total", "campaign runs abandoned after retries"
-)
-_RUNS_SKIPPED = _metrics.counter(
-    "campaign_runs_skipped_total", "campaign runs skipped on resume (already done)"
-)
-_RUNS_REQUEUED = _metrics.counter(
-    "campaign_runs_requeued_total",
-    "supervised runs re-leased after their worker died, hung, or timed out",
-)
-_RUNS_POISONED = _metrics.counter(
-    "campaign_runs_poisoned_total",
-    "supervised runs quarantined after max_attempts interrupted attempts",
-)
 
 
 @dataclass(frozen=True)
@@ -651,7 +633,6 @@ class CampaignExecution:
             status = state.get("status")
             attempts = int(state.get("attempts", 0) or 0)
             if status == "done" and campaign.report_path(spec.name).exists():
-                _RUNS_SKIPPED.inc()
                 self._outcomes[spec.name] = RunOutcome(spec.name, "skipped")
                 continue
             if status == "poisoned":
@@ -1071,7 +1052,6 @@ class CampaignExecution:
             interrupted_unix_s=time.time(),
         )
         self._checkpoint(job.name)
-        _RUNS_REQUEUED.inc()
         _event_bus.emit(
             "job_requeued",
             run=job.name,
@@ -1101,7 +1081,6 @@ class CampaignExecution:
         acts, not at pass end, so a kill -9 of the *parent* keeps it.
         """
         self._mark(job, "poisoned", error=reason, finished_unix_s=time.time())
-        _RUNS_POISONED.inc()
         _event_bus.emit(
             "job_quarantined",
             run=job.name,
@@ -1189,10 +1168,6 @@ class CampaignExecution:
         cannot lose it.
         """
         self._outcomes[job.name] = outcome
-        if outcome.status == "done":
-            _RUNS_COMPLETED.inc()
-        elif outcome.status == "failed":
-            _RUNS_FAILED.inc()
         report = outcome.report
         extra: Dict[str, object] = {"status": outcome.status}
         if outcome.error is not None:

@@ -36,7 +36,7 @@ from ..core.markers import MarkerWindow, find_marker_window
 from ..core.profiler import Emprof, EmprofConfig
 from ..core.events import ProfileReport
 from ..errors import AcquisitionError
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from ..devices.models import default_channel
 from ..emsignal.apparatus import measure
 from ..emsignal.channel import ChannelConfig
@@ -49,19 +49,6 @@ from ..workloads.spec import SpecWorkload
 
 #: STFT window of the spectral attribution, in samples.
 SPECTRAL_WINDOW_SAMPLES = 128
-
-_EXPERIMENT_RUNS = _metrics.counter(
-    "experiment_runs_total", "run_simulator()/run_device() invocations"
-)
-_ACQUIRE_RETRIES = _metrics.counter(
-    "acquisition_retries_total", "transient acquisition failures retried"
-)
-_ACQUIRE_FAILURES = _metrics.counter(
-    "acquisition_failures_total", "acquisitions abandoned after all retries"
-)
-_RUN_WALL_TIME = _metrics.gauge(
-    "experiment_wall_time_seconds", "last experiment driver's wall time"
-)
 
 
 @dataclass(frozen=True)
@@ -103,18 +90,19 @@ def acquire_with_retry(
     permanent failures - :class:`repro.errors.HardwareMissingError`,
     :class:`repro.errors.CorruptCaptureError` - and non-acquisition
     exceptions propagate immediately.  ``sleep`` is injectable so
-    tests (and event-loop integrations) can skip real waiting.
+    tests (and event-loop integrations) can skip real waiting.  The
+    ``acquire`` span records how many ``attempts`` were made.
     """
     pol = policy if policy is not None else RetryPolicy()
     attempt = 1
-    while True:
-        try:
-            return source.capture()
-        except AcquisitionError as exc:
-            if not exc.transient or attempt >= pol.max_attempts:
-                _ACQUIRE_FAILURES.inc()
-                raise
-            _ACQUIRE_RETRIES.inc()
+    with _trace.span("acquire") as span:
+        while True:
+            span.set_attr(attempts=attempt)
+            try:
+                return source.capture()
+            except AcquisitionError as exc:
+                if not exc.transient or attempt >= pol.max_attempts:
+                    raise
             sleep(pol.delay(attempt))
             attempt += 1
 
@@ -225,8 +213,6 @@ class ExperimentRun:
 
 
 def _experiment_done(run, _elapsed_s, _attrs):
-    _EXPERIMENT_RUNS.inc()
-    _RUN_WALL_TIME.set(run.wall_time_s)
     return {"stalls": len(run.report.stalls), "wall_time_s": run.wall_time_s}
 
 

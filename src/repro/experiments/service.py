@@ -53,8 +53,8 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..errors import ServiceError
 from ..obs import ledger as obs_ledger
-from ..obs import metrics as _metrics
 from ..obs import statusd
+from ..obs import trace as _trace
 from ..obs.events import bus as _event_bus
 from .campaign import Campaign, CampaignExecution, RunSpec
 from .runner import RetryPolicy, SimulatedCaptureSource
@@ -286,7 +286,7 @@ class CampaignService:
             raise ServiceError("service already started")
         self._server = statusd.StatusServer(
             _event_bus,
-            metrics=_metrics,
+            tracer=_trace,
             host=self.host,
             port=self._requested_port,
             extra_status=self._service_status,

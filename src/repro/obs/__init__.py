@@ -1,15 +1,16 @@
-"""Observability for the EMPROF reproduction: traces, metrics, logs.
+"""Observability for the EMPROF reproduction: traces, events, logs.
 
 EMPROF's pitch is profiling with zero observer effect; this package
 holds the reproduction to the same bar by making the profiler itself
-observable *without* perturbing it.  Four primitives, all stdlib-only:
+observable *without* perturbing it.  Three primitives, all stdlib-only:
 
 * :data:`trace` - a process-global span :class:`~repro.obs.trace.Tracer`
   (``with trace.span("detect", samples=n): ...``), thread-safe and
-  nestable, exporting JSON and Chrome ``chrome://tracing`` format;
-* :data:`metrics` - a process-global
-  :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
-  histograms with JSON and Prometheus-text exporters;
+  nestable, exporting JSON and Chrome ``chrome://tracing`` format.
+  Each fact is recorded once, as a span attribute:
+  :meth:`~repro.obs.trace.Tracer.aggregate` rolls the spans up per
+  name, and its ``sums`` (``profile``'s ``stalls``, ``sim.run``'s
+  ``instructions``) say how much work each stage did;
 * :data:`bus` - the process-global :class:`~repro.obs.events.EventBus`
   of live telemetry events, each written to every sink as it is
   emitted, in ``seq`` order;
@@ -29,12 +30,12 @@ On top of those primitives sits the **run observatory**:
 
 Everything is inert unless ``EMPROF_OBS=1`` is set in the environment
 (mirroring ``EMPROF_CONTRACTS``) or :func:`set_obs_enabled` is called:
-disabled instruments cost one attribute check per call, which is what
-lets the hot loops stay instrumented permanently.  The overhead guard
+a disabled span or event costs one attribute check per call, which is
+what lets the hot loops stay instrumented permanently.  The overhead guard
 in ``tests/test_obs_overhead.py`` enforces that bound.
 
-See ``docs/observability.md`` for the span/metric catalogue and the
-exporter formats.
+See ``docs/observability.md`` for the span catalogue and the exporter
+formats.
 """
 
 from __future__ import annotations
@@ -42,30 +43,15 @@ from __future__ import annotations
 from .events import Event, EventBus, bus
 from .ledger import RunLedger, RunRecord
 from .logbridge import configure_logging, get_logger, level_for_verbosity
-from .metrics import (
-    Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .runtime import obs_enabled, set_obs_enabled
 from .trace import SpanRecord, Tracer
 
 #: Process-global tracer; import as ``from repro.obs import trace``.
 trace = Tracer()
 
-#: Process-global metrics registry.
-metrics = MetricsRegistry()
-
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "Event",
     "EventBus",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RunLedger",
     "RunRecord",
     "SpanRecord",
@@ -74,7 +60,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "level_for_verbosity",
-    "metrics",
     "obs_enabled",
     "set_obs_enabled",
     "trace",

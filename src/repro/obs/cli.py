@@ -3,14 +3,14 @@
 One command tree, mounted by both entry points
 (:func:`add_subcommands`):
 
-* ``show [METRICS_JSON] [--trace SPANS_JSON]`` - pretty-print a
-  metrics snapshot written by ``repro profile --metrics-out`` and/or
-  summarize a span trace: one written by ``repro profile
-  --trace-out``, or a campaign pass's ``trace.json``, which holds its
-  forked workers' spans too (trace payload versions 1 to 3 all read);
+* ``show --trace SPANS_JSON`` - the per-name span rollup (count,
+  time, summed work attributes) of a trace written by ``repro profile
+  --trace-out``, or of a campaign pass's ``trace.json``, which holds
+  its forked workers' spans too (trace payload versions 1 to 3 all
+  read);
 * ``demo`` - a self-contained live demo: a synthetic streaming
   producer, the status server and the ``watch`` loop in one process,
-  then the run's metrics snapshot and span summary;
+  then the run's span rollup;
 * ``ledger LEDGER.jsonl`` - list run-ledger entries;
 * ``regress LEDGER.jsonl`` - judge the latest run of every group
   against its history (:mod:`repro.obs.regress`);
@@ -20,7 +20,7 @@ One command tree, mounted by both entry points
   file (a campaign's ``events.ndjsonl``) or queried from a live
   status server (:mod:`repro.obs.statusd`) at ``HOST:PORT``;
 * ``watch HOST:PORT`` - poll a live server and render streaming
-  progress (chunks/s, samples/s, stall rate, quality flags).
+  progress (chunks/s, stall rate, quality flags).
 
 Exit codes (CI contract, pinned by tests):
 
@@ -38,77 +38,46 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .ledger import RUN_KINDS, RunLedger
+from .trace import rollup
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_REGRESSION = 3
 
 DESCRIPTION = (
-    "EMPROF observability: snapshot and trace pretty-printer, run "
+    "EMPROF observability: span rollup printer, run "
     "ledger, regression gate, HTML dashboard and live event tools"
 )
 
 
-def format_metrics_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable rendering of a registry snapshot document."""
-    lines: List[str] = []
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-
-    if counters:
-        lines.append("counters:")
-        width = max(len(name) for name in counters)
-        for name in sorted(counters):
-            lines.append(f"  {name:<{width}}  {counters[name]['value']:g}")
-    if gauges:
-        lines.append("gauges:")
-        width = max(len(name) for name in gauges)
-        for name in sorted(gauges):
-            lines.append(f"  {name:<{width}}  {gauges[name]['value']:g}")
-    if histograms:
-        lines.append("histograms:")
-        for name in sorted(histograms):
-            hist = histograms[name]
-            count = hist.get("count", 0)
-            lines.append(f"  {name}:")
-            lines.append(
-                f"    count {count}   sum {hist.get('sum', 0.0):g}   "
-                f"min {hist.get('min')}   max {hist.get('max')}"
-            )
-            percentiles = hist.get("percentiles") or {}
-            if count and percentiles:
-                quants = "   ".join(
-                    f"{suffix} {value:.3g}" for suffix, value in percentiles.items()
-                )
-                lines.append(f"    {quants}")
-    if not lines:
-        lines.append("(no metrics recorded)")
-    return "\n".join(lines)
-
-
 def format_trace_summary(payload: Dict[str, Any]) -> str:
-    """Per-span-name rollup of a native-format trace document."""
+    """The per-name rollup of a native-format trace document.
+
+    One row per span name, busiest first: count, total and mean time,
+    then the summed integer attributes - how much work each stage did.
+    """
     spans = payload.get("spans", [])
     if not spans:
         return "(no spans recorded)"
-    rollup: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        row = rollup.setdefault(span["name"], {"count": 0.0, "total_s": 0.0})
-        row["count"] += 1.0
-        row["total_s"] += span.get("duration_s", 0.0)
-    width = max(len(name) for name in rollup)
+    rows = rollup(
+        (span["name"], span.get("duration_s", 0.0), span.get("attrs") or {})
+        for span in spans
+    )
+    width = max(len(name) for name in rows)
     lines = [f"{len(spans)} spans ({payload.get('dropped', 0)} dropped)"]
-    lines.append(f"  {'span':<{width}}  {'count':>7}  {'total':>10}  {'mean':>10}")
-    for name in sorted(rollup, key=lambda n: -rollup[n]["total_s"]):
-        row = rollup[name]
-        mean_s = row["total_s"] / row["count"]
+    lines.append(
+        f"  {'span':<{width}}  {'count':>7}  {'total':>10}  {'mean':>10}  sums"
+    )
+    for name in sorted(rows, key=lambda n: -rows[n]["total_s"]):
+        row = rows[name]
+        sums = " ".join(f"{k}={v}" for k, v in sorted(row["sums"].items()))
         lines.append(
-            f"  {name:<{width}}  {int(row['count']):>7}  "
-            f"{row['total_s'] * 1e3:>8.3f}ms  {mean_s * 1e3:>8.3f}ms"
+            f"  {name:<{width}}  {row['count']:>7}  "
+            f"{row['total_s'] * 1e3:>8.3f}ms  {row['mean_s'] * 1e3:>8.3f}ms  "
+            f"{sums}".rstrip()
         )
     return "\n".join(lines)
 
@@ -128,22 +97,14 @@ def _read_json(path: str) -> Optional[Dict[str, Any]]:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
-    """Pretty-print a metrics snapshot and/or summarize a span trace."""
-    if not args.metrics and not args.trace:
-        print(
-            "repro-obs: show needs METRICS_JSON and/or --trace SPANS_JSON",
-            file=sys.stderr,
-        )
+    """Print the per-name rollup of a span trace."""
+    if not args.trace:
+        print("repro-obs: show needs --trace SPANS_JSON", file=sys.stderr)
         return EXIT_BAD_INPUT
-    for path, render in (
-        (args.metrics, format_metrics_snapshot),
-        (args.trace, format_trace_summary),
-    ):
-        if path:
-            document = _read_json(path)
-            if document is None:
-                return EXIT_BAD_INPUT
-            print(render(document))
+    document = _read_json(args.trace)
+    if document is None:
+        return EXIT_BAD_INPUT
+    print(format_trace_summary(document))
     return EXIT_OK
 
 
@@ -304,10 +265,12 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
 
 def _watch_line(previous: Dict[str, Any], stats: Dict[str, Any], dt: float) -> str:
-    """One progress line from two successive ``status`` rollups."""
-    def rate(key: str) -> float:
-        return max(0.0, (stats.get(key, 0) - previous.get(key, 0)) / dt)
+    """One progress line from two successive ``status`` rollups.
 
+    Rates come from the per-kind event counts, which every profiling
+    mode feeds: a batch run emits no ``chunk_processed`` events but one
+    ``stall_detected`` per stall.
+    """
     def count_rate(kind: str) -> float:
         now = stats.get("counts", {}).get(kind, 0)
         before = previous.get("counts", {}).get(kind, 0)
@@ -317,8 +280,7 @@ def _watch_line(previous: Dict[str, Any], stats: Dict[str, Any], dt: float) -> s
     flags = stats.get("counts", {}).get("quality_flag", 0)
     return (
         f"{count_rate('chunk_processed'):>8.1f} chunks/s  "
-        f"{rate('samples_total'):>12.0f} samples/s  "
-        f"{rate('stalls_total'):>8.1f} stalls/s  "
+        f"{count_rate('stall_detected'):>8.1f} stalls/s  "
         f"{flags:>4} quality flags  "
         f"{alive:>2} source(s)"
     )
@@ -406,7 +368,7 @@ def _watch_loop(
             return EXIT_OK
 
 
-#: How long ``demo`` streams before it prints its snapshot.
+#: How long ``demo`` streams before it prints its span rollup.
 _DEMO_DURATION_S = 2.0
 
 
@@ -416,21 +378,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
     Streams a synthetic dip signal through :class:`StreamingEmprof` on
     a background thread (emitting per-chunk events and heartbeats),
     serves the bus on an ephemeral port and runs the watch loop
-    against it, then prints the run's metrics snapshot and span
-    summary - one process, no arguments, bounded runtime.  This is
-    what ``make watch-demo`` runs.
+    against it, then prints the run's span rollup - one process, no
+    arguments, bounded runtime.  This is what ``make watch-demo``
+    runs.
     """
     import threading
 
     import numpy as np
 
-    from . import metrics, set_obs_enabled, statusd, trace
+    from . import set_obs_enabled, statusd, trace
     from .events import bus
     from ..core.streaming import StreamingEmprof
 
     previous_enabled = set_obs_enabled(True)
     bus.reset()
-    metrics.reset()
     trace.reset()
     previous_source = bus.set_source("demo")
     stop = threading.Event()
@@ -467,8 +428,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         bus.set_source(previous_source)
         set_obs_enabled(previous_enabled)
     print()
-    print(format_metrics_snapshot(metrics.snapshot()))
-    print()
     print(format_trace_summary(trace.to_payload()))
     return code
 
@@ -500,18 +459,12 @@ def add_subcommands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     show = sub.add_parser(
-        "show", help="pretty-print a metrics snapshot and/or a span trace"
-    )
-    show.add_argument(
-        "metrics",
-        nargs="?",
-        metavar="METRICS_JSON",
-        help="metrics snapshot .json (from `repro profile --metrics-out`)",
+        "show", help="print the per-name rollup of a span trace"
     )
     show.add_argument(
         "--trace",
         metavar="SPANS_JSON",
-        help="summarize a span trace (from `repro profile --trace-out` "
+        help="span trace to roll up (from `repro profile --trace-out` "
         "or a campaign pass's trace.json)",
     )
     show.set_defaults(func=cmd_show)
@@ -519,7 +472,7 @@ def add_subcommands(parser: argparse.ArgumentParser) -> None:
     sub.add_parser(
         "demo",
         help="live demo: streaming producer, status server and watch "
-        "loop in one process, then the run's metrics and spans",
+        "loop in one process, then the run's span rollup",
     ).set_defaults(func=cmd_demo)
 
     led = sub.add_parser("ledger", help="list run-ledger entries")

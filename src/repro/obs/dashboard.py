@@ -14,7 +14,8 @@ Sections:
 * one card per ``(kind, label)`` group - wall-time trend sparkline,
   latest vs. baseline, and the observatory's verdict for that group;
 * per-span timing breakdown of each group's latest entry (bars);
-* metric sparklines - selected counters across ledger history;
+* work sparklines - each span's summed attributes (the rollup's
+  ``sums``: stalls, samples, instructions) across ledger history;
 * quality/fault overlay - signal-quality accounting and failed runs
   from campaign telemetry.
 
@@ -37,9 +38,9 @@ _SPARK_WIDTH = 220
 _SPARK_HEIGHT = 44
 _SPARK_PAD = 4
 
-#: Most spans / counters shown per card before folding the tail.
+#: Most spans / work sums shown per card before folding the tail.
 _MAX_SPAN_ROWS = 8
-_MAX_COUNTER_CHARTS = 6
+_MAX_WORK_CHARTS = 6
 
 _CSS = """
 :root { color-scheme: light dark; }
@@ -133,15 +134,8 @@ def _fmt_when(unix_s: float) -> str:
     return time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(unix_s)) + " UTC"
 
 
-def _sparkline(
-    values: Sequence[float], latest_label: str = "", tooltip: str = ""
-) -> str:
-    """Inline-SVG trend line with a dot on the newest point.
-
-    ``tooltip``, when given, becomes the SVG ``<title>`` - the
-    browser-native hover tooltip - used to surface latency percentiles
-    without spending card real estate on them.
-    """
+def _sparkline(values: Sequence[float], latest_label: str = "") -> str:
+    """Inline-SVG trend line with a dot on the newest point."""
     if not values:
         return ""
     width, height, pad = _SPARK_WIDTH, _SPARK_HEIGHT, _SPARK_PAD
@@ -167,12 +161,10 @@ def _sparkline(
         if latest_label
         else ""
     )
-    hover = f"<title>{_esc(tooltip)}</title>" if tooltip else ""
     return (
         f'<svg class="spark" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" role="img" '
         f'aria-label="trend, latest {_esc(latest_label)}">'
-        f"{hover}"
         f'<line class="mid" x1="{pad}" y1="{height / 2:.1f}" '
         f'x2="{width - pad}" y2="{height / 2:.1f}"/>'
         f'<polyline points="{polyline}"/>'
@@ -207,31 +199,6 @@ def _group_status(report: RegressionReport) -> Dict[str, str]:
     return out
 
 
-def _percentile_tooltip(entry: RunRecord) -> str:
-    """The latest entry's histogram percentiles, one line per metric.
-
-    Feeds the wall-time sparkline's hover tooltip; entries recorded
-    before the exporter carried percentiles simply yield "".
-    """
-    if not entry.metrics:
-        return ""
-    lines: List[str] = []
-    for name, row in sorted(entry.metrics.get("histograms", {}).items()):
-        if not isinstance(row, dict):
-            continue
-        percentiles = row.get("percentiles")
-        if not isinstance(percentiles, dict):
-            continue
-        cells = [
-            f"{suffix} {_fmt_duration(float(value))}"
-            for suffix, value in sorted(percentiles.items())
-            if isinstance(value, (int, float))
-        ]
-        if cells:
-            lines.append(f"{name}: " + " · ".join(cells))
-    return "\n".join(lines)
-
-
 def _group_cards(
     groups: Dict[str, List[RunRecord]], status_by_group: Dict[str, str]
 ) -> List[str]:
@@ -248,11 +215,7 @@ def _group_cards(
             f"{_fmt_duration(latest.wall_time_s)} · rev "
             f"{_esc(latest.git_rev)} · {_fmt_when(latest.created_unix_s)}"
             f"</div>"
-            + _sparkline(
-                walls,
-                _fmt_duration(latest.wall_time_s),
-                tooltip=_percentile_tooltip(latest),
-            )
+            + _sparkline(walls, _fmt_duration(latest.wall_time_s))
             + f"<div>wall time {_badge(status)}</div>"
             "</div>"
         )
@@ -309,46 +272,44 @@ def _span_section(groups: Dict[str, List[RunRecord]]) -> List[str]:
     return parts
 
 
-def _counter_value(entry: RunRecord, name: str) -> Optional[float]:
-    if not entry.metrics:
-        return None
-    row = entry.metrics.get("counters", {}).get(name)
-    if not isinstance(row, dict):
-        return None
-    try:
-        return float(row["value"])
-    except (KeyError, TypeError, ValueError):
-        return None
+def _sum_value(entry: RunRecord, span: str, key: str) -> Optional[float]:
+    row = (entry.spans or {}).get(span)
+    value = row.get("sums", {}).get(key) if isinstance(row, dict) else None
+    return float(value) if isinstance(value, (int, float)) else None
 
 
-def _metric_section(groups: Dict[str, List[RunRecord]]) -> List[str]:
+def _work_section(groups: Dict[str, List[RunRecord]]) -> List[str]:
+    """Sparklines of each span's summed attributes across history."""
     parts: List[str] = []
     for group in sorted(groups):
         entries = groups[group]
-        latest = entries[-1]
-        if not latest.metrics:
-            continue
-        names = sorted(latest.metrics.get("counters", {}))
+        names = sorted(
+            (span, key)
+            for span, row in (entries[-1].spans or {}).items()
+            if isinstance(row, dict)
+            for key in row.get("sums", {})
+        )
         charts: List[str] = []
-        for name in names:
+        for span, key in names:
             series = [
                 value
-                for value in (_counter_value(e, name) for e in entries)
+                for value in (_sum_value(e, span, key) for e in entries)
                 if value is not None
             ]
             if len(series) < 2 or max(series) <= 0:
                 continue
+            name = f"{span}.{key}"
             charts.append(
                 '<div class="card">'
                 f'<div class="sub" title="{_esc(name)}">{_esc(name)}</div>'
                 + _sparkline(series, f"{series[-1]:g}")
                 + "</div>"
             )
-            if len(charts) >= _MAX_COUNTER_CHARTS:
+            if len(charts) >= _MAX_WORK_CHARTS:
                 break
         if charts:
             parts.append(
-                f"<h2>metrics · {_esc(group)}</h2>"
+                f"<h2>work · {_esc(group)}</h2>"
                 f'<div class="cards">{"".join(charts)}</div>'
             )
     return parts
@@ -449,7 +410,7 @@ def render_dashboard(
         if span_cards:
             body.append("<h2>span breakdown (latest entries)</h2>")
             body.append(f'<div class="cards">{"".join(span_cards)}</div>')
-        body.extend(_metric_section(groups))
+        body.extend(_work_section(groups))
         quality = _quality_section(records)
         if quality:
             body.append(quality)

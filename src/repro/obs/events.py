@@ -30,7 +30,7 @@ Design rules, in priority order:
   lines - the same discipline as the run ledger.
 
 The process-global bus lives at :data:`bus`; instrumented code uses
-it exactly like the global tracer and metrics registry.
+it exactly like the global tracer.
 """
 
 from __future__ import annotations
@@ -225,8 +225,6 @@ class EventBus:
         self._sink_errors = 0
         self._seq = 0
         self._counts: Dict[str, int] = {}
-        self._samples_total = 0
-        self._stalls_total = 0
         self._started_unix_s = time.time()
         self._last_event_unix_s = 0.0
         self._last_heartbeat: Dict[str, float] = {}
@@ -291,10 +289,7 @@ class EventBus:
                 )
             self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
             self._last_event_unix_s = event.t_unix_s
-            if event.kind == "chunk_processed":
-                self._samples_total += int(event.attrs.get("samples", 0) or 0)
-                self._stalls_total += int(event.attrs.get("stalls", 0) or 0)
-            elif event.kind == "heartbeat":
+            if event.kind == "heartbeat":
                 self._last_heartbeat[event.source] = event.t_unix_s
             self._recent.append(event)
             for sink in self._sinks:
@@ -345,7 +340,7 @@ class EventBus:
         return recent[-n:] if n else []
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-pure rollup: counts by kind, totals, sink errors.
+        """JSON-pure rollup: counts by kind, their total, sink errors.
 
         This is what the status server's ``status`` response carries;
         keeping it cheap (no iteration over retained events) is what
@@ -358,8 +353,6 @@ class EventBus:
                 "total": sum(counts.values()),
                 "sink_errors": self._sink_errors,
                 "sinks": len(self._sinks),
-                "samples_total": self._samples_total,
-                "stalls_total": self._stalls_total,
                 "started_unix_s": self._started_unix_s,
                 "last_event_unix_s": self._last_event_unix_s,
                 "last_heartbeat_unix_s": dict(self._last_heartbeat),
@@ -382,8 +375,6 @@ class EventBus:
             self._sink_errors = 0
             self._seq = 0
             self._counts = {}
-            self._samples_total = 0
-            self._stalls_total = 0
             self._started_unix_s = time.time()
             self._last_event_unix_s = 0.0
             self._last_heartbeat = {}

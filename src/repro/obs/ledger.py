@@ -148,8 +148,9 @@ class RunRecord:
         git_rev: short git revision the run executed at.
         config_fingerprint: :func:`config_fingerprint` of the run's
             configuration, or ``""`` when not applicable.
-        metrics: a :meth:`MetricsRegistry.snapshot` document, or None.
-        spans: a :meth:`Tracer.aggregate` rollup, or None.
+        spans: a :meth:`Tracer.aggregate` rollup, or None.  Lines
+            written before the rollup carried ``sums`` also hold a
+            ``metrics`` registry snapshot; it is ignored on read.
         quality: a signal-quality summary dict, or None.
         accuracy: accuracy statistics (detected vs. ground truth), or
             None when no ground truth existed.
@@ -164,7 +165,6 @@ class RunRecord:
     git_rev: str = "unknown"
     config_fingerprint: str = ""
     schema_version: int = SCHEMA_VERSION
-    metrics: Optional[Dict[str, Any]] = None
     spans: Optional[Dict[str, Any]] = None
     quality: Optional[Dict[str, Any]] = None
     accuracy: Optional[Dict[str, Any]] = None
@@ -186,7 +186,6 @@ class RunRecord:
             "created_unix_s": self.created_unix_s,
             "git_rev": self.git_rev,
             "config_fingerprint": self.config_fingerprint,
-            "metrics": self.metrics,
             "spans": self.spans,
             "quality": self.quality,
             "accuracy": self.accuracy,
@@ -221,7 +220,6 @@ class RunRecord:
             git_rev=str(payload.get("git_rev", "unknown")),
             config_fingerprint=str(payload.get("config_fingerprint", "")),
             schema_version=int(payload.get("schema_version", 1)),
-            metrics=payload.get("metrics"),
             spans=payload.get("spans"),
             quality=payload.get("quality"),
             accuracy=payload.get("accuracy"),
@@ -234,7 +232,6 @@ def record(
     label: str,
     wall_time_s: float,
     config: Any = None,
-    metrics: Optional[Dict[str, Any]] = None,
     spans: Optional[Dict[str, Any]] = None,
     quality: Optional[Dict[str, Any]] = None,
     accuracy: Optional[Dict[str, Any]] = None,
@@ -259,7 +256,6 @@ def record(
         config_fingerprint=(
             config_fingerprint(config) if config is not None else ""
         ),
-        metrics=metrics,
         spans=spans,
         quality=quality,
         accuracy=accuracy,

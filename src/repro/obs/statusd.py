@@ -10,10 +10,11 @@ process, or machine without touching the producer:
 =============  ==========================================================
 request        response
 =============  ==========================================================
-``status``     bus rollup (event counts, drops, heartbeats) + process
+``status``     bus rollup (event counts, heartbeats) + process
                identity (pid, uptime) + producer-supplied
                extras (the campaign daemon's jobs)
-``metrics``    the process's :meth:`MetricsRegistry.snapshot` document
+``metrics``    the process's span rollup (:meth:`Tracer.aggregate`):
+               each stage's count, time and summed work attributes
 ``tail``       the last ``n`` events (``{"req": "tail", "n": 10}``)
 ``health``     liveness verdict: ``healthy`` plus seconds since the
                last event
@@ -36,6 +37,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .events import EventBus
+from .trace import Tracer
 
 PROTOCOL = "repro-obs-statusd"
 PROTOCOL_VERSION = 1
@@ -100,8 +102,9 @@ class StatusServer:
 
     Args:
         bus: the event bus to observe.
-        metrics: a :class:`repro.obs.metrics.MetricsRegistry` served
-            by the ``metrics`` request, or None to omit.
+        tracer: a :class:`repro.obs.trace.Tracer` whose
+            :meth:`~repro.obs.trace.Tracer.aggregate` the ``metrics``
+            request serves, or None to omit.
         host / port: bind address; port 0 picks an ephemeral port.
         extra_status: optional zero-argument callable whose dict is
             merged into the ``status`` response under ``"extra"`` -
@@ -121,7 +124,7 @@ class StatusServer:
     def __init__(
         self,
         bus: EventBus,
-        metrics: Optional[Any] = None,
+        tracer: Optional[Tracer] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         extra_status: Optional[Callable[[], Dict[str, Any]]] = None,
@@ -131,7 +134,7 @@ class StatusServer:
         stall_after_s: float = DEFAULT_STALL_AFTER_S,
     ):
         self.bus = bus
-        self.metrics = metrics
+        self.tracer = tracer
         self.host = host
         self._requested_port = int(port)
         self.extra_status = extra_status
@@ -194,10 +197,8 @@ class StatusServer:
         if req == "status":
             return self._status()
         if req == "metrics":
-            snapshot = (
-                self.metrics.snapshot() if self.metrics is not None else None
-            )
-            return {"ok": True, "metrics": snapshot}
+            rollup = self.tracer.aggregate() if self.tracer is not None else None
+            return {"ok": True, "metrics": rollup}
         if req == "tail":
             try:
                 n = int(request.get("n", 20))

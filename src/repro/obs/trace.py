@@ -36,7 +36,17 @@ import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from . import runtime
 from .events import bus
@@ -56,6 +66,32 @@ def _clean_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
         key: value if isinstance(value, _ATTR_TYPES) else str(value)
         for key, value in attrs.items()
     }
+
+
+def rollup(
+    spans: Iterable[Tuple[str, float, Dict[str, Any]]]
+) -> Dict[str, Dict[str, Any]]:
+    """Per-name rollup of ``(name, duration_s, attrs)`` spans.
+
+    Each row holds ``count``, ``total_s``, ``mean_s`` and ``sums``: the
+    total of every integer-valued attribute (bools excluded) across
+    the name's spans, e.g. ``profile``'s ``stalls`` or ``sim.run``'s
+    ``instructions`` - how much work each stage did.
+    """
+    out: Dict[str, Dict[str, Any]] = {}
+    for name, duration_s, attrs in spans:
+        row = out.get(name)
+        if row is None:
+            row = out[name] = {"count": 0, "total_s": 0.0, "sums": {}}
+        row["count"] += 1
+        row["total_s"] += duration_s
+        sums = row["sums"]
+        for key, value in attrs.items():
+            if type(value) is int:
+                sums[key] = sums.get(key, 0) + value
+    for row in out.values():
+        row["mean_s"] = row["total_s"] / row["count"]
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +364,7 @@ class Tracer:
         on_exit: Optional[Callable[..., Optional[Dict[str, Any]]]] = None,
         run_events: bool = False,
     ) -> Callable[[F], F]:
-        """Decorator owning one entry point's span, metrics and events.
+        """Decorator owning one entry point's span and run events.
 
         The enabled flag is consulted at each call (late binding), so
         instrumentation toggled on after import still takes effect;
@@ -337,9 +373,9 @@ class Tracer:
         * opens the span ``name`` (default: the function's qualified
           name) with ``attrs(**arguments)`` as its attributes, where
           ``arguments`` are the call's bound arguments;
-        * on return, calls ``on_exit(result, elapsed_s, attributes)``,
-          the hook that feeds counters and histograms; the attributes
-          it returns are added to the span;
+        * on return, calls ``on_exit(result, elapsed_s, attributes)``;
+          the attributes it returns (result counts) are added to the
+          span;
         * with ``run_events``, brackets the call with ``run_started``
           and ``run_finished`` bus events (``op=name``) carrying the
           span's attributes.
@@ -417,16 +453,9 @@ class Tracer:
         out._spans = [r for r in records if r.span_id in keep]
         return out
 
-    def aggregate(self) -> Dict[str, Dict[str, float]]:
-        """Per-name rollup: count, total and mean duration (seconds)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for record in self.records():
-            row = out.setdefault(record.name, {"count": 0.0, "total_s": 0.0})
-            row["count"] += 1.0
-            row["total_s"] += record.duration_s
-        for row in out.values():
-            row["mean_s"] = row["total_s"] / row["count"]
-        return out
+    def aggregate(self) -> Dict[str, Dict[str, Any]]:
+        """Per-name rollup of the completed spans (see :func:`rollup`)."""
+        return rollup((r.name, r.duration_s, r.attrs) for r in self.records())
 
     def reset(self) -> None:
         """Discard all spans and open-span stacks and restart ids.

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 import numpy as np
 
-from ..obs import metrics as _metrics, trace as _trace
+from ..obs import trace as _trace
 from .cache import CacheHierarchy
 from .config import MachineConfig
 from .dram import MainMemory
@@ -30,19 +30,6 @@ if TYPE_CHECKING:
     # Annotations only: workloads.base imports sim.config, whose package
     # imports this module, so a runtime import here is circular.
     from ..workloads.base import Workload
-
-_SIM_CYCLES = _metrics.counter(
-    "sim_cycles_total", "processor cycles simulated across all runs"
-)
-_SIM_INSTRUCTIONS = _metrics.counter(
-    "sim_instructions_total", "instructions simulated across all runs"
-)
-_SIM_POWER_SAMPLES = _metrics.counter(
-    "sim_power_samples_total", "power-trace samples emitted across all runs"
-)
-_SIM_CPS = _metrics.gauge(
-    "sim_cycles_per_second", "simulated cycles per wall second, last run"
-)
 
 
 @dataclass
@@ -75,14 +62,13 @@ class SimulationResult:
         return self.config.power.bin_cycles
 
 
-def _count_run(result, elapsed_s, _attrs):
+def _count_run(result, _elapsed_s, _attrs):
     truth = result.ground_truth
-    _SIM_CYCLES.inc(truth.total_cycles)
-    _SIM_INSTRUCTIONS.inc(truth.total_instructions)
-    _SIM_POWER_SAMPLES.inc(len(result.power_trace))
-    if elapsed_s > 0:
-        _SIM_CPS.set(truth.total_cycles / elapsed_s)
-    return {"cycles": truth.total_cycles}
+    return {
+        "cycles": truth.total_cycles,
+        "instructions": truth.total_instructions,
+        "power_samples": len(result.power_trace),
+    }
 
 
 class Machine:

@@ -462,7 +462,7 @@ def test_longest_prefix_wins():
     assert config.layer_of("repro.core.detect") == "core"
     # repro.obs.trace is carved out of repro.obs by the longer prefix.
     assert config.layer_of("repro.obs.trace") == "obs-api"
-    assert config.layer_of("repro.obs.metrics") == "obs-api"
+    assert config.layer_of("repro.obs.events") == "obs-api"
     assert config.layer_of("repro.obs.dashboard") == "obs-internal"
     assert config.layer_of("repro.obs.ledger") == "obs-internal"
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import io as repro_io
+from repro import io as repro_io, obs
 from repro.core.detect import DetectorConfig
 from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import EmprofConfig
@@ -73,6 +73,26 @@ class TestAcquireWithRetry:
         assert len(capture.magnitude) == 3000
         assert source.attempts == 3
         assert sleeps == [0.05, 0.1]
+
+    def test_acquire_span_counts_attempts(self):
+        previous = obs.set_obs_enabled(True)
+        obs.trace.reset()
+        try:
+            acquire_with_retry(
+                FlakySource(StaticSource(), failures=1), sleep=lambda _: None
+            )
+            with pytest.raises(TransientAcquisitionError):
+                acquire_with_retry(
+                    FlakySource(StaticSource(), failures=5),
+                    RetryPolicy(max_attempts=3),
+                    sleep=lambda _: None,
+                )
+            spans = obs.trace.by_name("acquire")
+            assert [s.attrs["attempts"] for s in spans] == [2, 3]
+            assert obs.trace.aggregate()["acquire"]["sums"] == {"attempts": 5}
+        finally:
+            obs.trace.reset()
+            obs.set_obs_enabled(previous)
 
     def test_gives_up_after_max_attempts(self):
         source = FlakySource(StaticSource(), failures=5)

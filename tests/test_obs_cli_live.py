@@ -71,11 +71,23 @@ class TestWatchDemo:
         code = obs_cli.main(["demo"])
         output = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "chunks/s" in output
-        assert "samples/s" in output
-        # Then the run's metrics snapshot and span summary.
-        assert "stalls_detected_total" in output
-        assert "streaming.chunk" in output
+        assert "chunks/s" in output and "stalls/s" in output
+        # Then the run's span rollup, with each stage's summed work.
+        chunk_row = next(
+            line for line in output.splitlines()
+            if line.split()[:1] == ["streaming.chunk"]
+        )
+        assert "samples=" in chunk_row and "stalls=" in chunk_row
+
+    def test_watch_line_rates_batch_stalls(self):
+        # A batch run emits one stall_detected per stall and no
+        # chunk_processed events: its stalls still show as a rate.
+        before = {"counts": {"stall_detected": 10}}
+        after = {"counts": {"stall_detected": 40, "quality_flag": 2}}
+        line = obs_cli._watch_line(before, after, 2.0)
+        assert "0.0 chunks/s" in line
+        assert "15.0 stalls/s" in line
+        assert "2 quality flags" in line
 
     def test_watch_without_address_is_bad_input(self, capsys):
         with pytest.raises(SystemExit) as exc:

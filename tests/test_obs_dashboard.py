@@ -15,13 +15,11 @@ def _records(times=(1.0, 1.01, 0.99, 1.0, 1.02), label="bench_a"):
                 kind="bench",
                 label=label,
                 wall_time_s=wall,
-                metrics={
-                    "counters": {
-                        "events_detected_total": {"value": wall * 100}
-                    }
-                },
                 spans={
-                    "detect": {"count": 1, "total_s": wall * 0.6, "mean_s": wall * 0.6},
+                    "detect": {
+                        "count": 1, "total_s": wall * 0.6, "mean_s": wall * 0.6,
+                        "sums": {"stalls": round(wall * 100)},
+                    },
                     "normalize": {"count": 1, "total_s": wall * 0.3, "mean_s": wall * 0.3},
                 },
                 quality={"gap_count": 2, "dropped_samples": 10},
@@ -73,7 +71,7 @@ class TestRenderDashboard:
         page = render_dashboard(_records())
         assert "wall-time trends" in page
         assert "span breakdown" in page
-        assert "events_detected_total" in page
+        assert "detect.stalls" in page
         assert "quality" in page
         assert "bench:bench_a" in page
 

@@ -163,8 +163,8 @@ class TestStats:
         bus.emit("chunk_processed", samples=50, stalls=1, latency_s=0.02)
         bus.emit("quality_flag", flag="gap")
         stats = bus.stats()
-        assert stats["samples_total"] == 150
-        assert stats["stalls_total"] == 4
+        # Counts only: a chunk's work is summed by the span rollup.
+        assert "samples_total" not in stats and "stalls_total" not in stats
         assert stats["counts"] == {"chunk_processed": 2, "quality_flag": 1}
         assert stats["total"] == 3
 

@@ -31,8 +31,12 @@ class TestRunRecord:
             label="capture_a",
             wall_time_s=1.25,
             config={"threshold": 0.5},
-            metrics={"counters": {}},
-            spans={"detect": {"count": 1, "total_s": 0.9, "mean_s": 0.9}},
+            spans={
+                "detect": {
+                    "count": 1, "total_s": 0.9, "mean_s": 0.9,
+                    "sums": {"stalls": 12},
+                }
+            },
             quality={"gap_count": 0},
             extra={"capture": "a.npz"},
         )
@@ -115,6 +119,89 @@ class TestGitRev:
 
     def test_never_raises_on_missing_dir(self, tmp_path):
         assert git_rev(tmp_path / "nope") == "unknown"
+
+
+#: A ``repro profile --ledger`` line as written before the span rollup
+#: carried ``sums``: a metrics-registry snapshot under ``metrics`` and
+#: span rows with float counts (trimmed to a few instruments).
+_REGISTRY_ERA_LINE = json.dumps(
+    {
+        "schema": "repro-obs-ledger",
+        "schema_version": 1,
+        "kind": "profile",
+        "label": "cap",
+        "wall_time_s": 0.0099,
+        "created_unix_s": 1792389334.25,
+        "git_rev": "a067e9a",
+        "config_fingerprint": "sha256:d16abf4c45c57d44",
+        "metrics": {
+            "counters": {
+                "stalls_detected_total": {"labels": {}, "value": 34.0},
+                "profile_runs_total": {"labels": {}, "value": 1.0},
+            },
+            "gauges": {
+                "sim_cycles_per_second": {"labels": {}, "value": 0.0},
+            },
+            "histograms": {
+                "detect_latency_seconds": {
+                    "labels": {}, "count": 1, "sum": 0.00108,
+                    "min": 0.00108, "max": 0.00108,
+                    "percentiles": {"p50": 0.00108, "p95": 0.00108, "p99": 0.00108},
+                    "buckets": [{"le": 0.001, "count": 0}, {"le": "+Inf", "count": 1}],
+                },
+            },
+        },
+        "spans": {
+            "detect": {"count": 1.0, "mean_s": 0.00108, "total_s": 0.00108},
+            "profile": {"count": 1.0, "mean_s": 0.00211, "total_s": 0.00211},
+        },
+        "quality": None,
+        "accuracy": None,
+        "extra": {"capture": "cap.npz", "miss_count": 34},
+    },
+    sort_keys=True,
+)
+
+
+class TestRegistryEraLines:
+    def test_line_with_a_metrics_key_still_loads(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(_REGISTRY_ERA_LINE + "\n")
+        (entry,) = RunLedger(path).read()
+        assert entry.group == "profile:cap"
+        assert entry.spans["detect"]["total_s"] == 0.00108
+        assert "metrics" not in entry.to_dict()
+
+    def test_regress_and_dashboard_run_over_old_and_new_lines(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import cli as obs_cli
+
+        path = tmp_path / "ledger.jsonl"
+        path.write_text((_REGISTRY_ERA_LINE + "\n") * 4)
+        RunLedger(path).append(
+            record(
+                kind="profile",
+                label="cap",
+                wall_time_s=0.0099,
+                spans={
+                    "detect": {
+                        "count": 1, "mean_s": 0.00108, "total_s": 0.00108,
+                        "sums": {"samples": 4096, "stalls": 34},
+                    },
+                    "profile": {
+                        "count": 1, "mean_s": 0.00211, "total_s": 0.00211,
+                        "sums": {"samples": 4096, "stalls": 34},
+                    },
+                },
+            )
+        )
+        assert obs_cli.main(["regress", str(path)]) == obs_cli.EXIT_OK
+        assert "unparseable" not in capsys.readouterr().out
+        html = tmp_path / "dash.html"
+        assert obs_cli.main(["dashboard", str(path), "-o", str(html)]) == 0
+        assert "dashboard (5 entries)" in capsys.readouterr().out
+        assert "profile:cap" in html.read_text()
 
 
 class TestRunLedger:

@@ -24,7 +24,7 @@ from repro.core.normalize import NormalizerConfig
 from repro.core.profiler import EmprofConfig
 from repro.emsignal.receiver import Capture
 from repro.experiments import Campaign, RunSpec
-from repro.obs import metrics, set_obs_enabled, trace
+from repro.obs import set_obs_enabled, trace
 from repro.obs.events import bus, read_events
 from repro.obs.ledger import RunLedger
 from repro.obs.statusd import StatusServer, query
@@ -86,7 +86,7 @@ def test_live_campaign_query_kill_and_trace(tmp_path, obs_on):
         workers=2,
         heartbeat_interval_s=0.05,
     )
-    with StatusServer(bus, metrics=metrics) as server, \
+    with StatusServer(bus, tracer=trace) as server, \
             ThreadPoolExecutor(1) as pool:
         execution = campaign.start(_specs(4))
         # The supervisor runs inside join() and feeds the bus as it

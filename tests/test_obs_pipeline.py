@@ -2,8 +2,8 @@
 
 Covers the acceptance path end to end: an instrumented capture ->
 profile run must produce a trace whose spans cover normalize, detect
-and report correctly nested under profile, and a metrics document
-with the stall counters and the detect-latency histogram.  Also holds
+and report correctly nested under profile, and whose per-name rollup
+sums each stage's work (stalls, samples, instructions).  Also holds
 the `profile_window` coordinate-shift regression test.
 """
 
@@ -18,6 +18,7 @@ from repro import obs
 from repro.cli import main
 from repro.core.events import DetectedStall
 from repro.core.profiler import Emprof
+from repro.io import load_report
 from repro.devices import olimex
 from repro.experiments.runner import run_device
 from repro.workloads import Microbenchmark
@@ -25,19 +26,17 @@ from repro.workloads import Microbenchmark
 
 @pytest.fixture()
 def obs_clean():
-    """Observability on, global tracer/metrics cleared before and after."""
+    """Observability on, global tracer cleared before and after."""
     previous = obs.set_obs_enabled(True)
     obs.trace.reset()
-    obs.metrics.reset()
     yield
     obs.trace.reset()
-    obs.metrics.reset()
     obs.set_obs_enabled(previous)
 
 
 class TestPipelineInstrumentation:
     def test_device_run_records_span_tree_and_metrics(self, obs_clean):
-        run_device(
+        run = run_device(
             Microbenchmark(total_misses=32, consecutive_misses=4, seed=3),
             olimex(),
             bandwidth_hz=40e6,
@@ -55,25 +54,33 @@ class TestPipelineInstrumentation:
             assert by_id[record.parent_id].name == "profile"
         assert by_id[profile.parent_id].name == "run_device"
 
-        snap = obs.metrics.snapshot()
-        assert snap["counters"]["stalls_detected_total"]["value"] > 0
-        assert snap["counters"]["sim_cycles_total"]["value"] > 0
-        assert snap["counters"]["receiver_captures_total"]["value"] == 1
-        assert snap["histograms"]["detect_latency_seconds"]["count"] == 1
-        assert snap["gauges"]["sim_cycles_per_second"]["value"] > 0
+        rollup = obs.trace.aggregate()
+        report, truth = run.report, run.result.ground_truth
+        assert rollup["profile"]["sums"]["stalls"] == report.miss_count > 0
+        assert rollup["report"]["sums"]["refresh"] == report.refresh_count
+        assert rollup["report"]["sums"]["low_confidence"] == 0
+        assert rollup["report"]["sums"]["dropped"] == 0
+        assert rollup["detect"]["count"] == 1
+        assert rollup["sim.run"]["sums"] == {
+            "cycles": truth.total_cycles,
+            "instructions": truth.total_instructions,
+            "power_samples": len(run.result.power_trace),
+        }
+        assert rollup["receiver.capture"]["count"] == 1
+        assert rollup["receiver.capture"]["sums"]["samples"] == len(
+            run.capture.magnitude
+        )
 
     def test_disabled_run_records_nothing(self):
         previous = obs.set_obs_enabled(False)
         obs.trace.reset()
-        obs.metrics.reset()
         try:
             run_device(
                 Microbenchmark(total_misses=16, consecutive_misses=4, seed=3),
                 olimex(),
             )
             assert obs.trace.records() == []
-            snap = obs.metrics.snapshot()
-            assert snap["counters"]["stalls_detected_total"]["value"] == 0.0
+            assert obs.trace.aggregate() == {}
         finally:
             obs.set_obs_enabled(previous)
 
@@ -95,18 +102,17 @@ class TestCliArtifacts:
     def test_profile_writes_trace_and_metrics(self, obs_clean, tmp_path, capsys):
         cap_path = tmp_path / "cap.npz"
         spans_path = tmp_path / "spans.json"
-        metrics_path = tmp_path / "metrics.json"
+        report_path = tmp_path / "report.json"
         assert main(
             ["capture", "--workload", "micro", "--tm", "64", "--cm", "4",
              "-o", str(cap_path)]
         ) == 0
         assert main(
             ["profile", str(cap_path),
-             "--trace-out", str(spans_path),
-             "--metrics-out", str(metrics_path)]
+             "--trace-out", str(spans_path), "-o", str(report_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "trace (" in out and "metrics ->" in out
+        assert "trace (" in out
 
         trace_doc = json.loads(spans_path.read_text())
         assert trace_doc["format"] == "repro-obs-trace"
@@ -115,48 +121,44 @@ class TestCliArtifacts:
         for child in ("normalize", "detect", "report"):
             assert rows[child]["parent_id"] == rows["profile"]["span_id"]
 
-        metrics_doc = json.loads(metrics_path.read_text())
-        assert metrics_doc["counters"]["stalls_detected_total"]["value"] > 0
-        assert "refresh_stalls_total" in metrics_doc["counters"]
-        assert metrics_doc["histograms"]["detect_latency_seconds"]["count"] >= 1
+        report = load_report(str(report_path))
+        assert rows["profile"]["attrs"]["stalls"] == report.miss_count > 0
+        assert rows["report"]["attrs"]["refresh"] == report.refresh_count
 
-    def test_metrics_out_auto_enables_obs(self, tmp_path):
-        """--metrics-out works without EMPROF_OBS being set."""
+    def test_trace_out_auto_enables_obs(self, tmp_path):
+        """--trace-out works without EMPROF_OBS being set."""
         cap_path = tmp_path / "cap.npz"
-        metrics_path = tmp_path / "metrics.prom"
+        spans_path = tmp_path / "spans.json"
         previous = obs.set_obs_enabled(False)
-        obs.metrics.reset()
+        obs.trace.reset()
         try:
             main(["capture", "--workload", "micro", "--tm", "32", "--cm", "4",
                   "-o", str(cap_path)])
             assert main(
-                ["profile", str(cap_path), "--metrics-out", str(metrics_path)]
+                ["profile", str(cap_path), "--trace-out", str(spans_path)]
             ) == 0
-            # .prom extension selects Prometheus text exposition.
-            text = metrics_path.read_text()
-            assert "# TYPE stalls_detected_total counter" in text
+            rows = json.loads(spans_path.read_text())["spans"]
+            names = {row["name"] for row in rows}
+            assert {"profile", "detect", "report"} <= names
         finally:
-            obs.metrics.reset()
+            obs.trace.reset()
             obs.set_obs_enabled(previous)
 
     def test_obs_subcommand_renders_artifacts(self, obs_clean, tmp_path, capsys):
         cap_path = tmp_path / "cap.npz"
         spans_path = tmp_path / "spans.json"
-        metrics_path = tmp_path / "metrics.json"
         main(["capture", "--workload", "micro", "--tm", "32", "--cm", "4",
               "-o", str(cap_path)])
-        main(["profile", str(cap_path), "--trace-out", str(spans_path),
-              "--metrics-out", str(metrics_path)])
+        main(["profile", str(cap_path), "--trace-out", str(spans_path)])
         capsys.readouterr()
-        # Flag before positional: both reach `show` in the order typed.
-        assert main(
-            ["obs", "show", "--trace", str(spans_path), str(metrics_path)]
-        ) == 0
+        assert main(["obs", "show", "--trace", str(spans_path)]) == 0
         out = capsys.readouterr().out
-        assert "stalls_detected_total" in out
-        # Histograms print the percentiles the snapshot exports.
-        assert "p50 " in out and "p95 " in out and "p99 " in out
         assert "spans" in out
+        # Each span name's row ends in its summed work attributes.
+        profile_row = next(
+            line for line in out.splitlines() if line.split()[0] == "profile"
+        )
+        assert "stalls=" in profile_row and "samples=" in profile_row
 
     def test_obs_show_needs_an_artifact(self, capsys):
         assert main(["obs", "show"]) == 2
@@ -191,7 +193,7 @@ class TestCliArtifacts:
     def test_obs_subcommand_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["obs", "show", str(bad)]) == 2
+        assert main(["obs", "show", "--trace", str(bad)]) == 2
         assert capsys.readouterr().err
 
     def test_chrome_trace_format(self, obs_clean, tmp_path):
@@ -262,8 +264,8 @@ class TestProfileWindowShift:
 
 
 class TestStallCountersEveryMode:
-    """Every profiling mode feeds the stall counters exactly once per
-    reported stall, through the pipeline's one emission point."""
+    """Every profiling mode's rollup counts each reported stall once:
+    the ``report`` span carries the final stall and refresh counts."""
 
     @staticmethod
     def _signal():
@@ -275,11 +277,8 @@ class TestStallCountersEveryMode:
 
     @staticmethod
     def _counters():
-        snap = obs.metrics.snapshot()["counters"]
-        return (
-            snap["stalls_detected_total"]["value"],
-            snap["refresh_stalls_total"]["value"],
-        )
+        sums = obs.trace.aggregate()["report"]["sums"]
+        return sums["stalls"], sums["refresh"]
 
     @staticmethod
     def _stream(x, cfg):
@@ -303,7 +302,7 @@ class TestStallCountersEveryMode:
         x = self._signal()
         emprof = Emprof(x, 50e6, 1e9, config=cfg)
         emprof.normalized()  # the windowed run reuses the cached normalization
-        obs.metrics.reset()
+        obs.trace.reset()
         if mode == "profile":
             report = emprof.profile()
         elif mode == "profile_chunked":

@@ -8,6 +8,7 @@ import pytest
 from repro.obs import set_obs_enabled
 from repro.obs.events import EventBus
 from repro.obs.statusd import StatusServer, parse_address, query
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture()
@@ -34,8 +35,23 @@ class TestQueries:
         assert reply["ok"] is True
         assert reply["protocol"] == "repro-obs-statusd"
         assert "trace_id" not in reply
-        assert reply["events"]["samples_total"] == 64
+        assert "samples_total" not in reply["events"]
         assert reply["events"]["counts"]["chunk_processed"] == 1
+
+    def test_metrics_serves_the_span_rollup(self, obs_on):
+        tracer = Tracer()
+        with tracer.span("profile", stalls=3, workload="micro"):
+            pass
+        with StatusServer(EventBus(), tracer=tracer) as status:
+            reply = query("127.0.0.1", status.port, {"req": "metrics"})
+        assert reply["ok"] is True
+        assert reply["metrics"]["profile"]["count"] == 1
+        assert reply["metrics"]["profile"]["sums"] == {"stalls": 3}
+
+    def test_metrics_without_a_tracer_is_null(self, obs_on, server):
+        status, _ = server
+        reply = query("127.0.0.1", status.port, {"req": "metrics"})
+        assert reply == {"ok": True, "metrics": None}
 
     def test_tail_returns_newest_events(self, obs_on, server):
         status, bus = server

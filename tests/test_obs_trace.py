@@ -341,3 +341,19 @@ class TestExporters:
         assert agg["detect"]["mean_s"] == pytest.approx(
             agg["detect"]["total_s"] / 3
         )
+
+    def test_aggregate_sums_integer_attributes(self, obs_on, tracer):
+        with tracer.span("profile", stalls=3, samples=100, refresh=True):
+            pass
+        with tracer.span("profile", stalls=4, rate_hz=5e6, workload="mcf") as s:
+            s.set_attr(samples=50)
+        row = tracer.aggregate()["profile"]
+        assert row["count"] == 2
+        # Bools, floats and strings are attributes, not work to sum.
+        assert row["sums"] == {"stalls": 7, "samples": 150}
+
+    def test_aggregate_without_spans_or_attrs(self, obs_on, tracer):
+        assert tracer.aggregate() == {}
+        with tracer.span("s"):
+            pass
+        assert tracer.aggregate()["s"]["sums"] == {}

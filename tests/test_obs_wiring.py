@@ -272,7 +272,6 @@ class TestBenchHarness:
             {
                 "benchmark": nodeid,
                 "wall_time_s": wall,
-                "metrics": {"counters": {}},
                 "spans": {"detect": {"count": 1, "total_s": wall, "mean_s": wall}},
             }
         )

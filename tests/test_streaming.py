@@ -170,7 +170,7 @@ class TestStreamingEmprof:
         dip = 200 + 3 * 170  # a gap lands inside this dip
         recorder = FlightRecorder()
         previous = obs.set_obs_enabled(True)
-        obs.metrics.reset()
+        obs.trace.reset()
         bus.reset()
         sink = InMemorySink()
         bus.add_sink(sink)
@@ -182,22 +182,24 @@ class TestStreamingEmprof:
             streamer.process(x[dip + 6 :], gap_before=5)
             first = streamer.finish()
             flight_events = len(recorder.events())
-            counters = obs.metrics.snapshot()["counters"]
+            rollup = obs.trace.aggregate()
             bus_events = len(sink.events)
             second = streamer.finish()
             assert len(recorder.events()) == flight_events
-            assert obs.metrics.snapshot()["counters"] == counters
+            assert obs.trace.aggregate() == rollup
             assert len(sink.events) == bus_events
         finally:
             bus.remove_sink(sink)
             bus.reset()
-            obs.metrics.reset()
+            obs.trace.reset()
             obs.set_obs_enabled(previous)
         assert second == first
         assert first.low_confidence_count >= 1
-        assert counters["low_confidence_stalls_total"]["value"] == (
+        assert rollup["report"]["count"] == 1
+        assert rollup["report"]["sums"]["low_confidence"] == (
             first.low_confidence_count
         )
+        assert rollup["report"]["sums"]["dropped"] == 5
 
     def test_rejects_2d_chunk(self):
         streamer = StreamingEmprof(50e6, 1e9)

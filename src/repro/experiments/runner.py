@@ -191,15 +191,12 @@ class ExperimentRun:
         emprof: the configured profiler over whichever signal EMPROF
             analyzed.
         report: the whole-signal profile.
-        wall_time_s: end-to-end driver wall time (simulate + measure +
-            profile), fed into campaign telemetry and the run ledger.
     """
 
     result: SimulationResult
     capture: Optional[Capture]
     emprof: Emprof
     report: ProfileReport
-    wall_time_s: float = 0.0
 
     @property
     def signal(self):
@@ -213,7 +210,7 @@ class ExperimentRun:
 
 
 def _experiment_done(run, _elapsed_s, _attrs):
-    return {"stalls": len(run.report.stalls), "wall_time_s": run.wall_time_s}
+    return {"stalls": len(run.report.stalls)}
 
 
 @_trace.instrumented(
@@ -231,15 +228,12 @@ def run_simulator(
     """Simulate and profile the raw power trace (Section V-C path)."""
     from ..devices.models import sesc
 
-    begin = time.perf_counter()
     machine = Machine(config if config is not None else sesc(), seed=seed)
     result = machine.run(workload)
     emprof = Emprof.from_simulation(result, config=emprof_config)
-    run = ExperimentRun(
+    return ExperimentRun(
         result=result, capture=None, emprof=emprof, report=emprof.profile()
     )
-    run.wall_time_s = time.perf_counter() - begin
-    return run
 
 
 @_trace.instrumented(
@@ -266,16 +260,13 @@ def run_device(
     See :func:`simulate_and_measure` for the defaults of ``channel`` and
     ``emission``.
     """
-    begin = time.perf_counter()
     result, capture = simulate_and_measure(
         workload, device, bandwidth_hz, channel, emission, seed
     )
     emprof = Emprof.from_capture(capture, config=emprof_config)
-    run = ExperimentRun(
+    return ExperimentRun(
         result=result, capture=capture, emprof=emprof, report=emprof.profile()
     )
-    run.wall_time_s = time.perf_counter() - begin
-    return run
 
 
 def microbenchmark_window(

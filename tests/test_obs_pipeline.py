@@ -19,8 +19,8 @@ from repro.cli import main
 from repro.core.events import DetectedStall
 from repro.core.profiler import Emprof
 from repro.io import load_report
-from repro.devices import olimex
-from repro.experiments.runner import run_device
+from repro.devices import olimex, sesc
+from repro.experiments.runner import run_device, run_simulator
 from repro.workloads import Microbenchmark
 
 
@@ -70,6 +70,19 @@ class TestPipelineInstrumentation:
         assert rollup["receiver.capture"]["sums"]["samples"] == len(
             run.capture.magnitude
         )
+
+    def test_simulator_run_span_carries_stalls_not_a_second_duration(
+        self, obs_clean
+    ):
+        # The span's own begin/end already time the run.
+        run = run_simulator(
+            Microbenchmark(total_misses=32, consecutive_misses=4, seed=3),
+            config=sesc(),
+        )
+        (record,) = obs.trace.by_name("run_simulator")
+        assert record.attrs["stalls"] == len(run.report.stalls) > 0
+        assert "wall_time_s" not in record.attrs
+        assert not hasattr(run, "wall_time_s")
 
     def test_disabled_run_records_nothing(self):
         previous = obs.set_obs_enabled(False)

@@ -276,6 +276,26 @@ def _daemon_env():
     return env
 
 
+def test_module_runs_once_under_python_m():
+    # A package that imports the daemon before ``runpy`` runs it as
+    # __main__ makes runpy warn, and the daemon runs as a second copy.
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.experiments.service",
+            "--help",
+        ],
+        env=_daemon_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "serve" in done.stdout
+
+
 def test_sigterm_drains_and_exits_zero(tmp_path):
     process = subprocess.Popen(
         [

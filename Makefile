@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 
+# Every target runs the package from this checkout, installed or not.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test lint regress check dashboard chaos chaos-service bench bench-all bench-e2e bench-engine trace watch-demo explain-demo reproduce examples selftest clean
 
 install:
@@ -13,13 +16,13 @@ test:
 # Whole-program analysis (per-file + cross-module rules) in one pass
 # over every file; findings are silenced only by inline comments.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/
+	$(PYTHON) -m repro.devtools.lint src/
 
 # Judge the run ledger against its own recent history; exits 3 on a
 # statistically significant slowdown, 0 when stable or when the ledger
 # does not exist yet (fresh checkout).
 regress:
-	PYTHONPATH=src $(PYTHON) -m repro obs regress LEDGER_obs.jsonl --allow-missing
+	$(PYTHON) -m repro obs regress LEDGER_obs.jsonl --allow-missing
 
 # The default verification flow: static analysis + perf history +
 # the engine, simulator and quality-monitor differential harnesses
@@ -29,19 +32,21 @@ regress:
 # references; the flight and streaming suites pin the pipeline's
 # flight-recorder and streaming == batch bit identity) +
 # the start-up import boundary (scipy.signal loads on the first DSP
-# call, not at import) + the supervised-service chaos suite
+# call, not at import) + the experiments layer's frozen reference (the
+# x1 paper report, byte for byte, from one simulation per distinct run;
+# docs/reproducing.md) + the supervised-service chaos suite
 # (docs/service.md invariants).
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py -q
+	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:
-	PYTHONPATH=src $(PYTHON) -m repro obs dashboard LEDGER_obs.jsonl -o dashboard_obs.html
+	$(PYTHON) -m repro obs dashboard LEDGER_obs.jsonl -o dashboard_obs.html
 
 # Fault-injection suite: impairment injection, quality gating, the
 # bounded-error chaos property test, retry and campaign resume.
 chaos:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults_inject.py tests/test_faults_pipeline.py tests/test_faults_chaos.py tests/test_faults_runner.py -q
+	$(PYTHON) -m pytest tests/test_faults_inject.py tests/test_faults_pipeline.py tests/test_faults_chaos.py tests/test_faults_runner.py -q
 
 # Supervisor/daemon chaos suite: kill -9 and SIGSTOP'd workers,
 # poison-spec quarantine, lease timeouts, graceful SIGTERM, the
@@ -49,16 +54,16 @@ chaos:
 # kill-a-worker-mid-run telemetry scenario (docs/observability.md), and
 # the event bus's many-producer delivery check.
 chaos-service:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py tests/test_obs_events.py -q
+	$(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py tests/test_obs_events.py -q
 
 # Quick perf-tracking benches; appends one record per bench to the run
 # ledger LEDGER_obs.jsonl (`repro obs ledger LEDGER_obs.jsonl --kind bench`).
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_baseline.py benchmarks/test_streaming_throughput.py --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/test_perf_baseline.py benchmarks/test_streaming_throughput.py --benchmark-only -s
 
 # The full figure/table regeneration suite (slow).
 bench-all:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The repository benchmark (BENCHMARK.json): every workload once, end
 # to end, into results/bench-e2e/ for benchmarks/e2e/compare.py, e.g.
@@ -75,29 +80,29 @@ bench-e2e:
 # Engine throughput: batch vs streaming vs chunked vs the frozen seed
 # per-sample loop; records the >=5x speedup claim into the ledger.
 bench-engine:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_engine_throughput.py --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/test_engine_throughput.py --benchmark-only -s
 
 # Capture + profile one microbenchmark with observability on; drops
 # spans.json (chrome://tracing compatible via --trace-format chrome)
 # into results/; `repro obs show --trace results/spans.json` rolls it up.
 trace:
 	mkdir -p results
-	PYTHONPATH=src EMPROF_OBS=1 $(PYTHON) -m repro capture --workload micro -o results/trace_capture.npz
-	PYTHONPATH=src EMPROF_OBS=1 $(PYTHON) -m repro profile results/trace_capture.npz --trace-out results/spans.json
+	EMPROF_OBS=1 $(PYTHON) -m repro capture --workload micro -o results/trace_capture.npz
+	EMPROF_OBS=1 $(PYTHON) -m repro profile results/trace_capture.npz --trace-out results/spans.json
 
 # Self-contained live-telemetry demo: a synthetic streaming producer,
 # the line-JSON status server, and the terminal watch client in one
 # process, then the run's span rollup.  No
 # hardware, no prior state; exits on its own.
 watch-demo:
-	PYTHONPATH=src $(PYTHON) -m repro obs demo
+	$(PYTHON) -m repro obs demo
 
 # Flight-recorder demo: build a faulted microbenchmark capture, then
 # `repro explain` it — provenance cards on stdout, a self-contained
 # HTML report at results/explain_demo.html, and the raw NDJSON
 # decision log at results/explain_demo.flight.
 explain-demo:
-	PYTHONPATH=src $(PYTHON) examples/explain_demo.py
+	$(PYTHON) examples/explain_demo.py
 
 reproduce:
 	$(PYTHON) -m repro reproduce -o results/

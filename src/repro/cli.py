@@ -36,6 +36,7 @@ the spans of an instrumented run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -441,9 +442,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     from .experiments.reportgen import ARTIFACTS
 
-    body, _ = ARTIFACTS[f"table{args.which}"].render(args.scale)
+    body, _ = ARTIFACTS[f"table{args.which}"].render(args.scale, {})
     print(body)
     return 0
+
+
+def _scale_arg(text: str) -> float:
+    """Parse ``--scale``: a positive, finite workload scale."""
+    scale = float(text)
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(f"scale must be positive, not {text}")
+    return scale
 
 
 def _artifact_names(text: str) -> List[str]:
@@ -498,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap.add_argument("--tm", type=int, default=256, help="microbenchmark TM")
     cap.add_argument("--cm", type=int, default=5, help="microbenchmark CM")
-    cap.add_argument("--scale", type=float, default=1.0, help="workload scale")
+    cap.add_argument("--scale", type=_scale_arg, default=1.0, help="workload scale")
     cap.add_argument("--bandwidth-mhz", type=float, default=40.0)
     cap.add_argument("--seed", type=int, default=0)
     cap.add_argument("-o", "--output", required=True, help="capture .npz path")
@@ -614,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     att.add_argument("--benchmark", default="parser", choices=list(SPEC_BENCHMARKS))
     att.add_argument("--device", default="olimex", choices=list(DEVICE_NAMES))
-    att.add_argument("--scale", type=float, default=1.0)
+    att.add_argument("--scale", type=_scale_arg, default=1.0)
     att.add_argument("--seed", type=int, default=0)
     att.set_defaults(func=cmd_attribute)
 
@@ -622,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce", help="regenerate results and write results.md"
     )
     rep.add_argument("-o", "--output", required=True, help="output directory")
-    rep.add_argument("--scale", type=float, default=1.0)
+    rep.add_argument("--scale", type=_scale_arg, default=1.0)
     rep.add_argument(
         "--only",
         type=_artifact_names,
@@ -671,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
             if key.startswith("table")
         ],
     )
-    tab.add_argument("--scale", type=float, default=1.0)
+    tab.add_argument("--scale", type=_scale_arg, default=1.0)
     tab.set_defaults(func=cmd_table)
 
     obs_cli.add_subcommands(

@@ -9,7 +9,8 @@
 * :mod:`repro.experiments.service` - the ``repro-campaignd`` daemon:
   a fault-tolerant job queue over supervised campaigns.
 * :mod:`repro.experiments.tables` - Tables I-V row generators plus the
-  perf anecdote.
+  perf anecdote, and the device-path runs Tables II and IV and Fig. 11
+  share (:func:`repro.experiments.tables.device_runs`).
 * :mod:`repro.experiments.figures` - Figs. 1-14 series generators.
 * :mod:`repro.experiments.reportgen` - ``ARTIFACTS``, the one registry
   of archived artifacts, and ``results.md`` generation.

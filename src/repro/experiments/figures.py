@@ -38,6 +38,7 @@ from .runner import (
     run_device,
     run_simulator,
 )
+from .tables import DeviceRun, device_runs
 
 
 @dataclass
@@ -498,25 +499,33 @@ class Fig11Result:
     tail_fraction_600: float
 
 
+#: Fig. 11's devices, in the paper's panel order.
+FIG11_DEVICES = ("olimex", "alcatel", "samsung")
+
+
 def fig11_latency_histograms(
     benchmark: str = "mcf",
-    devices: Sequence[str] = ("olimex", "alcatel", "samsung"),
+    devices: Sequence[str] = FIG11_DEVICES,
     scale: float = 1.0,
     bin_cycles: float = 40.0,
     seed: int = 0,
 ) -> List[Fig11Result]:
     """Stall-latency histograms of mcf on the three devices (Fig. 11)."""
+    runs = device_runs({}, (benchmark,), devices, scale, seed=seed)
+    return fig11_view(runs, bin_cycles)
+
+
+def fig11_view(
+    runs: Sequence[DeviceRun], bin_cycles: float = 40.0
+) -> List[Fig11Result]:
+    """Fig. 11 histograms of :func:`repro.experiments.tables.device_runs` rows."""
     out = []
-    for name in devices:
-        run = run_device(
-            spec_workload(benchmark, scale=scale), by_name(name),
-            bandwidth_hz=40 * MHZ, seed=seed,
-        )
-        lat = run.report.latencies_cycles()
+    for run in runs:
+        lat = run.latencies_cycles
         edges, counts = latency_histogram(lat, bin_cycles=bin_cycles)
         out.append(
             Fig11Result(
-                device=name,
+                device=run.table4.device,
                 edges_cycles=edges,
                 counts=counts,
                 mean_cycles=float(lat.mean()) if len(lat) else 0.0,

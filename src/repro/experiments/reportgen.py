@@ -7,10 +7,15 @@ entry (or a subset) into a self-contained ``results.md``, plus ``.npz``
 series for the figures - the artifact a reviewer would ask for.  The
 bench suite under ``benchmarks/`` asserts the claims; this module
 *records* the numbers.
+
+One report's renderers share one :data:`repro.experiments.tables.DeviceRuns`
+memo, so Table II and Fig. 11 read Table IV's device runs; Table V
+keeps its own parser run, since attribution needs the run's signal.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,23 +36,25 @@ Series = Tuple[str, Dict[str, np.ndarray]]
 class Artifact:
     """One paper artifact: its ``results.md`` title and its renderer.
 
-    ``render(scale)`` runs the experiment at workload scale ``scale``
-    and returns the section body and, for a figure, its series.
+    ``render(scale, runs)`` runs the experiment at workload scale
+    ``scale``, reading device-path runs through the ``runs`` memo, and
+    returns the section body and, for a figure, its series.
     """
 
     title: str
-    render: Callable[[float], Tuple[str, Optional[Series]]]
+    render: Callable[[float, tables.DeviceRuns], Tuple[str, Optional[Series]]]
 
 
-def _table2(scale: float) -> Tuple[str, None]:
-    rows = tables.table2_rows(scale=scale)
+def _table2(scale: float, runs: tables.DeviceRuns) -> Tuple[str, None]:
+    micro = tables.device_runs(runs, tables.MICRO_GRID, scale=scale)
+    rows = [run.table2 for run in micro]
     mean = float(np.mean([r.accuracy for r in rows]))
     body = tables.format_table2(rows)
     body += f"\n\nAverage accuracy: {100 * mean:.2f}% (paper: 99.52%)"
     return body, None
 
 
-def _table3(scale: float) -> Tuple[str, None]:
+def _table3(scale: float, _runs: tables.DeviceRuns) -> Tuple[str, None]:
     micro = tables.table3_micro_rows(scale=scale)
     spec = tables.table3_spec_rows(scale=scale)
     body = tables.format_table3(micro + spec)
@@ -60,15 +67,17 @@ def _table3(scale: float) -> Tuple[str, None]:
     return body, None
 
 
-def _table4(scale: float) -> Tuple[str, None]:
-    return tables.format_table4(tables.table4_rows(scale=scale)), None
+def _table4(scale: float, runs: tables.DeviceRuns) -> Tuple[str, None]:
+    names = [*tables.MICRO_GRID, *tables.SPEC_BENCHMARKS]
+    rows = [run.table4 for run in tables.device_runs(runs, names, scale=scale)]
+    return tables.format_table4(rows), None
 
 
-def _table5(scale: float) -> Tuple[str, None]:
+def _table5(scale: float, _runs: tables.DeviceRuns) -> Tuple[str, None]:
     return format_region_table(tables.table5_rows(scale=scale)), None
 
 
-def _perf(_scale: float) -> Tuple[str, None]:
+def _perf(_scale: float, _runs: tables.DeviceRuns) -> Tuple[str, None]:
     pa = tables.perf_anecdote()
     body = (
         f"1024 engineered misses -> perf reports mean {pa.mean_reported:.0f}, "
@@ -78,7 +87,7 @@ def _perf(_scale: float) -> Tuple[str, None]:
     return body, None
 
 
-def _fig5(_scale: float) -> Tuple[str, None]:
+def _fig5(_scale: float, _runs: tables.DeviceRuns) -> Tuple[str, None]:
     r = figures.fig5_refresh()
     interval = (
         f"{r.estimated_interval_us:.1f} us" if r.estimated_interval_us else "n/a"
@@ -91,10 +100,11 @@ def _fig5(_scale: float) -> Tuple[str, None]:
     return body, None
 
 
-def _fig11(scale: float) -> Tuple[str, Series]:
+def _fig11(scale: float, runs: tables.DeviceRuns) -> Tuple[str, Series]:
     lines = []
     arrays = {}
-    for r in figures.fig11_latency_histograms(scale=scale):
+    mcf = tables.device_runs(runs, ("mcf",), figures.FIG11_DEVICES, scale=scale)
+    for r in figures.fig11_view(mcf):
         lines.append(
             f"{r.device:8s}: n={int(r.counts.sum()):5d} mean={r.mean_cycles:7.1f} "
             f"p99={r.p99_cycles:7.1f} tail(>=600cyc)={100 * r.tail_fraction_600:.2f}%"
@@ -104,7 +114,7 @@ def _fig11(scale: float) -> Tuple[str, Series]:
     return "\n".join(lines), ("fig11_histograms.npz", arrays)
 
 
-def _fig12(scale: float) -> Tuple[str, Series]:
+def _fig12(scale: float, _runs: tables.DeviceRuns) -> Tuple[str, Series]:
     points = figures.fig12_bandwidth_sweep(scale=scale)
     body = "\n".join(
         f"{p.device:8s} {p.bandwidth_hz / 1e6:5.0f} MHz: stalls={p.detected_stalls:5d} "
@@ -120,7 +130,7 @@ def _fig12(scale: float) -> Tuple[str, Series]:
     return body, ("fig12_sweep.npz", arrays)
 
 
-def _fig13(scale: float) -> Tuple[str, Series]:
+def _fig13(scale: float, _runs: tables.DeviceRuns) -> Tuple[str, Series]:
     lines = []
     arrays = {}
     for r in figures.fig13_boot_profile(scale=scale):
@@ -156,7 +166,7 @@ def generate_report(
 
     Args:
         output_dir: directory to create/fill.
-        scale: SPEC workload scale (1.0 = bench scale).
+        scale: workload scale (1.0 = bench scale); must be positive.
         include: optional subset of :data:`ARTIFACTS` keys to run; all
             when omitted.
 
@@ -164,12 +174,14 @@ def generate_report(
         Path of the written ``results.md``.
 
     Raises:
-        ValueError: ``include`` names an unknown artifact (checked
-            before anything is written).
+        ValueError: ``include`` names an unknown artifact or ``scale``
+            is not positive (checked before anything is written).
     """
     unknown = set(include or ()) - set(ARTIFACTS)
     if unknown:
         raise ValueError(f"unknown report sections: {sorted(unknown)}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive number, not {scale!r}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -180,11 +192,12 @@ def generate_report(
         "",
     ]
     total = 0.0
+    runs: tables.DeviceRuns = {}
     for key, artifact in ARTIFACTS.items():
         if include is not None and key not in include:
             continue
         begin = time.perf_counter()
-        body, series = artifact.render(scale)
+        body, series = artifact.render(scale, runs)
         seconds = time.perf_counter() - begin
         total += seconds
         if series is not None:

@@ -37,13 +37,14 @@ from ..core.profiler import Emprof, EmprofConfig
 from ..core.events import ProfileReport
 from ..errors import AcquisitionError
 from ..obs import trace as _trace
-from ..devices.models import default_channel
+from ..devices.models import by_name, default_channel
 from ..emsignal.apparatus import measure
 from ..emsignal.channel import ChannelConfig
 from ..emsignal.receiver import Capture, MHZ
 from ..emsignal.synth import EmissionModel
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine, SimulationResult
+from ..workloads import workload_by_name
 from ..workloads.base import Workload
 from ..workloads.spec import SpecWorkload
 
@@ -148,8 +149,11 @@ class SimulatedCaptureSource:
         bandwidth_mhz: receiver bandwidth.
 
     Raises:
-        ValueError: unknown workload or device name (at
-            :meth:`capture` time, where the registries are consulted).
+        ValueError: at construction, for an unknown workload or device
+            name, a ``tm``, ``cm``, ``scale`` or ``bandwidth_mhz`` that
+            is not positive, or a microbenchmark whose ``cm`` exceeds
+            its ``tm`` - so a bad campaign payload is refused when it
+            is submitted, not in every worker that tries to run it.
     """
 
     workload: str = "micro"
@@ -160,20 +164,22 @@ class SimulatedCaptureSource:
     seed: int = 0
     bandwidth_mhz: float = 40.0
 
-    def capture(self) -> Capture:
-        from ..devices import DEVICE_NAMES, by_name
-        from ..workloads import workload_by_name
+    def __post_init__(self) -> None:
+        for name in ("tm", "cm", "scale", "bandwidth_mhz"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
+        by_name(self.device)
+        self._workload()
 
-        if self.device not in DEVICE_NAMES:
-            raise ValueError(
-                f"unknown device {self.device!r}; expected one of "
-                f"{', '.join(DEVICE_NAMES)}"
-            )
-        workload = workload_by_name(
+    def _workload(self) -> Workload:
+        return workload_by_name(
             self.workload, self.tm, self.cm, self.scale, self.seed
         )
+
+    def capture(self) -> Capture:
         _, capture = simulate_and_measure(
-            workload,
+            self._workload(),
             by_name(self.device),
             bandwidth_hz=self.bandwidth_mhz * MHZ,
             seed=self.seed,

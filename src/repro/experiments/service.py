@@ -40,6 +40,7 @@ incidents land in the service's run ledger as they happen.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -60,17 +61,11 @@ from .campaign import Campaign, CampaignExecution, RunSpec
 from .runner import RetryPolicy, SimulatedCaptureSource
 
 #: Run-payload keys understood by :func:`build_specs` /
-#: :func:`expand_matrix` (everything but ``name``/``timeout_s`` maps
-#: onto a :class:`SimulatedCaptureSource` field).
-RUN_KEYS = (
-    "workload",
-    "device",
-    "tm",
-    "cm",
-    "scale",
-    "seed",
-    "bandwidth_mhz",
-)
+#: :func:`expand_matrix` besides ``name``/``timeout_s``: the
+#: :class:`SimulatedCaptureSource` fields, whose defaults fill in a
+#: key a payload leaves out.
+_SOURCE_FIELDS = dataclasses.fields(SimulatedCaptureSource)
+RUN_KEYS = tuple(f.name for f in _SOURCE_FIELDS)
 
 _JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
@@ -116,11 +111,14 @@ def build_specs(
 
     Every source is a :class:`SimulatedCaptureSource` built via
     ``functools.partial`` from plain scalars, so specs survive any
-    worker start method, not just fork inheritance.
+    worker start method, not just fork inheritance.  Each payload's
+    source is built once here, so a payload no worker could run is
+    refused at submit.
 
     Raises:
         ServiceError: malformed payloads (wrong types, duplicate or
-            unsafe names, unknown keys).
+            unsafe names, unknown keys, or values the source rejects:
+            an unknown workload or device, a non-positive size).
     """
     if not isinstance(runs, (list, tuple)) or not runs:
         raise ServiceError("submit needs a non-empty list of runs")
@@ -141,16 +139,17 @@ def build_specs(
             raise ServiceError(f"duplicate run name {name!r}")
         seen.add(name)
         try:
+            # Each value is coerced to its field's type, read off the
+            # field's default; a key left out keeps that default.
             factory = functools.partial(
                 SimulatedCaptureSource,
-                workload=str(payload.get("workload", "micro")),
-                device=str(payload.get("device", "olimex")),
-                tm=int(payload.get("tm", 16)),
-                cm=int(payload.get("cm", 16)),
-                scale=float(payload.get("scale", 1.0)),
-                seed=int(payload.get("seed", 0)),
-                bandwidth_mhz=float(payload.get("bandwidth_mhz", 40.0)),
+                **{
+                    f.name: type(f.default)(payload[f.name])
+                    for f in _SOURCE_FIELDS
+                    if f.name in payload
+                },
             )
+            factory()  # a payload no worker could run is refused here
             timeout = payload.get("timeout_s", default_timeout_s)
             timeout_s = None if timeout is None else float(timeout)
         except (TypeError, ValueError) as exc:
@@ -686,7 +685,7 @@ def add_subcommands(parser: argparse.ArgumentParser) -> None:
             client.add_argument(
                 "--json",
                 required=True,
-                help='e.g. \'{"matrix": {"tm": [8, 16], "seed": [0, 1]}}\'',
+                help='e.g. \'{"matrix": {"tm": [8, 16], "cm": 8, "seed": [0, 1]}}\'',
             )
         client.set_defaults(func=_client)
 

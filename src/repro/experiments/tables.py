@@ -4,12 +4,16 @@ Each ``tableN_*`` function runs the experiment and returns structured
 rows; ``format_*`` helpers render them the way the paper prints them.
 The bench harness under ``benchmarks/`` calls these and asserts the
 paper's qualitative claims.
+
+Tables II and IV and Fig. 11 read one :func:`device_runs` memo, which
+runs each (workload, device) pair once and keeps only a row of it; one
+:mod:`repro.experiments.reportgen` report shares one memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +45,73 @@ def _micro(tm: int, cm: int, scale: float) -> Microbenchmark:
         blank_iterations=max(4000, int(20_000 * min(1.0, scale * 4))),
         gap_instructions=120,
     )
+
+
+# -- Device-path runs (Tables II and IV, Fig. 11) -----------------------------
+
+
+@dataclass(frozen=True)
+class DeviceRun:
+    """What Tables II and IV and Fig. 11 read from one device-path run."""
+
+    table4: Table4Row
+    table2: Optional[Table2Row]  # microbenchmarks only
+    latencies_cycles: np.ndarray  # each detected stall's latency (Fig. 11)
+
+
+#: A memo of device-path runs, keyed by ``(name, device, scale,
+#: bandwidth_hz, seed)``; a name is a ``(tm, cm)`` point or a SPEC name.
+DeviceRuns = Dict[tuple, DeviceRun]
+
+
+def device_runs(
+    memo: DeviceRuns,
+    names: Sequence[Union[Tuple[int, int], str]],
+    devices: Sequence[str] = DEVICE_ORDER,
+    scale: float = 1.0,
+    bandwidth_hz: float = 40 * MHZ,
+    seed: int = 0,
+) -> List[DeviceRun]:
+    """One row per (name, device), workload-major; each pair runs once.
+
+    A pair not yet in ``memo`` runs through :func:`run_device` and is
+    added to it.
+    """
+    rows = []
+    for name in names:
+        name = name if isinstance(name, str) else tuple(name)  # a memo key
+        for device in devices:
+            key = (name, device, scale, bandwidth_hz, seed)
+            if key not in memo:
+                memo[key] = _device_run(*key)
+            rows.append(memo[key])
+    return rows
+
+
+def _device_run(name, device, scale, bandwidth_hz, seed) -> DeviceRun:
+    micro = not isinstance(name, str)
+    workload = _micro(*name, scale) if micro else spec_workload(name, scale=scale)
+    run = run_device(workload, by_name(device), bandwidth_hz=bandwidth_hz, seed=seed)
+    table2 = None
+    if micro:
+        report, _ = microbenchmark_window(run)
+        expected = workload.total_misses
+        table2 = Table2Row(
+            tm=name[0],
+            cm=name[1],
+            device=device,
+            expected=expected,
+            detected=report.miss_count,
+            accuracy=count_accuracy(report.miss_count, expected),
+        )
+    table4 = Table4Row(
+        benchmark=workload.name,
+        device=device,
+        total_misses=run.report.miss_count,
+        stall_percent=100.0 * run.report.stall_fraction,
+        refresh_stalls=run.report.refresh_count,
+    )
+    return DeviceRun(table4, table2, run.report.latencies_cycles())
 
 
 # -- Table I ----------------------------------------------------------------
@@ -102,26 +173,8 @@ def table2_rows(
     loops; detected stalls inside it are compared with the engineered
     TM.  ``scale`` shrinks TM for fast test runs.
     """
-    rows = []
-    for tm, cm in grid:
-        workload = _micro(tm, cm, scale)
-        expected = workload.total_misses
-        for name in devices:
-            run = run_device(
-                workload, by_name(name), bandwidth_hz=bandwidth_hz, seed=seed
-            )
-            report, _ = microbenchmark_window(run)
-            rows.append(
-                Table2Row(
-                    tm=tm,
-                    cm=cm,
-                    device=name,
-                    expected=expected,
-                    detected=report.miss_count,
-                    accuracy=count_accuracy(report.miss_count, expected),
-                )
-            )
-    return rows
+    runs = device_runs({}, grid, devices, scale, bandwidth_hz, seed)
+    return [run.table2 for run in runs]
 
 
 def format_table2(rows: List[Table2Row]) -> str:
@@ -247,24 +300,8 @@ def table4_rows(
 
     All numbers come from EMPROF on the device path, like the paper's.
     """
-    rows = []
-    workloads: List = [_micro(tm, cm, scale) for tm, cm in grid]
-    workloads += [spec_workload(name, scale=scale) for name in benchmarks]
-    for workload in workloads:
-        for name in devices:
-            run = run_device(
-                workload, by_name(name), bandwidth_hz=bandwidth_hz, seed=seed
-            )
-            rows.append(
-                Table4Row(
-                    benchmark=workload.name,
-                    device=name,
-                    total_misses=run.report.miss_count,
-                    stall_percent=100.0 * run.report.stall_fraction,
-                    refresh_stalls=run.report.refresh_count,
-                )
-            )
-    return rows
+    runs = device_runs({}, [*grid, *benchmarks], devices, scale, bandwidth_hz, seed)
+    return [run.table4 for run in runs]
 
 
 def format_table4(rows: List[Table4Row]) -> str:

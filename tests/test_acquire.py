@@ -37,6 +37,22 @@ class TestSimulatedSource:
         result, _ = simulate_and_measure(small_workload, olimex())
         assert result.ground_truth.miss_count() > 30
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workload": "nope"}, "unknown workload 'nope'"),
+            ({"device": "nokia"}, "unknown device 'nokia'"),
+            ({"tm": -4}, "tm must be positive"),
+            ({"cm": 0}, "cm must be positive"),
+            ({"scale": 0.0}, "scale must be positive"),
+            ({"bandwidth_mhz": -40.0}, "bandwidth_mhz must be positive"),
+            ({"tm": 4, "cm": 8}, "cannot exceed"),
+        ],
+    )
+    def test_rejects_what_it_cannot_capture_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SimulatedCaptureSource(**fields)
+
     def test_deterministic_per_seed(self):
         a = SimulatedCaptureSource(tm=32, cm=4, seed=5).capture()
         b = SimulatedCaptureSource(tm=32, cm=4, seed=5).capture()

@@ -5,7 +5,8 @@ reproduce --scale 1`` writes, minus its timing lines, and
 ``tests/golden/series_x1.txt`` digests every ``.npz`` series it saves
 (array names, dtypes, shapes and bytes - not the zip bytes, which
 carry timestamps).  A change that moves any number of Tables II-V or
-Figs. 5, 11-13 fails here with a unified diff.
+Figs. 5, 11-13 fails here with a unified diff.  The same render pins
+how many simulations the report makes: each distinct run once.
 
 To re-bless after an intended change, regenerate and copy, then show
 the diff in the change's description::
@@ -85,7 +86,28 @@ def assert_same(expected: str, actual: str, name: str) -> None:
         pytest.fail("".join(diff), pytrace=False)
 
 
-def test_x1_report_matches_golden(tmp_path):
+def count_machine_runs(monkeypatch) -> list:
+    """Record each ``Machine.run`` call's workload and device names."""
+    from repro.sim.machine import Machine
+
+    calls = []
+    run = Machine.run
+
+    def counting_run(self, workload):
+        calls.append((workload.name, self.config.name))
+        return run(self, workload)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    return calls
+
+
+def test_x1_report_matches_golden(tmp_path, monkeypatch):
+    calls = count_machine_runs(monkeypatch)
     path = generate_report(tmp_path, scale=1.0)
     assert_same(REPORT.read_text(), report_text(path.read_text()), REPORT.name)
     assert_same(SERIES.read_text(), series_digest(tmp_path), SERIES.name)
+    # 64 distinct runs: Table II and Fig. 11 read Table IV's device
+    # runs.  Table V's parser/Olimex test run repeats Table IV's row,
+    # because attribution needs the run's signal, not its row.
+    assert len(calls) == 65
+    assert calls.count(("parser", "olimex")) == 2

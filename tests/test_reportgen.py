@@ -31,6 +31,13 @@ class TestGenerateReport:
             generate_report(target, include=["table9"])
         assert not target.exists()
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_non_positive_scale_rejected_before_writing(self, tmp_path, scale):
+        target = tmp_path / "out"
+        with pytest.raises(ValueError, match="scale must be a positive number"):
+            generate_report(target, scale=scale, include=["perf"])
+        assert not target.exists()
+
     def test_creates_missing_directory(self, tmp_path):
         target = tmp_path / "deep" / "dir"
         path = generate_report(target, include=["perf"])
@@ -64,14 +71,36 @@ class TestCliIntegration:
         assert "table9" in err
         assert ", ".join(ARTIFACTS) in err
 
-    def test_table_prints_its_results_md_section(self, capsys):
+    def test_table_prints_its_results_md_section(self, capsys, monkeypatch):
         from repro.cli import main
-        from tests.test_golden_report import golden_section
+        from tests.test_golden_report import count_machine_runs, golden_section
 
+        calls = count_machine_runs(monkeypatch)
+        # Each table simulates only its own runs: a report's shared
+        # device runs do not leak into a single ``repro table``.
+        simulations = {"table2": 12, "table3": 14, "table4": 42, "table5": 4}
         for key in (key for key in ARTIFACTS if key.startswith("table")):
             capsys.readouterr()
+            calls.clear()
             assert main(["table", key.removeprefix("table"), "--scale", "1"]) == 0
             assert capsys.readouterr().out == golden_section(key) + "\n", key
+            assert len(calls) == simulations[key], key
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [["table", "2"], ["table", "3"], ["reproduce", "-o"], ["attribute"]],
+    )
+    def test_scale_must_be_positive(self, tmp_path, capsys, command, scale):
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        argv = command + [str(out)] if command[-1] == "-o" else command
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", scale])
+        assert exc.value.code == 2
+        assert "scale must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_subcommand(self, tmp_path, capsys):
         from repro import io as repro_io

@@ -77,7 +77,7 @@ def test_expand_matrix_rejects_unknown_key_and_empty_axis():
 def test_build_specs_happy_path_and_timeouts():
     specs = build_specs(
         [
-            {"name": "a", "tm": 4, "timeout_s": 9.0},
+            {"name": "a", "tm": 4, "cm": 4, "timeout_s": 9.0},
             {"name": "b", "seed": 3},
         ],
         default_timeout_s=2.0,
@@ -100,6 +100,16 @@ def test_build_specs_validation_errors():
         build_specs([{"name": "x"}, {"name": "x"}])
     with pytest.raises(ServiceError, match="not filesystem-safe"):
         build_specs([{"name": "../escape"}])
+    # Payloads no worker could run are refused at submit, not poisoned
+    # after every attempt's worker dies.
+    with pytest.raises(ServiceError, match="unknown workload 'nope'"):
+        build_specs([{"workload": "nope"}])
+    with pytest.raises(ServiceError, match="unknown device 'nokia'"):
+        build_specs([{"device": "nokia"}])
+    with pytest.raises(ServiceError, match="tm must be positive"):
+        build_specs([{"tm": -4}])
+    with pytest.raises(ServiceError, match="cannot exceed"):
+        build_specs([{"tm": 4}])
 
 
 # -- the statusd protocol-extension seam ------------------------------------
@@ -176,6 +186,14 @@ def test_single_worker_daemon_still_forks_supervised_workers(tmp_path):
         )
         workers = {e["worker"] for e in manifest["runs"].values()}
         assert workers == {"worker0"}
+
+
+def test_submit_refuses_a_run_no_worker_could_run(tmp_path):
+    with small_service(tmp_path) as svc:
+        reply = query(svc, {"req": "submit", "runs": [{"device": "nokia"}]})
+        assert reply["ok"] is False
+        assert "unknown device 'nokia'" in reply["error"]
+        assert job_table(query(svc, {"req": "status"})) == {}
 
 
 def test_submit_requires_exactly_one_payload_shape(tmp_path):

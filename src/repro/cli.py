@@ -97,6 +97,16 @@ def cmd_capture(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emprof_config(args: argparse.Namespace) -> EmprofConfig:
+    """The profiler settings ``--window/--threshold/--min-duration`` name."""
+    return EmprofConfig(
+        normalizer=NormalizerConfig(window_samples=args.window),
+        detector=DetectorConfig(
+            threshold=args.threshold, min_duration_cycles=args.min_duration
+        ),
+    )
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     import contextlib as _contextlib
     import time as _time
@@ -118,13 +128,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     run_begin = _time.perf_counter()
     capture = repro_io.load_capture(args.capture)
-    config = EmprofConfig(
-        normalizer=NormalizerConfig(window_samples=args.window),
-        detector=DetectorConfig(
-            threshold=args.threshold,
-            min_duration_cycles=args.min_duration,
-        ),
-    )
+    config = _emprof_config(args)
     profiler = Emprof.from_capture(capture, config=config)
     from .obs import profilehooks
 
@@ -229,15 +233,9 @@ def _explained_report(path: str, args: argparse.Namespace):
             )
         return report, None
     capture = repro_io.load_capture(path)
-    config = EmprofConfig(
-        normalizer=NormalizerConfig(window_samples=args.window),
-        detector=DetectorConfig(
-            threshold=args.threshold,
-            min_duration_cycles=args.min_duration,
-        ),
-    )
     recorder = FlightRecorder(capacity=args.flight_capacity)
-    report = Emprof.from_capture(capture, config=config).profile(flight=recorder)
+    profiler = Emprof.from_capture(capture, config=_emprof_config(args))
+    report = profiler.profile(flight=recorder)
     return report, recorder
 
 
@@ -311,6 +309,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .experiments.runner import microbenchmark_window, run_device
 
+    if args.cm > args.tm:
+        raise argparse.ArgumentError(
+            None, f"--cm {args.cm} cannot exceed --tm {args.tm}"
+        )
     device = by_name(args.device)
     workload = Microbenchmark(total_misses=args.tm, consecutive_misses=args.cm)
     run = run_device(workload, device, bandwidth_hz=40e6, seed=args.seed)
@@ -447,12 +449,26 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scale_arg(text: str) -> float:
-    """Parse ``--scale``: a positive, finite workload scale."""
-    scale = float(text)
-    if not (math.isfinite(scale) and scale > 0):
-        raise argparse.ArgumentTypeError(f"scale must be positive, not {text}")
-    return scale
+def _positive_arg(parse, name: str):
+    """An argparse type: ``parse(text)`` if positive and finite, else a
+    usage error naming ``name``."""
+
+    def positive(text: str):
+        value = parse(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be positive and finite, not {text}"
+            )
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    positive.__name__ = parse.__name__
+    return positive
+
+
+_scale_arg = _positive_arg(float, "scale")
+_count_arg = _positive_arg(int, "count")
+_bandwidth_arg = _positive_arg(float, "bandwidth")
 
 
 def _artifact_names(text: str) -> List[str]:
@@ -505,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="micro",
         help="'micro', 'boot', or a SPEC name: " + ", ".join(SPEC_BENCHMARKS),
     )
-    cap.add_argument("--tm", type=int, default=256, help="microbenchmark TM")
-    cap.add_argument("--cm", type=int, default=5, help="microbenchmark CM")
+    cap.add_argument("--tm", type=_count_arg, default=256, help="microbenchmark TM")
+    cap.add_argument("--cm", type=_count_arg, default=5, help="microbenchmark CM")
     cap.add_argument("--scale", type=_scale_arg, default=1.0, help="workload scale")
-    cap.add_argument("--bandwidth-mhz", type=float, default=40.0)
+    cap.add_argument("--bandwidth-mhz", type=_bandwidth_arg, default=40.0)
     cap.add_argument("--seed", type=int, default=0)
     cap.add_argument("-o", "--output", required=True, help="capture .npz path")
     cap.add_argument("--ground-truth", help="also save ground truth (.npz)")
@@ -613,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="engineered-miss accuracy check")
     st.add_argument("--device", default="olimex", choices=list(DEVICE_NAMES))
-    st.add_argument("--tm", type=int, default=256)
-    st.add_argument("--cm", type=int, default=5)
+    st.add_argument("--tm", type=_count_arg, default=256)
+    st.add_argument("--cm", type=_count_arg, default=5)
     st.add_argument("--seed", type=int, default=0)
     st.set_defaults(func=cmd_selftest)
 
@@ -704,10 +720,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     verbosity = -1 if args.quiet else args.verbose
     obs.configure_logging(verbosity)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

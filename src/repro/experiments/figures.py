@@ -34,6 +34,7 @@ from ..workloads.spec import spec_workload
 from .runner import (
     SPECTRAL_WINDOW_SAMPLES,
     ExperimentRun,
+    microbenchmark_window,
     run_attributed,
     run_device,
     run_simulator,
@@ -335,8 +336,6 @@ def fig5_refresh(tm: int = 2000, seed: int = 0) -> Fig5Result:
     run = run_device(workload, olimex(), bandwidth_hz=40 * MHZ, seed=seed)
     # Restrict to the marker-bracketed access window: the page-touch
     # prologue produces long MSHR blobs that are not refresh stalls.
-    from .runner import microbenchmark_window
-
     report, _ = microbenchmark_window(run)
     stats = refresh_stats(report.stalls)
     clock = run.emprof.clock_hz
@@ -380,8 +379,6 @@ class Fig7Result:
 
 
 def _micro_run_figure(run: ExperimentRun, workload: Microbenchmark) -> Fig7Result:
-    from .runner import microbenchmark_window
-
     report, window = microbenchmark_window(run)
     stalls = report.stalls
     cm = workload.consecutive_misses

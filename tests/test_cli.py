@@ -150,6 +150,36 @@ class TestSelftest:
         assert "selftest passed" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    """Bad sizes are refused at parse time: exit 2, one line, no file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["selftest", "--tm", "0"], "argument --tm: count must be positive"),
+            (["selftest", "--cm", "-1"], "argument --cm: count must be positive"),
+            (["selftest", "--tm", "x"], "argument --tm: invalid int value"),
+            (["selftest", "--tm", "4"], "--cm 5 cannot exceed --tm 4"),
+            (["capture", "--tm", "0"], "argument --tm: count must be positive"),
+            (["capture", "--bandwidth-mhz", "-5"], "bandwidth must be positive"),
+            (["capture", "--bandwidth-mhz", "0"], "bandwidth must be positive"),
+            (["capture", "--bandwidth-mhz", "nan"], "bandwidth must be positive"),
+            (["capture", "--bandwidth-mhz", "inf"], "bandwidth must be positive"),
+        ],
+    )
+    def test_exits_2_without_a_traceback(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "cap.npz"
+        if argv[0] == "capture":
+            argv = argv + ["-o", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTableCommand:
     def test_table5_small(self, capsys):
         assert main(["table", "5", "--scale", "0.5"]) == 0

@@ -1,6 +1,8 @@
 """Tests for capture/report/ground-truth serialization."""
 
 import json
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -106,7 +108,7 @@ class TestReportRoundtrip:
             repro_io.report_from_dict({"format": "nope", "stalls": []})
 
     def test_report_without_evidence_has_no_evidence_key(self, report):
-        # Pre-flight report JSON must stay byte-for-byte compatible.
+        # A report profiled without a recorder keeps the pre-flight keys.
         assert "evidence" not in repro_io.report_to_dict(report)
 
     def test_evidence_round_trips(self, report, tmp_path):
@@ -341,6 +343,96 @@ class TestCorruptionDetection:
     def test_truth_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             repro_io.load_ground_truth(tmp_path / "nope.npz")
+
+
+class TestOnDiskContract:
+    """What the files look like: stored capture members, compact report
+    JSON, and captures written by earlier releases still loading."""
+
+    def test_capture_members_are_stored_not_deflated(self, capture, tmp_path):
+        path = tmp_path / "cap.npz"
+        repro_io.save_capture(path, capture)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert {m.filename for m in members} >= {"magnitude.npy", "checksum.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_deflated_v2_capture_still_loads(self, capture, tmp_path):
+        # The layout save_capture wrote before it stopped deflating.
+        path = tmp_path / "deflated.npz"
+        np.savez_compressed(
+            path,
+            format="emprof-capture-v2",
+            magnitude=capture.magnitude,
+            n_samples=len(capture.magnitude),
+            checksum=zlib.crc32(capture.magnitude.tobytes()),
+            sample_rate_hz=capture.sample_rate_hz,
+            clock_hz=capture.clock_hz,
+            bandwidth_hz=capture.bandwidth_hz,
+            region_names=json.dumps(
+                {str(k): v for k, v in capture.region_names.items()}
+            ),
+        )
+        loaded = repro_io.load_capture(path)
+        assert loaded.magnitude.tobytes() == capture.magnitude.tobytes()
+        assert loaded.sample_rate_hz == capture.sample_rate_hz
+        assert loaded.clock_hz == capture.clock_hz
+        assert loaded.bandwidth_hz == capture.bandwidth_hz
+        assert loaded.region_names == capture.region_names
+
+    @pytest.mark.parametrize("drop", [1, 64, 2048])
+    def test_truncated_stored_capture_is_corrupt(self, capture, tmp_path, drop):
+        path = tmp_path / "cap.npz"
+        repro_io.save_capture(path, capture)
+        path.write_bytes(path.read_bytes()[:-drop])
+        with pytest.raises(CorruptCaptureError):
+            repro_io.load_capture(path)
+
+    def test_flipped_magnitude_byte_is_corrupt(self, capture, tmp_path):
+        path = tmp_path / "cap.npz"
+        repro_io.save_capture(path, capture)
+        raw = bytearray(path.read_bytes())
+        # Stored members keep the array's bytes verbatim in the file.
+        offset = raw.find(capture.magnitude.tobytes())
+        assert offset > 0
+        raw[offset + 8 * 250 + 3] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCaptureError):
+            repro_io.load_capture(path)
+
+    def test_report_file_is_compact_json(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.core.events import QualitySummary
+        from repro.core.profiler import Emprof, EmprofConfig
+        from repro.core.normalize import NormalizerConfig
+        from repro.obs.flight import FlightRecorder
+
+        from tests.conftest import make_dip_signal
+
+        profiled = Emprof(
+            make_dip_signal(),
+            50e6,
+            1e9,
+            config=EmprofConfig(normalizer=NormalizerConfig(window_samples=301)),
+            region_names={1: "main"},
+        ).profile(flight=FlightRecorder())
+        assert profiled.stalls and profiled.evidence.stalls
+        full = replace(
+            profiled,
+            quality=QualitySummary(
+                gap_count=2,
+                dropped_samples=17,
+                clipped_samples=3,
+                gain_steps=1,
+                impaired_sample_spans=2,
+                impaired_samples=40,
+            ),
+        )
+        path = tmp_path / "report.json"
+        repro_io.save_report(path, full)
+        assert path.read_text() == json.dumps(repro_io.report_to_dict(full))
+        assert repro_io.load_report(path) == full
 
 
 class TestEndToEndPersistence:

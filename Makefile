@@ -53,10 +53,13 @@ chaos:
 # Supervisor/daemon chaos suite: kill -9 and SIGSTOP'd workers,
 # poison-spec quarantine, lease timeouts, graceful SIGTERM, the
 # 100-run exactly-once acceptance scenario (docs/service.md), the
-# kill-a-worker-mid-run telemetry scenario (docs/observability.md), and
-# the event bus's many-producer delivery check.
+# kill-a-worker-mid-run telemetry scenario (docs/observability.md), the
+# event bus's many-producer delivery check, the single-worker
+# in-process pass, and the workers=1 == workers=2 span rollup; the last
+# two read each run's RunOutcome.report, which a forked run parses from
+# disk on first access, on both the in-process and the forked path.
 chaos-service:
-	$(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py tests/test_obs_events.py -q
+	$(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py tests/test_obs_live.py tests/test_obs_events.py tests/test_campaign_inprocess.py tests/test_obs_rollup.py -q
 
 # Quick perf-tracking benches; appends one record per bench to the run
 # ledger LEDGER_obs.jsonl (`repro obs ledger LEDGER_obs.jsonl --kind bench`).

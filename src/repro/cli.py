@@ -70,9 +70,19 @@ def cmd_devices(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_micro_sizes(args: argparse.Namespace) -> None:
+    """Refuse a microbenchmark whose ``--cm`` exceeds its ``--tm``."""
+    if args.cm > args.tm:
+        raise argparse.ArgumentError(
+            None, f"--cm {args.cm} cannot exceed --tm {args.tm}"
+        )
+
+
 def cmd_capture(args: argparse.Namespace) -> int:
     from .experiments.runner import simulate_and_measure
 
+    if args.workload == "micro":
+        _check_micro_sizes(args)
     device = by_name(args.device)
     try:
         workload = workload_by_name(
@@ -309,10 +319,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .experiments.runner import microbenchmark_window, run_device
 
-    if args.cm > args.tm:
-        raise argparse.ArgumentError(
-            None, f"--cm {args.cm} cannot exceed --tm {args.tm}"
-        )
+    _check_micro_sizes(args)
     device = by_name(args.device)
     workload = Microbenchmark(total_misses=args.tm, consecutive_misses=args.cm)
     run = run_device(workload, device, bandwidth_hz=40e6, seed=args.seed)

@@ -125,9 +125,11 @@ def match_stalls(
         # Detection i absorbs the contiguous truth range [lo_i, hi_i):
         # from the first truth still alive at its (padded) begin to the
         # first truth starting at/after its (padded) end.  Truth begins
-        # are sorted; truth ends need a scan since they are not.
-        alive = truth[:, 1][None, :] > begin[:, None]
-        lo = np.where(alive.any(axis=1), alive.argmax(axis=1), n_truth)
+        # are sorted; truth ends are not, but the first end past
+        # ``begin`` is where their running maximum first passes it.
+        lo = np.searchsorted(
+            np.maximum.accumulate(truth[:, 1]), begin, side="right"
+        )
         hi = np.searchsorted(truth[:, 0], end, side="left")
     else:
         lo = np.full(n_det, n_truth, dtype=np.intp)

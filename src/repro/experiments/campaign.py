@@ -107,6 +107,30 @@ class RunSpec:
     timeout_s: Optional[float] = None
 
 
+_UNREAD = object()  # a RunOutcome report still on disk
+
+
+class _StoredReport:
+    """``RunOutcome.report``: held in memory, or read on first access.
+
+    An outcome built with a ``report_path`` and no report parses that
+    file the first time ``report`` is read and caches the result
+    (None when the file is unreadable).
+    """
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:
+            return None  # the dataclass default
+        if outcome._report is _UNREAD:
+            outcome._report = None
+            with contextlib.suppress(OSError, ValueError):
+                outcome._report = repro_io.load_report(outcome.report_path)
+        return outcome._report
+
+    def __set__(self, outcome, report) -> None:
+        outcome._report = report
+
+
 @dataclass
 class RunOutcome:
     """What happened to one run during :meth:`Campaign.execute`.
@@ -116,21 +140,34 @@ class RunOutcome:
             supervised states ``poisoned`` (quarantined after
             ``max_attempts``) and ``interrupted`` (cancelled while
             leased; will be re-attempted by the next pass).
+        report: the run's report.  A run profiled in this process
+            holds it; a forked worker's run is read from
+            ``report_path`` on first access, then cached, and is None
+            if that file is unreadable.
         attempts: how many times execution of this run has *started*,
             including interrupted starts from earlier passes.
         interrupted: True when an earlier attempt of this run was cut
             short by a dead/hung worker - i.e. this outcome resumes
             (or quarantines) an interrupted run rather than a fresh
             one.
+        report_path: where a run that is ``report``-less at
+            construction reads its report from.
     """
 
     name: str
     status: str
-    report: Optional[ProfileReport] = None
+    report: Optional[ProfileReport] = _StoredReport()
     error: Optional[str] = None
     wall_time_s: float = 0.0
     attempts: int = 1
     interrupted: bool = False
+    report_path: Optional[Path] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self._report is None and self.report_path is not None:
+            self._report = _UNREAD
 
 
 @dataclass
@@ -466,6 +503,8 @@ class Campaign:
             attempts=attempt,
             interrupted=interrupted,
         )
+        # The checkpoint carries the report's ledger fields, so the
+        # supervisor settles a forked run without parsing its report.
         obs_ledger.atomic_write_json(
             self.outcome_path(spec.name),
             {
@@ -476,6 +515,7 @@ class Campaign:
                 "attempts": attempt,
                 "finished_unix_s": time.time(),
                 "worker": label,
+                "summary": _report_summary(report),
             },
         )
         _event_bus.emit(
@@ -485,6 +525,22 @@ class Campaign:
             status=outcome.status,
         )
         return outcome
+
+
+def _report_summary(report: Optional[ProfileReport]) -> Dict[str, Any]:
+    """The ``campaign-run`` ledger fields ``report`` yields, JSON-ready."""
+    if report is None:
+        return {}
+    return {
+        "miss_count": report.miss_count,
+        "low_confidence_count": report.low_confidence_count,
+        "stall_fraction": report.stall_fraction,
+        "quality": (
+            None
+            if report.quality is None
+            else dataclasses.asdict(report.quality)
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +820,7 @@ class CampaignExecution:
                 spec, label, job.attempt, job.interrupted
             )
         del self._leases[label]
-        self._finalize(job, label, outcome)
+        self._finalize(job, label, outcome, _report_summary(outcome.report))
 
     def _mark(self, job: _Job, status: str, **fields) -> None:
         """Replace a run's manifest entry (saved by the next checkpoint)."""
@@ -1113,9 +1169,13 @@ class CampaignExecution:
     def _finalize_from_checkpoint(self, job: _Job, label: str) -> bool:
         """Commit a lease from its run's outcome file, if one exists.
 
-        Returns False when the checkpoint is absent, unreadable, or
-        belongs to another attempt (the run did not finish); the
-        caller decides requeue vs quarantine.
+        The checkpoint alone settles the run: its ledger fields come
+        from the checkpoint, and the outcome's report stays on disk
+        until someone reads ``RunOutcome.report``, so the supervisor
+        leases the worker its next run without parsing this one's
+        report.  Returns False when the checkpoint is absent,
+        unreadable, or belongs to another attempt (the run did not
+        finish); the caller decides requeue vs quarantine.
         """
         campaign = self.campaign
         try:
@@ -1129,26 +1189,33 @@ class CampaignExecution:
             or status not in ("done", "failed")
         ):
             return False
-        report = None
-        if status == "done":
-            with contextlib.suppress(OSError, ValueError):
-                report = campaign.load_report(job.name)
         self._finalize(
             job,
             label,
             RunOutcome(
                 name=job.name,
                 status=status,
-                report=report,
                 error=payload.get("error"),
                 wall_time_s=float(payload.get("wall_time_s", 0.0)),
                 attempts=job.attempt,
                 interrupted=job.interrupted,
+                report_path=(
+                    campaign.report_path(job.name)
+                    if status == "done"
+                    else None
+                ),
             ),
+            payload.get("summary", {}),
         )
         return True
 
-    def _finalize(self, job: _Job, label: str, outcome: RunOutcome) -> None:
+    def _finalize(
+        self,
+        job: _Job,
+        label: str,
+        outcome: RunOutcome,
+        summary: Dict[str, Any],
+    ) -> None:
         """Mark a committed run ``done``/``failed`` and settle it.
 
         The manifest entry is updated in memory only: the next lease or
@@ -1164,34 +1231,33 @@ class CampaignExecution:
             worker=label,
             **error,
         )
-        self._settle(job, outcome)
+        self._settle(job, outcome, summary)
 
-    def _settle(self, job: _Job, outcome: RunOutcome) -> None:
+    def _settle(
+        self,
+        job: _Job,
+        outcome: RunOutcome,
+        summary: Optional[Dict[str, Any]] = None,
+    ) -> None:
         """Record a run's final outcome for this pass (once per run).
 
         A run that executed (or was cut short) gets its
         ``campaign-run`` ledger record now, so a later parent crash
-        cannot lose it.
+        cannot lose it.  ``summary`` holds the report's ledger fields
+        (:func:`_report_summary`); a run without a report has none.
         """
         self._outcomes[job.name] = outcome
-        report = outcome.report
+        summary = summary or {}
         extra: Dict[str, object] = {"status": outcome.status}
         if outcome.error is not None:
             extra["error"] = outcome.error
-        if report is not None:
-            extra["miss_count"] = report.miss_count
-            extra["low_confidence_count"] = report.low_confidence_count
-            extra["stall_fraction"] = report.stall_fraction
+        extra.update((k, v) for k, v in summary.items() if k != "quality")
         self._ledger(
             "campaign-run",
             job.name,
             outcome.wall_time_s,
             config=self.specs[job.index].config,
-            quality=(
-                dataclasses.asdict(report.quality)
-                if report is not None and report.quality is not None
-                else None
-            ),
+            quality=summary.get("quality"),
             extra=extra,
         )
 

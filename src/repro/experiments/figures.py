@@ -237,17 +237,7 @@ def fig3a_hidden_misses(seed: int = 0) -> Fig3Result:
                 yield alu(pc + 8 + 4 * (j % 16), region=1)
             yield branch(pc + 4, region=1)
 
-    workload = StreamWorkload("hidden", factory, {1: "hidden"})
-    run = run_simulator(workload, seed=seed)
-    truth = run.result.ground_truth
-    mem_stalls = truth.memory_stalls()
-    return Fig3Result(
-        total_misses=truth.miss_count(),
-        hidden_misses=truth.hidden_miss_count(),
-        stalls=len(mem_stalls),
-        max_misses_per_stall=max((len(s.miss_ids) for s in mem_stalls), default=0),
-        detected=run.report.miss_count,
-    )
+    return _fig3_result("hidden", factory, seed)
 
 
 def fig3b_overlapped_misses(seed: int = 0) -> Fig3Result:
@@ -267,8 +257,12 @@ def fig3b_overlapped_misses(seed: int = 0) -> Fig3Result:
             for j in range(300):
                 yield alu(0x2000 + 4 * (j % 16), region=1)
 
-    workload = StreamWorkload("overlap", factory, {1: "overlap"})
-    run = run_simulator(workload, seed=seed)
+    return _fig3_result("overlap", factory, seed)
+
+
+def _fig3_result(name: str, factory, seed: int) -> Fig3Result:
+    """Simulate one Fig. 3 stream (region 1, ``name``) and account it."""
+    run = run_simulator(StreamWorkload(name, factory, {1: name}), seed=seed)
     truth = run.result.ground_truth
     mem_stalls = truth.memory_stalls()
     return Fig3Result(
@@ -408,10 +402,7 @@ def fig7_microbenchmark_signal(
     tm: int = 100, cm: int = 10, seed: int = 0
 ) -> Fig7Result:
     """The Fig. 7 capture: one microbenchmark run on the Olimex model."""
-    workload = Microbenchmark(
-        total_misses=tm, consecutive_misses=cm, blank_iterations=12_000,
-        gap_instructions=120,
-    )
+    workload = _fig7_workload(tm, cm)
     run = run_device(workload, olimex(), bandwidth_hz=40 * MHZ, seed=seed)
     return _micro_run_figure(run, workload)
 
@@ -419,14 +410,18 @@ def fig7_microbenchmark_signal(
 def fig8_sim_vs_device(
     tm: int = 100, cm: int = 10, seed: int = 0
 ) -> Tuple[Fig7Result, Fig7Result]:
-    """(simulator, device) signals of the same microbenchmark (Fig. 8)."""
-    workload = Microbenchmark(
+    """(simulator, device) signals of the Fig. 7 microbenchmark (Fig. 8)."""
+    workload = _fig7_workload(tm, cm)
+    sim = _micro_run_figure(run_simulator(workload, seed=seed), workload)
+    return sim, fig7_microbenchmark_signal(tm, cm, seed)
+
+
+def _fig7_workload(tm: int, cm: int) -> Microbenchmark:
+    """The microbenchmark Figs. 7 and 8 capture."""
+    return Microbenchmark(
         total_misses=tm, consecutive_misses=cm, blank_iterations=12_000,
         gap_instructions=120,
     )
-    sim_run = run_simulator(workload, seed=seed)
-    dev_run = run_device(workload, olimex(), bandwidth_hz=40 * MHZ, seed=seed)
-    return _micro_run_figure(sim_run, workload), _micro_run_figure(dev_run, workload)
 
 
 # -- Fig. 10: dual probe --------------------------------------------------------

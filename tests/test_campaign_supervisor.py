@@ -281,3 +281,111 @@ def test_cancel_marks_leases_interrupted_for_next_pass(tmp_path):
         entry = manifest["runs"][outcome.name]
         assert entry["status"] == "interrupted"
         assert entry["attempts"] >= 1
+
+
+# -- what the supervisor reads of a finished run -----------------------------
+
+
+def count_report_loads(monkeypatch):
+    """Count ``repro.io.load_report`` calls made in this process."""
+    import repro.io
+
+    calls = []
+    real = repro.io.load_report
+
+    def counting(path):
+        calls.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(repro.io, "load_report", counting)
+    return calls
+
+
+def run_fields(ledger_path):
+    """Each run's report fields in its ``campaign-run`` ledger record."""
+    return {
+        r.label.rsplit("/", 1)[-1]: (
+            r.extra.get("miss_count"),
+            r.extra.get("low_confidence_count"),
+            r.extra.get("stall_fraction"),
+            r.quality,
+        )
+        for r in RunLedger(ledger_path).read(kind="campaign-run")
+    }
+
+
+def test_forked_pass_parses_reports_only_when_read(tmp_path, monkeypatch):
+    loads = count_report_loads(monkeypatch)
+    campaign = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        ledger=RunLedger(tmp_path / "ledger.jsonl", fsync=False),
+        workers=2,
+        heartbeat_interval_s=0.05,
+    )
+    result = campaign.execute(slow_specs(4, delay_s=0.05))
+    assert result.counts() == {"done": 4, "failed": 0, "skipped": 0}
+    # Settling each run, ledger record included, read no report.
+    assert loads == []
+
+    for outcome in result.outcomes:
+        first = outcome.report
+        assert first == campaign.load_report(outcome.name)
+        assert first.miss_count > 0
+        assert outcome.report is first  # cached after the first read
+    # One read on first access plus the comparison's own, per run.
+    assert len(loads) == 2 * len(result.outcomes)
+
+
+def test_forked_ledger_records_match_the_in_process_pass(tmp_path):
+    fields = {}
+    for workers in (1, 2):
+        ledger_path = tmp_path / f"w{workers}.jsonl"
+        Campaign(
+            tmp_path / f"w{workers}",
+            sleep=lambda _: None,
+            ledger=RunLedger(ledger_path, fsync=False),
+            workers=workers,
+            heartbeat_interval_s=0.05,
+        ).execute(slow_specs(3, delay_s=0.05))
+        fields[workers] = run_fields(ledger_path)
+    assert sorted(fields[1]) == ["run0", "run1", "run2"]
+    assert all(f[0] > 0 for f in fields[1].values())
+    assert fields[2] == fields[1]
+
+
+def test_run_adopted_from_its_checkpoint_keeps_its_ledger_fields(
+    tmp_path, monkeypatch
+):
+    campaign = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        ledger=RunLedger(tmp_path / "first.jsonl", fsync=False),
+        workers=2,
+        heartbeat_interval_s=0.05,
+    )
+    campaign.execute(slow_specs(2, delay_s=0.05))
+    # Rewind run1 to the state a kill -9 of the supervisor leaves
+    # between the worker's outcome commit and the manifest update.
+    manifest = json.loads(campaign.manifest_path.read_text())
+    runs = manifest["runs"]
+    runs["run1"] = {
+        "status": "running",
+        "attempts": runs["run1"]["attempts"],
+        "worker": runs["run1"]["worker"],
+    }
+    campaign._save_manifest(runs, progress={})
+
+    loads = count_report_loads(monkeypatch)
+    resumed = Campaign(
+        tmp_path / "camp",
+        sleep=lambda _: None,
+        ledger=RunLedger(tmp_path / "resumed.jsonl", fsync=False),
+        workers=2,
+        heartbeat_interval_s=0.05,
+    ).execute(slow_specs(2, delay_s=0.05))
+    statuses = {o.name: o.status for o in resumed.outcomes}
+    assert statuses == {"run0": "skipped", "run1": "done"}
+    assert loads == []
+    adopted = run_fields(tmp_path / "resumed.jsonl")
+    assert adopted == {"run1": run_fields(tmp_path / "first.jsonl")["run1"]}

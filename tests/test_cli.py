@@ -165,6 +165,7 @@ class TestUsageErrors:
             (["capture", "--bandwidth-mhz", "0"], "bandwidth must be positive"),
             (["capture", "--bandwidth-mhz", "nan"], "bandwidth must be positive"),
             (["capture", "--bandwidth-mhz", "inf"], "bandwidth must be positive"),
+            (["capture", "--tm", "4"], "--cm 5 cannot exceed --tm 4"),
         ],
     )
     def test_exits_2_without_a_traceback(self, tmp_path, capsys, argv, message):

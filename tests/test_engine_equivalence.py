@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.detect import DetectorConfig, detect_stalls
 from repro.core.engine import ChunkDetector, ChunkNormalizer, detect_all
+from repro.core.events import DetectedStall
 from repro.core.normalize import NormalizerConfig, normalize
 from repro.core.streaming import StreamingEmprof
 from repro.core.validate import match_stalls, merge_intervals
@@ -294,6 +295,42 @@ class TestValidatorEquivalence:
             assert got.false_negatives == want.false_negatives
             assert got.precision == want.precision
             assert got.recall == want.recall
+            np.testing.assert_array_equal(
+                got.duration_errors, want.duration_errors
+            )
+
+    def test_match_stalls_long_truth_spans_later_short_ones(self):
+        # Truth ends out of order: the running maximum of ends (what
+        # the matcher searches) differs from the raw ends only here.
+        truth = np.array(
+            [[0.0, 10000.0], [100.0, 150.0], [300.0, 340.0], [20000.0, 20050.0]]
+        )
+        det = [
+            DetectedStall(b / PERIOD, e / PERIOD, b, e, 0.1)
+            for b, e in [
+                (120.0, 140.0),
+                (200.0, 260.0),
+                (320.0, 330.0),
+                (12000.0, 12040.0),
+                (20010.0, 20030.0),
+            ]
+        ]
+        for tol in (0.0, 15.0, 60.0):
+            got = match_stalls(det, truth, tolerance_cycles=tol)
+            want = reference_match_stalls(det, truth, tolerance_cycles=tol)
+            assert (
+                got.true_positives,
+                got.false_positives,
+                got.false_negatives,
+                got.precision,
+                got.recall,
+            ) == (
+                want.true_positives,
+                want.false_positives,
+                want.false_negatives,
+                want.precision,
+                want.recall,
+            )
             np.testing.assert_array_equal(
                 got.duration_errors, want.duration_errors
             )

@@ -35,11 +35,14 @@ regress:
 # call, not at import) + the experiments layer's frozen reference (the
 # x1 paper report, byte for byte, from one simulation per distinct run;
 # docs/reproducing.md) + the on-disk format contract (stored capture
-# members, compact report JSON, older captures still load and damaged
-# ones raise; docs/robustness.md) + the supervised-service chaos suite
+# members, the v2 columnar report JSON, v1 reports and older captures
+# still load and damaged ones raise; docs/robustness.md) + the stall
+# table (a profiled, saved and summarized run builds no per-stall
+# object, and the column aggregates equal their per-stall sums bit for
+# bit; docs/engine.md) + the supervised-service chaos suite
 # (docs/service.md invariants).
 check: lint regress chaos-service
-	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py tests/test_io.py -q
+	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py tests/test_io.py tests/test_stall_table.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:

@@ -24,7 +24,7 @@ from .calibrate import (
 )
 from .detect import DetectorConfig, detect_stalls
 from .engine import ChunkDetector, ChunkNormalizer, SampleRing, finite_segments
-from .events import DetectedStall, ProfileReport
+from .events import DetectedStall, ProfileReport, StallTable
 from .markers import MarkerWindow, find_marker_window
 from .normalize import NormalizerConfig, moving_average, moving_extrema, normalize
 from .pipeline import ProfilePipeline
@@ -59,6 +59,7 @@ __all__ = [
     "NormalizerConfig",
     "DetectedStall",
     "ProfileReport",
+    "StallTable",
     "detect_stalls",
     "normalize",
     "moving_average",

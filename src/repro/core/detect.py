@@ -25,13 +25,13 @@ configuration and the batch entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..devtools.contracts import stall_sequence_result
-from ..faults.quality import overlaps
-from .events import DetectedStall
+from ..faults.quality import impaired_mask
+from .events import DetectedStall, StallTable
 from .pipeline import ProfilePipeline
 
 
@@ -87,23 +87,21 @@ class DetectorConfig:
 def flag_low_confidence(
     stalls: Sequence[DetectedStall],
     impaired_intervals: Sequence[Tuple[float, float]],
-) -> List[DetectedStall]:
+) -> StallTable:
     """Flag every stall overlapping an impaired [begin, end) interval.
 
     The batch-path counterpart of the streaming pipeline's quality
     gating: given impaired sample intervals (from a
     :class:`repro.faults.quality.QualityMonitor` or a ground-truth
-    :class:`repro.faults.inject.ImpairmentLog`), returns the stalls
-    with ``low_confidence=True`` where they overlap.  Detection
-    results are never altered, only annotated.
+    :class:`repro.faults.inject.ImpairmentLog`), returns the stalls,
+    as a :class:`~repro.core.events.StallTable`, with
+    ``low_confidence=True`` where they overlap.  Detection results are
+    never altered, only annotated.
     """
-    spans = sorted(impaired_intervals)
-    return [
-        stall.flagged(True)
-        if overlaps(spans, stall.begin_sample, stall.end_sample)
-        else stall
-        for stall in stalls
-    ]
+    table = StallTable.from_stalls(stalls)
+    return table.flagged(
+        impaired_mask(sorted(impaired_intervals), table.begin_sample, table.end_sample)
+    )
 
 
 @stall_sequence_result
@@ -113,7 +111,7 @@ def detect_stalls(
     config: DetectorConfig = None,
     quality_intervals: Optional[Sequence[Tuple[float, float]]] = None,
     flight=None,
-) -> List[DetectedStall]:
+) -> StallTable:
     """Find LLC-miss-induced stalls in a normalized signal.
 
     Args:
@@ -131,7 +129,10 @@ def detect_stalls(
 
     Returns:
         Detected stalls in time order, with fractional boundaries and
-        refresh classification applied.
+        refresh classification applied, as a
+        :class:`~repro.core.events.StallTable`: columns, and a
+        read-only sequence of :class:`~repro.core.events.DetectedStall`
+        rows.
     """
     x = np.asarray(normalized, dtype=np.float64)
     if x.ndim != 1:

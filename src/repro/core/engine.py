@@ -61,7 +61,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, FlightEvent, FlightRecorder
-from .events import DetectedStall
+from .events import StallTable
 from .normalize import NormalizerConfig
 
 
@@ -450,7 +450,7 @@ class ChunkDetector:
             return float(boundary)
         return boundary - 1 + frac
 
-    def _finalize(self, dip: DipCarry, exit_value: float) -> Optional[DetectedStall]:
+    def _finalize(self, dip: DipCarry, exit_value: float) -> Optional[StallTable]:
         cfg = self.config
         fl = self._flight
         if dip.end - dip.start < cfg.min_duration_samples:
@@ -505,18 +505,18 @@ class ChunkDetector:
                 refresh=duration >= cfg.refresh_min_cycles,
                 carried=True,
             )
-        return DetectedStall(
-            begin_sample=begin,
-            end_sample=finish,
-            begin_cycle=begin * self.period,
-            end_cycle=finish * self.period,
-            min_level=dip.min_level,
-            is_refresh=duration >= cfg.refresh_min_cycles,
+        return StallTable(
+            [begin],
+            [finish],
+            [begin * self.period],
+            [finish * self.period],
+            [dip.min_level],
+            [duration >= cfg.refresh_min_cycles],
         )
 
-    def _close_carry(self) -> List[DetectedStall]:
+    def _close_carry(self) -> List[StallTable]:
         """Finalize the carried dip exactly as end-of-stream would."""
-        out: List[DetectedStall] = []
+        out: List[StallTable] = []
         dip = self._carry
         if dip is not None:
             # No sample exists past the boundary when the stream ends
@@ -559,18 +559,18 @@ class ChunkDetector:
         """Total normalized samples consumed."""
         return self._samples_seen
 
-    def push(self, normalized: np.ndarray) -> List[DetectedStall]:
+    def push(self, normalized: np.ndarray) -> StallTable:
         """Consume one chunk; return every stall whose fate is sealed."""
         arr = np.asarray(normalized, dtype=np.float64)
         n = arr.size
         if n == 0:
-            return []
+            return StallTable.empty()
         cfg = self.config
         recover = cfg.recover_threshold
         merge_gap = cfg.merge_gap_samples
         pos0 = self._pos
         prev_tail = self._prev
-        out: List[DetectedStall] = []
+        out: List[StallTable] = []
 
         starts, ends = bool_runs(arr < cfg.threshold)
         if self._flight is not None:
@@ -583,7 +583,7 @@ class ChunkDetector:
         if starts.size == 0:
             self._no_runs(arr, pos0, out)
             self._advance(arr, n)
-            return out
+            return StallTable.concat(out)
 
         first_start = int(starts[0])
         carry_merged = self._junction(arr, pos0, first_start, out)
@@ -651,22 +651,18 @@ class ChunkDetector:
                     n_final,
                     carry_merged,
                 )
-            for s_begin, s_finish, s_min, s_refresh in zip(
-                begin[keep].tolist(),
-                finish[keep].tolist(),
-                group_min[:n_final][keep].tolist(),
-                refresh[keep].tolist(),
-            ):
-                out.append(
-                    DetectedStall(
-                        begin_sample=s_begin,
-                        end_sample=s_finish,
-                        begin_cycle=s_begin * self.period,
-                        end_cycle=s_finish * self.period,
-                        min_level=s_min,
-                        is_refresh=bool(s_refresh),
-                    )
+            kept_begin = begin[keep]
+            kept_finish = finish[keep]
+            out.append(
+                StallTable(
+                    kept_begin,
+                    kept_finish,
+                    kept_begin * self.period,
+                    kept_finish * self.period,
+                    group_min[:n_final][keep],
+                    refresh[keep],
                 )
+            )
 
         if trailing_open:
             last = n_groups - 1
@@ -705,18 +701,17 @@ class ChunkDetector:
             self._carry = None
 
         self._advance(arr, n)
-        return out
+        return StallTable.concat(out)
 
-    def finish(self) -> List[DetectedStall]:
+    def finish(self) -> StallTable:
         """Finalize any open dip at end of signal."""
         if self._flight is not None:
             self._record_event(
                 "finish", float(self._pos), samples_seen=self._samples_seen
             )
-        out = self._close_carry()
-        return out
+        return StallTable.concat(self._close_carry())
 
-    def resync(self) -> List[DetectedStall]:
+    def resync(self) -> StallTable:
         """Close any open dip at a stream discontinuity and continue.
 
         A gap means the samples between the last and the next chunk
@@ -732,7 +727,7 @@ class ChunkDetector:
             )
         out = self._close_carry()
         self._prev = 1.0
-        return out
+        return StallTable.concat(out)
 
     # -- internals ------------------------------------------------------------
 
@@ -741,7 +736,7 @@ class ChunkDetector:
         self._pos += n
         self._samples_seen += n
 
-    def _no_runs(self, arr: np.ndarray, pos0: int, out: List[DetectedStall]) -> None:
+    def _no_runs(self, arr: np.ndarray, pos0: int, out: List[StallTable]) -> None:
         """Whole chunk above threshold: extend/resolve the carried gap."""
         dip = self._carry
         if dip is None:
@@ -774,7 +769,7 @@ class ChunkDetector:
         arr: np.ndarray,
         pos0: int,
         first_start: int,
-        out: List[DetectedStall],
+        out: List[StallTable],
     ) -> bool:
         """Resolve the carried dip against this chunk's first run.
 
@@ -973,9 +968,7 @@ def detect_all(
     sample_period_cycles: float,
     config,
     flight: Optional[FlightRecorder] = None,
-) -> List[DetectedStall]:
+) -> StallTable:
     """Whole-signal detection: one chunk through the engine plus flush."""
     detector = ChunkDetector(sample_period_cycles, config, flight=flight)
-    stalls = detector.push(normalized)
-    stalls.extend(detector.finish())
-    return stalls
+    return detector.push(normalized) + detector.finish()

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+import operator
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,23 +65,6 @@ class DetectedStall:
             return self
         return replace(self, low_confidence=low_confidence)
 
-    def shifted(self, sample_offset: float, cycle_offset: float) -> "DetectedStall":
-        """Copy translated by ``sample_offset`` samples / ``cycle_offset`` cycles.
-
-        Used to map stalls detected inside a signal window back to
-        whole-signal coordinates.  Field-addressed (via
-        :func:`dataclasses.replace`) so that adding a field to the
-        dataclass can never silently scramble the remaining arguments,
-        which a positional ``type(s)(...)`` rebuild would.
-        """
-        return replace(
-            self,
-            begin_sample=self.begin_sample + sample_offset,
-            end_sample=self.end_sample + sample_offset,
-            begin_cycle=self.begin_cycle + cycle_offset,
-            end_cycle=self.end_cycle + cycle_offset,
-        )
-
 
 @dataclass(frozen=True)
 class QualitySummary:
@@ -116,6 +100,251 @@ class QualitySummary:
         return self.impaired_sample_spans > 0 or self.gap_count > 0
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """``sum(values)`` in Python's left-to-right order, bit for bit.
+
+    ``np.sum`` adds pairwise, which rounds differently; a cumulative
+    sum adds one value at a time, as the per-stall ``sum`` did.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+#: The stall fields, in order: one :class:`StallTable` column each.
+STALL_FIELDS = tuple(f.name for f in fields(DetectedStall))
+_stall_values = operator.attrgetter(*STALL_FIELDS)
+
+
+def _object_column(values) -> np.ndarray:
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+class StallTable:
+    """Detected stalls as eight aligned columns, one row per stall.
+
+    Stalls leave the detection engine as this table and stay columns
+    through the pipeline, the report and the report file, so profiling
+    builds no per-stall Python object.  The columns are the
+    :class:`DetectedStall` fields: five float64 (samples, cycles,
+    ``min_level``), two bool (``is_refresh``, ``low_confidence``) and
+    ``region``, an object column holding None or a region id.
+
+    A table is also a read-only sequence of :class:`DetectedStall`
+    rows: iterating, indexing and comparing with a list build the rows
+    from the columns (Python ``float``/``bool``/``int``/``None``
+    values, as a row built field by field holds).  Rows handed in with
+    ``rows`` are reused instead of rebuilt.  Treat the columns as
+    immutable: every operation returns a new table.
+    """
+
+    __slots__ = STALL_FIELDS + ("_rows",)
+
+    def __init__(
+        self,
+        begin_sample,
+        end_sample,
+        begin_cycle,
+        end_cycle,
+        min_level,
+        is_refresh=None,
+        region=None,
+        low_confidence=None,
+        rows: Optional[List[DetectedStall]] = None,
+    ):
+        n = len(begin_sample)
+        self.begin_sample = np.asarray(begin_sample, dtype=np.float64)
+        self.end_sample = np.asarray(end_sample, dtype=np.float64)
+        self.begin_cycle = np.asarray(begin_cycle, dtype=np.float64)
+        self.end_cycle = np.asarray(end_cycle, dtype=np.float64)
+        self.min_level = np.asarray(min_level, dtype=np.float64)
+        self.is_refresh = (
+            np.zeros(n, dtype=bool)
+            if is_refresh is None
+            else np.asarray(is_refresh, dtype=bool)
+        )
+        if region is None:
+            region = np.full(n, None, dtype=object)
+        elif not (isinstance(region, np.ndarray) and region.dtype == object):
+            region = _object_column(region)
+        self.region = region
+        self.low_confidence = (
+            np.zeros(n, dtype=bool)
+            if low_confidence is None
+            else np.asarray(low_confidence, dtype=bool)
+        )
+        if any(len(getattr(self, name)) != n for name in STALL_FIELDS):
+            raise ValueError("stall columns must have equal lengths")
+        self._rows = rows
+
+    # -- construction --------------------------------------------------------
+
+    @classmethod
+    def empty(cls) -> "StallTable":
+        """A table with no rows (one shared instance)."""
+        return _EMPTY_TABLE
+
+    @classmethod
+    def from_stalls(cls, stalls: Sequence[DetectedStall]) -> "StallTable":
+        """The columns of ``stalls``; the rows themselves are kept."""
+        if isinstance(stalls, StallTable):
+            return stalls
+        rows = stalls if isinstance(stalls, list) else list(stalls)
+        if not rows:
+            return cls.empty()
+        return cls(*zip(*map(_stall_values, rows)), rows=rows)
+
+    @classmethod
+    def from_dict(cls, columns: Dict[str, list]) -> "StallTable":
+        """Inverse of :meth:`to_dict`."""
+        return cls(*(columns[name] for name in STALL_FIELDS))
+
+    @classmethod
+    def concat(cls, tables: Sequence["StallTable"]) -> "StallTable":
+        """The rows of ``tables``, one after another."""
+        tables = [t for t in tables if len(t)]
+        if not tables:
+            return cls.empty()
+        if len(tables) == 1:
+            return tables[0]
+        return cls(
+            *(
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in STALL_FIELDS
+            )
+        )
+
+    # -- derived tables ------------------------------------------------------
+
+    def _replace(self, **columns) -> "StallTable":
+        return StallTable(
+            *(columns.get(name, getattr(self, name)) for name in STALL_FIELDS)
+        )
+
+    def shifted(self, sample_offset: float, cycle_offset: float) -> "StallTable":
+        """Every row translated by ``sample_offset`` samples and
+        ``cycle_offset`` cycles; durations and the other fields stay.
+
+        Maps stalls detected inside a signal window back to
+        whole-signal coordinates.
+        """
+        return self._replace(
+            begin_sample=self.begin_sample + sample_offset,
+            end_sample=self.end_sample + sample_offset,
+            begin_cycle=self.begin_cycle + cycle_offset,
+            end_cycle=self.end_cycle + cycle_offset,
+        )
+
+    def flagged(self, mask: np.ndarray) -> "StallTable":
+        """Rows where ``mask`` holds flagged low-confidence; flags only rise."""
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            return self
+        return self._replace(low_confidence=self.low_confidence | mask)
+
+    def take(self, keep) -> "StallTable":
+        """The rows ``keep`` selects: a bool mask or a slice."""
+        return StallTable(*(getattr(self, name)[keep] for name in STALL_FIELDS))
+
+    def with_rows(self, rows: List[DetectedStall]) -> "StallTable":
+        """This table, reusing ``rows`` (equal to its own) as its rows."""
+        return StallTable(
+            *(getattr(self, name) for name in STALL_FIELDS), rows=rows
+        )
+
+    # -- columns -------------------------------------------------------------
+
+    def durations_cycles(self) -> np.ndarray:
+        """Stall lengths in cycles, as :attr:`DetectedStall.duration_cycles`."""
+        return self.end_cycle - self.begin_cycle
+
+    def stall_cycles(self) -> float:
+        """Total stall cycles, summed in row order like a per-stall ``sum``."""
+        return _sequential_sum(self.durations_cycles())
+
+    def to_dict(self) -> Dict[str, list]:
+        """One list of Python values per field (JSON-ready)."""
+        return {name: getattr(self, name).tolist() for name in STALL_FIELDS}
+
+    # -- the row view --------------------------------------------------------
+
+    def rows(self) -> List[DetectedStall]:
+        """The stalls as a new list of :class:`DetectedStall` rows."""
+        if self._rows is not None:
+            return list(self._rows)
+        return list(
+            map(DetectedStall, *(getattr(self, name).tolist() for name in STALL_FIELDS))
+        )
+
+    def __len__(self) -> int:
+        return len(self.begin_sample)
+
+    def __iter__(self) -> Iterator[DetectedStall]:
+        return iter(self.rows())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        if self._rows is not None:
+            return self._rows[index]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("stall index out of range")
+        return DetectedStall(*(getattr(self, name).item(index) for name in STALL_FIELDS))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StallTable):
+            return self.to_dict() == other.to_dict()
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and self.rows() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        """Two tables give a table; a table and a list give a list."""
+        if isinstance(other, StallTable):
+            return StallTable.concat([self, other])
+        if isinstance(other, list):
+            return self.rows() + other
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + self.rows()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StallTable({self.rows()!r})"
+
+
+_EMPTY_TABLE = StallTable(*(np.empty(0),) * 5)
+
+
+class _StallRows:
+    """``ProfileReport.stalls``: the table's rows, built on first read.
+
+    A report holds a :class:`StallTable`, a list of stalls, or both;
+    each is derived from the other once, on first use, and cached.
+    Setting ``stalls`` to a table or a list replaces both.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            # A required dataclass field: no class-level default.
+            raise AttributeError("stalls")
+        if report._rows is None:
+            report._rows = report._table.rows()
+        return report._rows
+
+    def __set__(self, report, stalls) -> None:
+        if isinstance(stalls, StallTable):
+            report._table, report._rows = stalls, None
+        else:
+            report._table = None
+            report._rows = stalls if isinstance(stalls, list) else list(stalls)
+
+
 @dataclass
 class ProfileReport:
     """EMPROF's output for one profiled execution.
@@ -123,9 +352,17 @@ class ProfileReport:
     The report follows the paper's accounting: each detected stall is
     one MISS (one LLC miss or a group of highly-overlapped misses,
     Section II-B), and its duration is that MISS's latency.
+
+    ``stalls`` may be given as a :class:`StallTable` or as a list of
+    :class:`DetectedStall`.  The report keeps the table in
+    :attr:`table`; reading ``report.stalls`` builds the list of rows
+    once and caches it.  The counts, sums and series below read the
+    columns, so profiling, validating, summarizing and saving a report
+    build no per-stall object; their sums add in stall order, as a
+    per-stall ``sum`` does, so every value is bit-identical to it.
     """
 
-    stalls: List[DetectedStall]
+    stalls: List[DetectedStall] = _StallRows()
     total_cycles: float
     clock_hz: float
     sample_period_cycles: float
@@ -137,6 +374,13 @@ class ProfileReport:
     #: Typed loosely so the core event types stay importable without
     #: the obs layer.
     evidence: Optional[object] = None
+
+    @property
+    def table(self) -> StallTable:
+        """The stalls as columns."""
+        if self._table is None:
+            self._table = StallTable.from_stalls(self._rows)
+        return self._table
 
     def stall_evidence(self, index: int):
         """Evidence record for ``stalls[index]``.
@@ -154,17 +398,17 @@ class ProfileReport:
     @property
     def miss_count(self) -> int:
         """Number of detected LLC-miss-induced stalls."""
-        return len(self.stalls)
+        return len(self.table)
 
     @property
     def low_confidence_count(self) -> int:
         """Detected stalls overlapping impaired signal regions."""
-        return sum(1 for s in self.stalls if s.low_confidence)
+        return int(np.count_nonzero(self.table.low_confidence))
 
     @property
     def confident_miss_count(self) -> int:
         """Detected stalls *not* flagged low-confidence."""
-        return len(self.stalls) - self.low_confidence_count
+        return self.miss_count - self.low_confidence_count
 
     def confident_stalls(self) -> List[DetectedStall]:
         """The stalls that do not overlap any impaired region."""
@@ -173,12 +417,12 @@ class ProfileReport:
     @property
     def refresh_count(self) -> int:
         """Detected stalls classified as refresh-coincident."""
-        return sum(1 for s in self.stalls if s.is_refresh)
+        return int(np.count_nonzero(self.table.is_refresh))
 
     @property
     def stall_cycles(self) -> float:
         """Total stalled cycles across all detected misses."""
-        return float(sum(s.duration_cycles for s in self.stalls))
+        return self.table.stall_cycles()
 
     @property
     def stall_fraction(self) -> float:
@@ -190,13 +434,13 @@ class ProfileReport:
     @property
     def mean_latency_cycles(self) -> float:
         """Average detected stall duration, in cycles."""
-        if not self.stalls:
+        if not self.miss_count:
             return 0.0
-        return self.stall_cycles / len(self.stalls)
+        return self.stall_cycles / self.miss_count
 
     def latencies_cycles(self) -> np.ndarray:
         """Detected stall durations in cycles, in time order."""
-        return np.array([s.duration_cycles for s in self.stalls], dtype=np.float64)
+        return self.table.durations_cycles()
 
     def stalls_between(self, begin_cycle: float, end_cycle: float) -> List[DetectedStall]:
         """Stalls whose midpoint falls inside [begin_cycle, end_cycle)."""
@@ -216,11 +460,9 @@ class ProfileReport:
         if bin_cycles <= 0:
             raise ValueError("bin width must be positive")
         nbins = max(1, int(np.ceil(self.total_cycles / bin_cycles)))
-        counts = np.zeros(nbins, dtype=np.int64)
-        for s in self.stalls:
-            idx = min(int(s.begin_cycle // bin_cycles), nbins - 1)
-            counts[idx] += 1
-        return np.arange(nbins) * bin_cycles, counts
+        bins = (self.table.begin_cycle // bin_cycles).astype(np.int64)
+        counts = np.bincount(np.minimum(bins, nbins - 1), minlength=nbins)
+        return np.arange(nbins) * bin_cycles, counts.astype(np.int64)
 
     def validate(self) -> "ProfileReport":
         """Assert the report's event invariants; returns the report.

@@ -11,12 +11,13 @@ from ..devtools.contracts import (
     report_result,
     unit_interval_result,
 )
+from ..faults.quality import impaired_mask
 from ..obs import trace as _trace
 from ..obs.events import bus as _event_bus
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, FlightEvent, build_evidence
 from ..obs.runtime import obs_enabled
 from .engine import ChunkDetector, ChunkNormalizer
-from .events import DetectedStall, ProfileReport
+from .events import DetectedStall, ProfileReport, StallTable
 
 
 def _detect_done(stalls, _elapsed_s, _attrs):
@@ -39,9 +40,12 @@ class ProfilePipeline:
     * streaming (``StreamingEmprof``): the same, with :meth:`resync`
       at every stream discontinuity.
 
+    Stalls travel as :class:`~repro.core.events.StallTable` columns
+    from the engine to the report: no step builds a per-stall object.
     Every stall leaves through one emission point, which applies the
-    quality flags, checks the monotonic-stream contract and emits the
-    ``stall_detected`` events; the ``report`` span counts the stalls.
+    window offset and the quality flags, checks the monotonic-stream
+    contract and emits the ``stall_detected`` events; the ``report``
+    span counts the stalls.
 
     Args:
         sample_period_cycles: processor cycles per signal sample.
@@ -72,8 +76,8 @@ class ProfilePipeline:
         self.quality = quality
         self.flight = flight
         self.offset_samples = offset_samples
-        #: Every stall emitted so far, in order.
-        self.stalls: List[DetectedStall] = []
+        #: The tables of stalls emitted so far, in order.
+        self._emitted: List[StallTable] = []
         #: Samples pushed, and samples lost to gaps, so far.
         self.samples_seen = 0
         self.samples_dropped = 0
@@ -82,7 +86,7 @@ class ProfilePipeline:
             None if normalizer is None else ChunkNormalizer(normalizer, flight=flight)
         )
 
-    def push(self, samples: np.ndarray) -> List[DetectedStall]:
+    def push(self, samples: np.ndarray) -> StallTable:
         """Feed samples; return the stalls they finalized."""
         x = np.asarray(samples, dtype=np.float64)
         if self.quality is not None:
@@ -92,11 +96,11 @@ class ProfilePipeline:
             x = self._normalize(x)
         return self._emit(self._detector.push(x))
 
-    def finish(self) -> List[DetectedStall]:
+    def finish(self) -> StallTable:
         """Drain the normalizer and close any open dip: end of signal."""
         return self._emit(self._drain() + self._detector.finish())
 
-    def resync(self, dropped: int) -> List[DetectedStall]:
+    def resync(self, dropped: int) -> StallTable:
         """Continue after a stream gap of ``dropped`` lost samples.
 
         The open dip cannot bridge unknown samples, so it is closed;
@@ -120,30 +124,64 @@ class ProfilePipeline:
         attrs=lambda self, normalized: {"samples": len(normalized)},
         on_exit=_detect_done,
     )
-    def detect(self, normalized: np.ndarray) -> List[DetectedStall]:
+    def detect(self, normalized: np.ndarray) -> StallTable:
         """Whole-signal detection of normalized samples: push plus finish."""
         return self.push(normalized) + self.finish()
 
     @report_result
-    def report(self, clock_hz: float, region_names) -> ProfileReport:
+    def report(
+        self,
+        clock_hz: float,
+        region_names,
+        rows: Optional[List[DetectedStall]] = None,
+    ) -> ProfileReport:
         """The report over every sample pushed or lost to a gap.
 
-        Call it once, when the run is complete.  Quality gating reruns over every stall: an impairment found
-        late (a gap guard reaching backwards) must still flag a stall
-        that was finalized before it.
+        Call it once, when the run is complete.  Quality gating reruns
+        over every stall, in one pass over the columns: an impairment
+        found late (a gap guard reaching backwards) must still flag a
+        stall that was finalized before it.  ``rows`` are the emitted
+        stalls as :class:`~repro.core.events.DetectedStall` objects,
+        when the caller has built them already: the report reuses them,
+        copying only those flagged since.
         """
-        stalls, quality, intervals = list(self.stalls), None, ()
+        stalls, quality, intervals = StallTable.concat(self._emitted), None, ()
         if self.quality is not None:
-            stalls = [self.quality.flag(s) for s in stalls]
-            vetoed = [s for s in stalls if s.low_confidence]
-            for stall in vetoed:
-                begin, end = float(stall.begin_sample), float(stall.end_sample)
-                self._record("quality_veto", begin, begin=begin, end=end)
-            if vetoed:
-                _event_bus.emit("quality_flag", flag="low_confidence", count=len(vetoed))
             intervals = self.quality.intervals()
+            stalls = stalls.flagged(
+                impaired_mask(intervals, stalls.begin_sample, stalls.end_sample)
+            )
+            vetoed = np.flatnonzero(stalls.low_confidence)
+            if self.flight is not None:
+                for begin, end in zip(
+                    stalls.begin_sample[vetoed].tolist(),
+                    stalls.end_sample[vetoed].tolist(),
+                ):
+                    self._record("quality_veto", begin, begin=begin, end=end)
+            if len(vetoed):
+                _event_bus.emit("quality_flag", flag="low_confidence", count=len(vetoed))
             summary = self.quality.summary()
             quality = summary if summary.any_impairment else None
+        if rows is not None:
+            stalls = stalls.with_rows(
+                [
+                    row.flagged(flag)
+                    for row, flag in zip(rows, stalls.low_confidence.tolist())
+                ]
+            )
+        elif self.flight is not None:
+            # Evidence is built stall by stall; the report keeps the
+            # rows it was built from.
+            stalls = stalls.with_rows(stalls.rows())
+        evidence = None
+        if self.flight is not None:
+            evidence = build_evidence(
+                stalls,
+                self.flight.events(),
+                self.detector_config,
+                quality_intervals=intervals,
+                recorder=self.flight,
+            )
         with _trace.span(
             "report", stalls=len(stalls), dropped=self.samples_dropped
         ) as span:
@@ -155,17 +193,7 @@ class ProfilePipeline:
                 sample_period_cycles=self.period,
                 region_names=dict(region_names),
                 quality=quality,
-                evidence=(
-                    None
-                    if self.flight is None
-                    else build_evidence(
-                        stalls,
-                        self.flight.events(),
-                        self.detector_config,
-                        quality_intervals=intervals,
-                        recorder=self.flight,
-                    )
-                ),
+                evidence=evidence,
             )
             if obs_enabled():
                 span.set_attr(
@@ -192,27 +220,39 @@ class ProfilePipeline:
             return self._normalizer.flush()
         return self._normalizer.push(x)
 
-    def _drain(self) -> List[DetectedStall]:
+    def _drain(self) -> StallTable:
         if self._normalizer is None:
-            return []
+            return StallTable.empty()
         return self._detector.push(self._normalize())
 
     @monotonic_stall_stream
-    def _emit(self, stalls: List[DetectedStall]) -> List[DetectedStall]:
+    def _emit(self, stalls: StallTable) -> StallTable:
         """The one exit of every stall."""
+        if not len(stalls):
+            return stalls
         if self.offset_samples:
-            offset_cycles = self.offset_samples * self.period
-            stalls = [s.shifted(self.offset_samples, offset_cycles) for s in stalls]
+            stalls = stalls.shifted(
+                self.offset_samples, self.offset_samples * self.period
+            )
         if self.quality is not None:
-            stalls = [self.quality.flag(s) for s in stalls]
-        self.stalls.extend(stalls)
-        if stalls and obs_enabled():
-            for stall in stalls:
+            stalls = stalls.flagged(
+                impaired_mask(
+                    self.quality.intervals(), stalls.begin_sample, stalls.end_sample
+                )
+            )
+        self._emitted.append(stalls)
+        if obs_enabled():
+            for begin, duration, refresh, low_confidence in zip(
+                stalls.begin_cycle.tolist(),
+                stalls.durations_cycles().tolist(),
+                stalls.is_refresh.tolist(),
+                stalls.low_confidence.tolist(),
+            ):
                 _event_bus.emit(
                     "stall_detected",
-                    begin_cycle=stall.begin_cycle,
-                    duration_cycles=stall.end_cycle - stall.begin_cycle,
-                    is_refresh=stall.is_refresh,
-                    low_confidence=stall.low_confidence,
+                    begin_cycle=begin,
+                    duration_cycles=duration,
+                    is_refresh=refresh,
+                    low_confidence=low_confidence,
                 )
         return stalls

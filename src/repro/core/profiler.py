@@ -24,7 +24,7 @@ from .pipeline import ProfilePipeline
 
 
 def _run_done(report, _elapsed_s, _attrs):
-    return {"stalls": len(report.stalls)}
+    return {"stalls": report.miss_count}
 
 
 def _instrumented_run(name: str, attrs):

@@ -21,7 +21,7 @@ from ..obs.events import bus as _event_bus
 from ..obs.flight import FlightRecorder
 from .detect import DetectorConfig
 from .engine import finite_segments
-from .events import DetectedStall, ProfileReport
+from .events import DetectedStall, ProfileReport, StallTable
 from .normalize import NormalizerConfig
 from .pipeline import ProfilePipeline
 
@@ -99,6 +99,8 @@ class StreamingEmprof:
             flight=flight,
         )
         self._report: Optional[ProfileReport] = None
+        #: Every stall ``process`` has returned, in order.
+        self._rows: List[DetectedStall] = []
 
     @_trace.instrumented(
         "streaming.chunk",
@@ -126,17 +128,20 @@ class StreamingEmprof:
             raise ValueError("chunks must be one-dimensional")
         if gap_before < 0:
             raise ValueError("gap_before cannot be negative")
-        new = self._pipeline.resync(gap_before) if gap_before > 0 else []
+        new = [self._pipeline.resync(gap_before)] if gap_before > 0 else []
         finite = np.isfinite(chunk)
         if finite.all():
-            return new + self._pipeline.push(chunk)
-        # Non-finite runs are dropped samples: feed the finite
-        # segments, resynchronizing across each bad run.
-        for segment, bad_run in finite_segments(chunk, finite):
-            if bad_run:
-                new += self._pipeline.resync(bad_run)
-            new += self._pipeline.push(segment)
-        return new
+            new.append(self._pipeline.push(chunk))
+        else:
+            # Non-finite runs are dropped samples: feed the finite
+            # segments, resynchronizing across each bad run.
+            for segment, bad_run in finite_segments(chunk, finite):
+                if bad_run:
+                    new.append(self._pipeline.resync(bad_run))
+                new.append(self._pipeline.push(segment))
+        rows = StallTable.concat(new).rows()
+        self._rows.extend(rows)
+        return rows
 
     def finish(self) -> ProfileReport:
         """Flush all state and return the final, quality-gated report.
@@ -146,9 +151,9 @@ class StreamingEmprof:
         """
         if self._report is None:
             with _trace.span("streaming.finish"):
-                self._pipeline.finish()
+                self._rows.extend(self._pipeline.finish().rows())
                 self._report = self._pipeline.report(
-                    self.clock_hz, self.region_names
+                    self.clock_hz, self.region_names, rows=self._rows
                 )
         return self._report
 
@@ -159,7 +164,7 @@ class StreamingEmprof:
         Confidence flags reflect impairments seen *so far*; the final
         report's flags are definitive.
         """
-        return [self.quality_monitor.flag(s) for s in self._pipeline.stalls]
+        return [self.quality_monitor.flag(s) for s in self._rows]
 
     @property
     def dropped_samples(self) -> int:

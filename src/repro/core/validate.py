@@ -18,12 +18,12 @@ error), which is what gives the scalar numbers diagnostic teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sim.trace import GroundTruth
-from .events import DetectedStall, ProfileReport
+from .events import DetectedStall, ProfileReport, StallTable
 
 
 def count_accuracy(reported: float, expected: float) -> float:
@@ -111,15 +111,16 @@ def match_stalls(
     dips counts one TP and no FP, but contributes a duration error).
     """
     truth = np.asarray(true_intervals, dtype=np.float64).reshape(-1, 2)
-    det = sorted(detected, key=lambda s: s.begin_cycle)
+    det = StallTable.from_stalls(detected)
+    by_begin = np.argsort(det.begin_cycle, kind="stable")
     order = np.argsort(truth[:, 0]) if len(truth) else np.array([], dtype=int)
     truth = truth[order]
 
     n_truth = len(truth)
     n_det = len(det)
-    begin = np.asarray([s.begin_cycle for s in det]) - tolerance_cycles
-    end = np.asarray([s.end_cycle for s in det]) + tolerance_cycles
-    durations = np.asarray([s.duration_cycles for s in det])
+    begin = det.begin_cycle[by_begin] - tolerance_cycles
+    end = det.end_cycle[by_begin] + tolerance_cycles
+    durations = det.durations_cycles()[by_begin]
 
     if n_truth and n_det:
         # Detection i absorbs the contiguous truth range [lo_i, hi_i):
@@ -224,19 +225,20 @@ def validate_profile(
     )
     intervals = truth.stall_intervals().astype(np.float64)
     misses = truth.miss_count()
-    stalls: List[DetectedStall] = list(report.stalls)
+    stalls = report.table
 
     if window_cycles is not None:
         lo, hi = window_cycles
         keep = (intervals[:, 0] < hi) & (intervals[:, 1] > lo) if len(intervals) else np.array([], dtype=bool)
         intervals = intervals[keep] if len(intervals) else intervals
         misses = sum(1 for m in truth.misses if lo <= m.detect_cycle < hi)
-        stalls = [s for s in stalls if lo <= 0.5 * (s.begin_cycle + s.end_cycle) < hi]
+        mid = 0.5 * (stalls.begin_cycle + stalls.end_cycle)
+        stalls = stalls.take((lo <= mid) & (mid < hi))
 
     merged = merge_intervals(intervals, max_gap=period)
     true_groups = len(merged)
     true_cycles = float((merged[:, 1] - merged[:, 0]).sum()) if len(merged) else 0.0
-    detected_cycles = float(sum(s.duration_cycles for s in stalls))
+    detected_cycles = stalls.stall_cycles()
 
     return ValidationResult(
         miss_accuracy=count_accuracy(len(stalls), misses),

@@ -94,9 +94,33 @@ def check_stall(stall: Any, where: str = "stall") -> Any:
     return stall
 
 
-_stall_fields = operator.attrgetter(
-    "begin_sample", "end_sample", "begin_cycle", "end_cycle", "min_level"
-)
+_CHECKED_FIELDS = ("begin_sample", "end_sample", "begin_cycle", "end_cycle", "min_level")
+_stall_fields = operator.attrgetter(*_CHECKED_FIELDS)
+
+
+def _checked_columns(stalls: Sequence[Any]) -> Sequence[np.ndarray]:
+    """The five checked fields of ``stalls`` as float64 columns.
+
+    A stall table (:class:`repro.core.events.StallTable`) exposes each
+    field as a column already; a sequence of stall objects is gathered
+    in one ``fromiter`` pass.
+    """
+    if isinstance(getattr(stalls, "begin_cycle", None), np.ndarray):
+        return [getattr(stalls, name) for name in _CHECKED_FIELDS]
+    n = len(stalls)
+    fields = np.fromiter(
+        itertools.chain.from_iterable(map(_stall_fields, stalls)),
+        np.float64,
+        5 * n,
+    ).reshape(n, 5)
+    return list(fields.T)
+
+
+def _last_begin_cycle(stalls: Sequence[Any]) -> float:
+    cycles = getattr(stalls, "begin_cycle", None)
+    if isinstance(cycles, np.ndarray):
+        return float(cycles[-1])
+    return stalls[-1].begin_cycle
 
 
 def check_stall_sequence(
@@ -106,38 +130,40 @@ def check_stall_sequence(
 ) -> Sequence[Any]:
     """Assert each stall is well-formed and time order is non-decreasing.
 
-    One NumPy pass over the five checked fields finds the first stall
-    that may break a rule; the per-stall checks run from there on, so
-    only an offender gets a message, and it is the one-at-a-time text.
+    ``stalls`` is a sequence of stall objects or a stall table.  One
+    NumPy pass over the five checked fields finds the first stall that
+    breaks a rule; only that stall is looked at one field at a time,
+    so an offender gets the per-stall message of :func:`check_stall`.
     """
-    start = len(stalls)
-    if start:
-        fields = np.fromiter(
-            itertools.chain.from_iterable(map(_stall_fields, stalls)),
-            np.float64,
-            5 * start,
-        ).reshape(start, 5)
-        begin_cycle = fields[:, 2]
-        previous = np.empty(start)
-        previous[0] = min_begin_cycle
-        previous[1:] = begin_cycle[:-1]
-        suspect = ~np.isfinite(fields).all(axis=1)
-        suspect |= fields[:, 0] > fields[:, 1]
-        suspect |= begin_cycle > fields[:, 3]
-        suspect |= begin_cycle < previous
-        if suspect.any():
-            start = int(suspect.argmax())
-    previous = min_begin_cycle if start == 0 else stalls[start - 1].begin_cycle
-    for index in range(start, len(stalls)):
-        stall = stalls[index]
-        check_stall(stall, where=f"{where}[{index}]")
-        if stall.begin_cycle < previous:
-            raise ContractViolation(
-                f"{where}[{index}]: begin_cycle {stall.begin_cycle} precedes "
-                f"{previous}; stalls must be monotonically non-decreasing"
-            )
-        previous = stall.begin_cycle
-    return stalls
+    n = len(stalls)
+    if not n:
+        return stalls
+    begin_sample, end_sample, begin_cycle, end_cycle, min_level = _checked_columns(
+        stalls
+    )
+    previous = np.empty(n)
+    previous[0] = min_begin_cycle
+    previous[1:] = begin_cycle[:-1]
+    suspect = ~(
+        np.isfinite(begin_sample)
+        & np.isfinite(end_sample)
+        & np.isfinite(begin_cycle)
+        & np.isfinite(end_cycle)
+        & np.isfinite(min_level)
+    )
+    suspect |= begin_sample > end_sample
+    suspect |= begin_cycle > end_cycle
+    suspect |= begin_cycle < previous
+    if not suspect.any():
+        return stalls
+    index = int(suspect.argmax())
+    stall = stalls[index]
+    check_stall(stall, where=f"{where}[{index}]")
+    before = min_begin_cycle if index == 0 else stalls[index - 1].begin_cycle
+    raise ContractViolation(
+        f"{where}[{index}]: begin_cycle {stall.begin_cycle} precedes "
+        f"{before}; stalls must be monotonically non-decreasing"
+    )
 
 
 def check_unit_interval(
@@ -166,7 +192,7 @@ def check_report(report: Any, where: str = "profile report") -> Any:
         raise ContractViolation(f"{where}: clock_hz must be positive")
     if report.sample_period_cycles <= 0:
         raise ContractViolation(f"{where}: sample_period_cycles must be positive")
-    check_stall_sequence(report.stalls, where=f"{where}.stalls")
+    check_stall_sequence(report.table, where=f"{where}.stalls")
     return report
 
 
@@ -206,8 +232,8 @@ def monotonic_stall_stream(method: F) -> F:
                 min_begin_cycle=previous,
                 where=method.__qualname__,
             )
-            if result:
-                self._contract_prev_begin_cycle = result[-1].begin_cycle
+            if len(result):
+                self._contract_prev_begin_cycle = _last_begin_cycle(result)
         return result
 
     return wrapper  # type: ignore[return-value]

@@ -216,7 +216,7 @@ class ExperimentRun:
 
 
 def _experiment_done(run, _elapsed_s, _attrs):
-    return {"stalls": len(run.report.stalls)}
+    return {"stalls": run.report.miss_count}
 
 
 @_trace.instrumented(

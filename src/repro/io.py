@@ -6,10 +6,14 @@ times; these helpers give the repository a stable on-disk format:
 * captures -> ``.npz`` (magnitude array + acquisition metadata),
   its members stored rather than deflated: deflate saves ~8% of a
   float64 noise capture's bytes at ~50x the write time,
-* profile reports -> compact ``.json`` (stall list + accounting, plus
-  the per-stall ``evidence`` block when the run was flight-recorded),
+* profile reports -> compact ``.json`` (format v2: the stalls as one
+  object of eight equal-length field lists, plus the accounting and,
+  when the run was flight-recorded, the per-stall ``evidence`` block),
   written without ``indent`` so ``json`` keeps its C encoder;
-  ``python -m json.tool`` pretty-prints one,
+  ``python -m json.tool`` pretty-prints one and
+  ``jq '.stalls.begin_sample'`` reads one column.  Floats are written
+  as ``repr`` and read back bit for bit.  v1 reports (one object per
+  stall) are still read,
 * ground-truth traces -> ``.npz`` (columnar miss/stall records),
 * flight recordings -> ``.flight`` (NDJSON decision-event sidecars,
   see :mod:`repro.obs.flight`).
@@ -30,6 +34,7 @@ unchanged: ``np.load`` reads stored and deflated members alike.
 from __future__ import annotations
 
 import json
+import operator
 import zipfile
 import zlib
 from pathlib import Path
@@ -37,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .core.events import DetectedStall, ProfileReport, QualitySummary
+from .core.events import STALL_FIELDS, ProfileReport, QualitySummary, StallTable
 from .emsignal.receiver import Capture
 from .errors import CorruptCaptureError
 from .obs.flight import FlightRecorder, ReportEvidence, read_flight
@@ -45,7 +50,8 @@ from .sim.trace import GroundTruth, MissRecord, StallRecord
 
 _CAPTURE_FORMAT = "emprof-capture-v2"
 _CAPTURE_FORMAT_V1 = "emprof-capture-v1"
-_REPORT_FORMAT = "emprof-report-v1"
+_REPORT_FORMAT = "emprof-report-v2"
+_REPORT_FORMAT_V1 = "emprof-report-v1"
 _TRUTH_FORMAT = "emprof-truth-v2"
 _TRUTH_FORMAT_V1 = "emprof-truth-v1"
 
@@ -186,19 +192,7 @@ def report_to_dict(report: ProfileReport) -> dict:
         "sample_period_cycles": report.sample_period_cycles,
         "total_cycles": report.total_cycles,
         "region_names": {str(k): v for k, v in report.region_names.items()},
-        "stalls": [
-            {
-                "begin_sample": s.begin_sample,
-                "end_sample": s.end_sample,
-                "begin_cycle": s.begin_cycle,
-                "end_cycle": s.end_cycle,
-                "min_level": s.min_level,
-                "is_refresh": s.is_refresh,
-                "region": s.region,
-                "low_confidence": s.low_confidence,
-            }
-            for s in report.stalls
-        ],
+        "stalls": report.table.to_dict(),
     }
     if report.quality is not None:
         q = report.quality
@@ -218,24 +212,30 @@ def report_to_dict(report: ProfileReport) -> dict:
     return payload
 
 
-def report_from_dict(payload: dict) -> ProfileReport:
-    """Inverse of :func:`report_to_dict`."""
-    fmt = payload.get("format")
-    if fmt != _REPORT_FORMAT:
-        raise ValueError(f"not an EMPROF report payload (format={fmt!r})")
-    stalls = [
-        DetectedStall(
-            begin_sample=s["begin_sample"],
-            end_sample=s["end_sample"],
-            begin_cycle=s["begin_cycle"],
-            end_cycle=s["end_cycle"],
-            min_level=s["min_level"],
-            is_refresh=s["is_refresh"],
-            region=s.get("region"),
-            low_confidence=s.get("low_confidence", False),
+def _v1_stalls(records: list) -> StallTable:
+    """A v1 report's per-stall objects as columns, in one pass."""
+    if not records:
+        return StallTable.empty()
+    required = operator.itemgetter(*STALL_FIELDS[:6])
+    return StallTable(
+        *zip(
+            *(
+                required(s) + (s.get("region"), s.get("low_confidence", False))
+                for s in records
+            )
         )
-        for s in payload["stalls"]
-    ]
+    )
+
+
+def report_from_dict(payload: dict) -> ProfileReport:
+    """Inverse of :func:`report_to_dict`; also reads v1 payloads."""
+    fmt = payload.get("format")
+    if fmt == _REPORT_FORMAT:
+        stalls = StallTable.from_dict(payload["stalls"])
+    elif fmt == _REPORT_FORMAT_V1:
+        stalls = _v1_stalls(payload["stalls"])
+    else:
+        raise ValueError(f"not an EMPROF report payload (format={fmt!r})")
     quality = None
     if payload.get("quality"):
         quality = QualitySummary(**payload["quality"])
@@ -259,7 +259,7 @@ def save_report(path: PathLike, report: ProfileReport) -> None:
 
 
 def load_report(path: PathLike) -> ProfileReport:
-    """Read a report written by :func:`save_report`."""
+    """Read a report written by :func:`save_report` (v1 or v2)."""
     return report_from_dict(json.loads(Path(path).read_text()))
 
 

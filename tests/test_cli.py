@@ -61,7 +61,7 @@ class TestCaptureAndProfile:
         assert "EMPROF profile" in out
         assert "classification" in out
         payload = json.loads(rep_path.read_text())
-        assert payload["format"] == "emprof-report-v1"
+        assert payload["format"] == "emprof-report-v2"
         report = repro_io.load_report(rep_path)
         assert abs(report.miss_count - 64) <= 2
 

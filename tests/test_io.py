@@ -131,6 +131,118 @@ class TestReportRoundtrip:
         assert loaded.evidence == evidence
 
 
+def _v1_payload(report):
+    """``report`` as the v1 writer stored it: one object per stall."""
+    payload = repro_io.report_to_dict(report)
+    payload["format"] = "emprof-report-v1"
+    payload["stalls"] = [
+        {
+            "begin_sample": s.begin_sample,
+            "end_sample": s.end_sample,
+            "begin_cycle": s.begin_cycle,
+            "end_cycle": s.end_cycle,
+            "min_level": s.min_level,
+            "is_refresh": s.is_refresh,
+            "region": s.region,
+            "low_confidence": s.low_confidence,
+        }
+        for s in report.stalls
+    ]
+    return payload
+
+
+class TestReportFormatV2:
+    FIELDS = [
+        "begin_sample", "end_sample", "begin_cycle", "end_cycle",
+        "min_level", "is_refresh", "region", "low_confidence",
+    ]
+
+    def test_stalls_are_one_object_of_equal_length_lists(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        repro_io.save_report(path, report)
+        payload = json.loads(path.read_text())
+        assert payload["format"] == "emprof-report-v2"
+        stalls = payload["stalls"]
+        assert list(stalls) == self.FIELDS
+        assert all(isinstance(column, list) for column in stalls.values())
+        assert {len(column) for column in stalls.values()} == {2}
+        assert stalls["begin_sample"] == [10.5, 100.0]
+        assert stalls["region"] == [1, None]
+        assert stalls["is_refresh"] == [False, True]
+
+    def test_floats_round_trip_exactly(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3, 2.0 ** 0.5]
+        stalls = [
+            DetectedStall(v, abs(v) + 1.0, v, abs(v) + 2.0, v) for v in values
+        ]
+        report = ProfileReport(stalls, 10.0, 1e9, 20.0)
+        path = tmp_path / "report.json"
+        repro_io.save_report(path, report)
+        loaded = repro_io.load_report(path)
+        for got, want in zip(loaded.stalls, stalls):
+            for name in ("begin_sample", "end_sample", "begin_cycle", "min_level"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name))
+        assert repr(loaded.stalls[0].begin_sample) == "-0.0"
+
+    def test_python_types_come_back(self, tmp_path):
+        stalls = [
+            DetectedStall(1.0, 2.0, 20.0, 40.0, 0.1, True, 7, False),
+            DetectedStall(3.0, 4.0, 60.0, 80.0, 0.2, False, None, True),
+        ]
+        path = tmp_path / "report.json"
+        repro_io.save_report(path, ProfileReport(stalls, 100.0, 1e9, 20.0))
+        loaded = repro_io.load_report(path).stalls
+        assert loaded == stalls
+        assert type(loaded[0].region) is int and loaded[1].region is None
+        for stall in loaded:
+            assert type(stall.is_refresh) is bool
+            assert type(stall.low_confidence) is bool
+            assert type(stall.begin_sample) is float
+
+    def test_empty_report_round_trips(self, tmp_path):
+        empty = ProfileReport([], 1000.0, 1e9, 20.0)
+        path = tmp_path / "report.json"
+        repro_io.save_report(path, empty)
+        payload = json.loads(path.read_text())
+        assert payload["stalls"] == {name: [] for name in self.FIELDS}
+        loaded = repro_io.load_report(path)
+        assert loaded == empty and loaded.stalls == []
+
+    def test_v1_file_still_loads(self, report, tmp_path):
+        from dataclasses import replace
+
+        from repro.core.events import QualitySummary
+        from repro.obs.flight import FLIGHT_SCHEMA_VERSION, ReportEvidence
+
+        full = replace(
+            report,
+            quality=QualitySummary(gap_count=1, dropped_samples=5),
+            evidence=ReportEvidence(
+                schema_version=FLIGHT_SCHEMA_VERSION,
+                threshold=0.45,
+                recover_threshold=0.7,
+                min_duration_cycles=70.0,
+                min_duration_samples=4,
+                total_events=3,
+            ),
+        )
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(_v1_payload(full)))
+        loaded = repro_io.load_report(path)
+        assert loaded == full
+        assert loaded.quality == full.quality
+        assert loaded.evidence == full.evidence
+        assert repro_io.report_to_dict(loaded) == repro_io.report_to_dict(full)
+
+    def test_v1_without_optional_fields(self, report):
+        payload = _v1_payload(report)
+        for stall in payload["stalls"]:
+            del stall["region"], stall["low_confidence"]
+        loaded = repro_io.report_from_dict(payload)
+        assert [s.region for s in loaded.stalls] == [None, None]
+        assert loaded.low_confidence_count == 0
+
+
 class TestFlightSidecarIO:
     def test_save_and_load(self, tmp_path):
         from repro.obs.flight import (

@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.core.events import DetectedStall
+from repro.core.events import DetectedStall, StallTable
 from repro.core.profiler import Emprof
 from repro.io import load_report
 from repro.devices import olimex, sesc
@@ -234,7 +234,7 @@ class TestProfileWindowShift:
             begin_cycle=262.5, end_cycle=306.25,
             min_level=0.2, is_refresh=True, region=3,
         )
-        moved = stall.shifted(100.0, 2500.0)
+        moved = StallTable.from_stalls([stall]).shifted(100.0, 2500.0)[0]
         assert moved.begin_sample == pytest.approx(110.5)
         assert moved.end_sample == pytest.approx(112.25)
         assert moved.begin_cycle == pytest.approx(2762.5)

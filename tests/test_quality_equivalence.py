@@ -16,8 +16,10 @@ and asserts bit identity (``==``, not ``approx``) of:
 The streams cover a clean capture and each impairment the monitor
 watches for: a gain step up and down, interference bursts, a
 saturation plateau, reported sample gaps and non-finite runs.  A
-last part is a Hypothesis property: the level tracker and the clip
-detector do not depend on where the chunk boundaries fall.
+last part is two Hypothesis properties: the level tracker and the clip
+detector do not depend on where the chunk boundaries fall, and the
+vectorized ``impaired_mask`` the pipeline flags whole stall tables
+with answers ``is_impaired`` for every stall.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from hypothesis import strategies as st
 from repro.core import streaming as streaming_module
 from repro.core.normalize import NormalizerConfig
 from repro.core.streaming import StreamingEmprof
-from repro.faults.quality import QualityConfig, QualityMonitor
+from repro.faults.quality import QualityConfig, QualityMonitor, impaired_mask
 
-from tests.reference_quality import ReferenceQualityMonitor
+from tests.reference_quality import ReferenceQualityMonitor, reference_overlaps
 
 NORM = NormalizerConfig(window_samples=301)
 RATE, CLOCK = 50e6, 1e9  # period = 20 cycles/sample
@@ -251,3 +253,30 @@ def test_level_tracking_is_chunking_invariant(seed, steps, cuts):
     assert chunked.intervals() == whole.intervals()
     assert chunked.summary() == whole.summary()
     assert chunked.gain_steps == whole.gain_steps
+
+
+# -- the vectorized impaired mask ---------------------------------------------
+
+# Endpoints on a coarse grid, so intervals touch, nest and share edges,
+# and stall spans start and end exactly on interval edges.
+_EDGE = st.integers(0, 40).map(lambda k: k * 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intervals=st.lists(st.tuples(_EDGE, _EDGE).map(sorted), max_size=8),
+    spans=st.lists(st.tuples(_EDGE, _EDGE).map(sorted), min_size=1, max_size=12),
+)
+def test_impaired_mask_equals_is_impaired_per_stall(intervals, spans):
+    monitor = QualityMonitor()
+    for begin, end in intervals:
+        monitor._mark(begin, end)
+    begin = np.array([b for b, _ in spans])
+    end = np.array([e for _, e in spans])
+    merged = impaired_mask(monitor.intervals(), begin, end)
+    assert merged.tolist() == [monitor.is_impaired(b, e) for b, e in spans]
+    # Unmerged, sorted spans (the batch flag_low_confidence input).
+    raw = sorted(intervals)
+    assert impaired_mask(raw, begin, end).tolist() == [
+        reference_overlaps(raw, b, e) for b, e in spans
+    ]

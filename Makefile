@@ -37,10 +37,11 @@ regress:
 # docs/reproducing.md) + the on-disk format contract (stored capture
 # members, the v2 columnar report JSON, v1 reports and older captures
 # still load and damaged ones raise; docs/robustness.md) + the stall
-# table (a profiled, saved and summarized run builds no per-stall
-# object, and the column aggregates equal their per-stall sums bit for
-# bit; docs/engine.md) + the supervised-service chaos suite
-# (docs/service.md invariants).
+# table (report.stalls is a StallTable on every path; a profiled, saved
+# and summarized run, and a streamed run, build no per-stall object
+# until the stalls are iterated, and the column aggregates equal their
+# per-stall sums bit for bit; docs/engine.md) + the supervised-service
+# chaos suite (docs/service.md invariants).
 check: lint regress chaos-service
 	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py tests/test_io.py tests/test_stall_table.py -q
 
@@ -85,8 +86,8 @@ bench-e2e:
 			--out results/bench-e2e/$$w-seed$(SEED).json || exit 1; \
 	done
 
-# Engine throughput: batch vs streaming vs chunked vs the frozen seed
-# per-sample loop; records the >=5x speedup claim into the ledger.
+# Engine layer bench: samples/s of batch, chunked and streaming
+# profiling on a 1M-sample capture, recorded into the ledger.
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_engine_throughput.py --benchmark-only -s
 

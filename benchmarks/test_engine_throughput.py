@@ -1,12 +1,10 @@
-"""Vectorized engine throughput: batch vs streaming vs chunked vs seed.
+"""Engine layer bench: samples/second for batch, chunked and streaming.
 
-The chunked engine (``repro.core.engine``) replaced the seed's
-per-sample Python state machines with vectorized passes; this bench
-records samples/second for every production path on a ~1M-sample
-capture, times the frozen seed loop on a subset, and pins the
-headline claim: the engine is at least 5x faster than the per-sample
-implementation it replaced.  Results land in the run ledger, so
-``repro obs regress`` guards the speedup across future sessions.
+Profiles one ~1M-sample capture through every production path of the
+chunked engine (``repro.core.engine``) and records each path's
+throughput.  The three paths must agree on the stall count.  Results
+land in the run ledger, so ``repro obs regress`` tracks the rates
+across runs.
 """
 
 from __future__ import annotations
@@ -15,24 +13,19 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-# The frozen seed implementations live under tests/ (they are the
-# differential-harness reference); make the repo root importable no
-# matter how pytest was invoked.
+# The signal generator lives under tests/; make the repo root
+# importable no matter how pytest was invoked.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.profiler import Emprof
 from repro.core.streaming import StreamingEmprof
 
 from tests.conftest import make_dip_signal
-from tests.reference_pipeline import ReferenceStreamingEmprof
 
 RATE_HZ = 40e6
 CLOCK_HZ = 1e9
 
-N_ENGINE = 1_000_000  # engine paths process the full capture
-N_SEED = 100_000  # the seed loop is timed on a subset, then scaled
+N_SAMPLES = 1_000_000
 CHUNK = 4096
 
 
@@ -42,7 +35,7 @@ def _throughput(n_samples, seconds):
 
 def test_engine_throughput(once):
     def experiment():
-        x = make_dip_signal(n=N_ENGINE, seed=31)
+        x = make_dip_signal(n=N_SAMPLES, seed=31)
 
         t0 = time.perf_counter()
         batch = Emprof(x, RATE_HZ, CLOCK_HZ).profile()
@@ -59,43 +52,22 @@ def test_engine_throughput(once):
         chunked = Emprof(x, RATE_HZ, CLOCK_HZ).profile_chunked(65536)
         chunked_s = time.perf_counter() - t0
 
-        # The frozen seed per-sample loop, timed on a subset (running
-        # it over the full megasample would dominate the bench) and
-        # reported as a per-sample rate, which is what the 5x claim
-        # compares against: both loops are O(n) so rates extrapolate.
-        seed = ReferenceStreamingEmprof(RATE_HZ, CLOCK_HZ)
-        subset = x[:N_SEED]
-        t0 = time.perf_counter()
-        for start in range(0, len(subset), CHUNK):
-            seed.process(subset[start : start + CHUNK])
-        seed.finish()
-        seed_s = time.perf_counter() - t0
-
         return {
             "samples": len(x),
             "batch_sps": _throughput(len(x), batch_s),
             "stream_sps": _throughput(len(x), stream_s),
             "chunked_sps": _throughput(len(x), chunked_s),
-            "seed_sps": _throughput(len(subset), seed_s),
             "batch_count": batch.miss_count,
             "stream_count": stream.miss_count,
             "chunked_count": chunked.miss_count,
         }
 
     r = once(experiment)
-    speedup = r["stream_sps"] / r["seed_sps"]
     print("\nEngine throughput on a 1M-sample capture")
     print(f"  batch    : {r['batch_sps'] / 1e6:8.2f} MS/s")
     print(f"  chunked  : {r['chunked_sps'] / 1e6:8.2f} MS/s")
     print(f"  streaming: {r['stream_sps'] / 1e6:8.2f} MS/s")
-    print(f"  seed loop: {r['seed_sps'] / 1e6:8.2f} MS/s "
-          f"(per-sample Python, timed on {N_SEED} samples)")
-    print(f"  streaming vs seed: {speedup:.1f}x")
 
     # All three production paths agree on the stall count.
     assert r["batch_count"] == r["stream_count"] == r["chunked_count"]
     assert r["batch_count"] > 1000  # ~5.9k dips in the generated signal
-
-    # The headline claim: the vectorized engine beats the seed
-    # per-sample loop by at least 5x (in practice it is far more).
-    assert speedup >= 5.0, f"engine only {speedup:.1f}x over seed loop"

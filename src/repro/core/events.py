@@ -55,10 +55,6 @@ class DetectedStall:
         """Stall length in signal samples."""
         return self.end_sample - self.begin_sample
 
-    def with_region(self, region: int) -> "DetectedStall":
-        """Copy of this stall attributed to ``region``."""
-        return replace(self, region=region)
-
     def flagged(self, low_confidence: bool = True) -> "DetectedStall":
         """Copy of this stall with its confidence flag set."""
         if low_confidence == self.low_confidence:
@@ -133,9 +129,9 @@ class StallTable:
     A table is also a read-only sequence of :class:`DetectedStall`
     rows: iterating, indexing and comparing with a list build the rows
     from the columns (Python ``float``/``bool``/``int``/``None``
-    values, as a row built field by field holds).  Rows handed in with
-    ``rows`` are reused instead of rebuilt.  Treat the columns as
-    immutable: every operation returns a new table.
+    values, as a row built field by field holds), once: the table
+    keeps the rows it built.  Treat the columns as immutable: every
+    operation returns a new table.
     """
 
     __slots__ = STALL_FIELDS + ("_rows",)
@@ -150,7 +146,6 @@ class StallTable:
         is_refresh=None,
         region=None,
         low_confidence=None,
-        rows: Optional[List[DetectedStall]] = None,
     ):
         n = len(begin_sample)
         self.begin_sample = np.asarray(begin_sample, dtype=np.float64)
@@ -175,7 +170,7 @@ class StallTable:
         )
         if any(len(getattr(self, name)) != n for name in STALL_FIELDS):
             raise ValueError("stall columns must have equal lengths")
-        self._rows = rows
+        self._rows: Optional[List[DetectedStall]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -186,13 +181,13 @@ class StallTable:
 
     @classmethod
     def from_stalls(cls, stalls: Sequence[DetectedStall]) -> "StallTable":
-        """The columns of ``stalls``; the rows themselves are kept."""
+        """The columns of ``stalls``."""
         if isinstance(stalls, StallTable):
             return stalls
-        rows = stalls if isinstance(stalls, list) else list(stalls)
+        rows = list(stalls)
         if not rows:
             return cls.empty()
-        return cls(*zip(*map(_stall_values, rows)), rows=rows)
+        return cls(*zip(*map(_stall_values, rows)))
 
     @classmethod
     def from_dict(cls, columns: Dict[str, list]) -> "StallTable":
@@ -246,12 +241,6 @@ class StallTable:
         """The rows ``keep`` selects: a bool mask or a slice."""
         return StallTable(*(getattr(self, name)[keep] for name in STALL_FIELDS))
 
-    def with_rows(self, rows: List[DetectedStall]) -> "StallTable":
-        """This table, reusing ``rows`` (equal to its own) as its rows."""
-        return StallTable(
-            *(getattr(self, name) for name in STALL_FIELDS), rows=rows
-        )
-
     # -- columns -------------------------------------------------------------
 
     def durations_cycles(self) -> np.ndarray:
@@ -268,19 +257,25 @@ class StallTable:
 
     # -- the row view --------------------------------------------------------
 
+    def _built_rows(self) -> List[DetectedStall]:
+        if self._rows is None:
+            self._rows = list(
+                map(
+                    DetectedStall,
+                    *(getattr(self, name).tolist() for name in STALL_FIELDS),
+                )
+            )
+        return self._rows
+
     def rows(self) -> List[DetectedStall]:
         """The stalls as a new list of :class:`DetectedStall` rows."""
-        if self._rows is not None:
-            return list(self._rows)
-        return list(
-            map(DetectedStall, *(getattr(self, name).tolist() for name in STALL_FIELDS))
-        )
+        return list(self._built_rows())
 
     def __len__(self) -> int:
         return len(self.begin_sample)
 
     def __iter__(self) -> Iterator[DetectedStall]:
-        return iter(self.rows())
+        return iter(self._built_rows())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -296,53 +291,27 @@ class StallTable:
         if isinstance(other, StallTable):
             return self.to_dict() == other.to_dict()
         if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and self.rows() == list(other)
+            return len(self) == len(other) and self._built_rows() == list(other)
         return NotImplemented
 
     __hash__ = None
 
     def __add__(self, other):
-        """Two tables give a table; a table and a list give a list."""
-        if isinstance(other, StallTable):
-            return StallTable.concat([self, other])
-        if isinstance(other, list):
-            return self.rows() + other
+        """The concatenation, as a table; ``other`` may be a list of rows."""
+        if isinstance(other, (StallTable, list)):
+            return StallTable.concat([self, StallTable.from_stalls(other)])
         return NotImplemented
 
     def __radd__(self, other):
         if isinstance(other, list):
-            return other + self.rows()
+            return StallTable.concat([StallTable.from_stalls(other), self])
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"StallTable({self.rows()!r})"
+        return f"StallTable({self._built_rows()!r})"
 
 
 _EMPTY_TABLE = StallTable(*(np.empty(0),) * 5)
-
-
-class _StallRows:
-    """``ProfileReport.stalls``: the table's rows, built on first read.
-
-    A report holds a :class:`StallTable`, a list of stalls, or both;
-    each is derived from the other once, on first use, and cached.
-    Setting ``stalls`` to a table or a list replaces both.
-    """
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            # A required dataclass field: no class-level default.
-            raise AttributeError("stalls")
-        if report._rows is None:
-            report._rows = report._table.rows()
-        return report._rows
-
-    def __set__(self, report, stalls) -> None:
-        if isinstance(stalls, StallTable):
-            report._table, report._rows = stalls, None
-        else:
-            report._table = None
-            report._rows = stalls if isinstance(stalls, list) else list(stalls)
 
 
 @dataclass
@@ -353,16 +322,16 @@ class ProfileReport:
     one MISS (one LLC miss or a group of highly-overlapped misses,
     Section II-B), and its duration is that MISS's latency.
 
-    ``stalls`` may be given as a :class:`StallTable` or as a list of
-    :class:`DetectedStall`.  The report keeps the table in
-    :attr:`table`; reading ``report.stalls`` builds the list of rows
-    once and caches it.  The counts, sums and series below read the
-    columns, so profiling, validating, summarizing and saving a report
-    build no per-stall object; their sums add in stall order, as a
-    per-stall ``sum`` does, so every value is bit-identical to it.
+    ``stalls`` is a :class:`StallTable`; a sequence of
+    :class:`DetectedStall` given instead is converted to one.  The
+    counts, sums and series below read its columns, so profiling,
+    validating, summarizing and saving a report build no per-stall
+    object; rows are built when code iterates or indexes the stalls.
+    The sums add in stall order, as a per-stall ``sum`` does, so every
+    value is bit-identical to it.
     """
 
-    stalls: List[DetectedStall] = _StallRows()
+    stalls: StallTable
     total_cycles: float
     clock_hz: float
     sample_period_cycles: float
@@ -375,12 +344,8 @@ class ProfileReport:
     #: the obs layer.
     evidence: Optional[object] = None
 
-    @property
-    def table(self) -> StallTable:
-        """The stalls as columns."""
-        if self._table is None:
-            self._table = StallTable.from_stalls(self._rows)
-        return self._table
+    def __post_init__(self) -> None:
+        self.stalls = StallTable.from_stalls(self.stalls)
 
     def stall_evidence(self, index: int):
         """Evidence record for ``stalls[index]``.
@@ -398,12 +363,12 @@ class ProfileReport:
     @property
     def miss_count(self) -> int:
         """Number of detected LLC-miss-induced stalls."""
-        return len(self.table)
+        return len(self.stalls)
 
     @property
     def low_confidence_count(self) -> int:
         """Detected stalls overlapping impaired signal regions."""
-        return int(np.count_nonzero(self.table.low_confidence))
+        return int(np.count_nonzero(self.stalls.low_confidence))
 
     @property
     def confident_miss_count(self) -> int:
@@ -417,12 +382,12 @@ class ProfileReport:
     @property
     def refresh_count(self) -> int:
         """Detected stalls classified as refresh-coincident."""
-        return int(np.count_nonzero(self.table.is_refresh))
+        return int(np.count_nonzero(self.stalls.is_refresh))
 
     @property
     def stall_cycles(self) -> float:
         """Total stalled cycles across all detected misses."""
-        return self.table.stall_cycles()
+        return self.stalls.stall_cycles()
 
     @property
     def stall_fraction(self) -> float:
@@ -440,7 +405,7 @@ class ProfileReport:
 
     def latencies_cycles(self) -> np.ndarray:
         """Detected stall durations in cycles, in time order."""
-        return self.table.durations_cycles()
+        return self.stalls.durations_cycles()
 
     def stalls_between(self, begin_cycle: float, end_cycle: float) -> List[DetectedStall]:
         """Stalls whose midpoint falls inside [begin_cycle, end_cycle)."""
@@ -460,7 +425,7 @@ class ProfileReport:
         if bin_cycles <= 0:
             raise ValueError("bin width must be positive")
         nbins = max(1, int(np.ceil(self.total_cycles / bin_cycles)))
-        bins = (self.table.begin_cycle // bin_cycles).astype(np.int64)
+        bins = (self.stalls.begin_cycle // bin_cycles).astype(np.int64)
         counts = np.bincount(np.minimum(bins, nbins - 1), minlength=nbins)
         return np.arange(nbins) * bin_cycles, counts.astype(np.int64)
 

@@ -17,7 +17,7 @@ from ..obs.events import bus as _event_bus
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, FlightEvent, build_evidence
 from ..obs.runtime import obs_enabled
 from .engine import ChunkDetector, ChunkNormalizer
-from .events import DetectedStall, ProfileReport, StallTable
+from .events import ProfileReport, StallTable
 
 
 def _detect_done(stalls, _elapsed_s, _attrs):
@@ -129,28 +129,19 @@ class ProfilePipeline:
         return self.push(normalized) + self.finish()
 
     @report_result
-    def report(
-        self,
-        clock_hz: float,
-        region_names,
-        rows: Optional[List[DetectedStall]] = None,
-    ) -> ProfileReport:
+    def report(self, clock_hz: float, region_names) -> ProfileReport:
         """The report over every sample pushed or lost to a gap.
 
         Call it once, when the run is complete.  Quality gating reruns
         over every stall, in one pass over the columns: an impairment
         found late (a gap guard reaching backwards) must still flag a
-        stall that was finalized before it.  ``rows`` are the emitted
-        stalls as :class:`~repro.core.events.DetectedStall` objects,
-        when the caller has built them already: the report reuses them,
-        copying only those flagged since.
+        stall that was finalized before it.  With a flight recorder,
+        the evidence is built from the report's own table, whose rows
+        the report then keeps.
         """
-        stalls, quality, intervals = StallTable.concat(self._emitted), None, ()
+        stalls, quality, intervals = self.stalls(), None, ()
         if self.quality is not None:
             intervals = self.quality.intervals()
-            stalls = stalls.flagged(
-                impaired_mask(intervals, stalls.begin_sample, stalls.end_sample)
-            )
             vetoed = np.flatnonzero(stalls.low_confidence)
             if self.flight is not None:
                 for begin, end in zip(
@@ -162,17 +153,6 @@ class ProfilePipeline:
                 _event_bus.emit("quality_flag", flag="low_confidence", count=len(vetoed))
             summary = self.quality.summary()
             quality = summary if summary.any_impairment else None
-        if rows is not None:
-            stalls = stalls.with_rows(
-                [
-                    row.flagged(flag)
-                    for row, flag in zip(rows, stalls.low_confidence.tolist())
-                ]
-            )
-        elif self.flight is not None:
-            # Evidence is built stall by stall; the report keeps the
-            # rows it was built from.
-            stalls = stalls.with_rows(stalls.rows())
         evidence = None
         if self.flight is not None:
             evidence = build_evidence(
@@ -201,6 +181,18 @@ class ProfilePipeline:
                     low_confidence=report.low_confidence_count,
                 )
             return report
+
+    def stalls(self) -> StallTable:
+        """Every stall emitted so far, flagged against the impaired
+        intervals the quality monitor knows now (flags only rise)."""
+        stalls = StallTable.concat(self._emitted)
+        if self.quality is None:
+            return stalls
+        return stalls.flagged(
+            impaired_mask(
+                self.quality.intervals(), stalls.begin_sample, stalls.end_sample
+            )
+        )
 
     def _record(self, kind: str, pos: float, **attrs) -> None:
         if self.flight is not None:

@@ -11,7 +11,7 @@ any signal and chunking the streamed result equals the batch result
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..obs.events import bus as _event_bus
 from ..obs.flight import FlightRecorder
 from .detect import DetectorConfig
 from .engine import finite_segments
-from .events import DetectedStall, ProfileReport, StallTable
+from .events import ProfileReport, StallTable
 from .normalize import NormalizerConfig
 from .pipeline import ProfilePipeline
 
@@ -99,18 +99,18 @@ class StreamingEmprof:
             flight=flight,
         )
         self._report: Optional[ProfileReport] = None
-        #: Every stall ``process`` has returned, in order.
-        self._rows: List[DetectedStall] = []
 
     @_trace.instrumented(
         "streaming.chunk",
         attrs=lambda self, chunk, gap_before: {"samples": int(np.size(chunk))},
         on_exit=_chunk_done,
     )
-    def process(
-        self, chunk: np.ndarray, gap_before: int = 0
-    ) -> List[DetectedStall]:
+    def process(self, chunk: np.ndarray, gap_before: int = 0) -> StallTable:
         """Feed a magnitude chunk; return stalls finalized by it.
+
+        The stalls come back as a :class:`~repro.core.events.StallTable`
+        (columns, and a read-only sequence of rows built only when
+        read), flagged against the impairments seen so far.
 
         Args:
             chunk: one-dimensional magnitude samples.  Zero-length
@@ -139,9 +139,7 @@ class StreamingEmprof:
                 if bad_run:
                     new.append(self._pipeline.resync(bad_run))
                 new.append(self._pipeline.push(segment))
-        rows = StallTable.concat(new).rows()
-        self._rows.extend(rows)
-        return rows
+        return StallTable.concat(new)
 
     def finish(self) -> ProfileReport:
         """Flush all state and return the final, quality-gated report.
@@ -151,20 +149,20 @@ class StreamingEmprof:
         """
         if self._report is None:
             with _trace.span("streaming.finish"):
-                self._rows.extend(self._pipeline.finish().rows())
+                self._pipeline.finish()
                 self._report = self._pipeline.report(
-                    self.clock_hz, self.region_names, rows=self._rows
+                    self.clock_hz, self.region_names
                 )
         return self._report
 
     @property
-    def stalls_so_far(self) -> List[DetectedStall]:
-        """Stalls finalized up to now (monitoring hook).
+    def stalls_so_far(self) -> StallTable:
+        """Stalls finalized up to now (monitoring hook), as one table.
 
         Confidence flags reflect impairments seen *so far*; the final
         report's flags are definitive.
         """
-        return [self.quality_monitor.flag(s) for s in self._rows]
+        return self._pipeline.stalls()
 
     @property
     def dropped_samples(self) -> int:

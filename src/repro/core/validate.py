@@ -225,7 +225,7 @@ def validate_profile(
     )
     intervals = truth.stall_intervals().astype(np.float64)
     misses = truth.miss_count()
-    stalls = report.table
+    stalls = report.stalls
 
     if window_cycles is not None:
         lo, hi = window_cycles

@@ -192,7 +192,7 @@ def check_report(report: Any, where: str = "profile report") -> Any:
         raise ContractViolation(f"{where}: clock_hz must be positive")
     if report.sample_period_cycles <= 0:
         raise ContractViolation(f"{where}: sample_period_cycles must be positive")
-    check_stall_sequence(report.table, where=f"{where}.stalls")
+    check_stall_sequence(report.stalls, where=f"{where}.stalls")
     return report
 
 

@@ -290,12 +290,6 @@ class QualityMonitor:
         last = bisect_right(self._merged_begins, end) - 1
         return last >= 0 and begin <= merged[last][1]
 
-    def flag(self, stall):
-        """Copy of ``stall`` flagged low-confidence if it overlaps."""
-        if self.is_impaired(stall.begin_sample, stall.end_sample):
-            return stall.flagged(True)
-        return stall
-
     def summary(self):
         """Snapshot of the accounting (a :class:`QualitySummary`)."""
         # Imported lazily: repro.core.streaming imports this module, so

@@ -192,7 +192,7 @@ def report_to_dict(report: ProfileReport) -> dict:
         "sample_period_cycles": report.sample_period_cycles,
         "total_cycles": report.total_cycles,
         "region_names": {str(k): v for k, v in report.region_names.items()},
-        "stalls": report.table.to_dict(),
+        "stalls": report.stalls.to_dict(),
     }
     if report.quality is not None:
         q = report.quality

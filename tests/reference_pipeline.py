@@ -343,6 +343,14 @@ def reference_finite_segments(chunk: np.ndarray, finite: np.ndarray):
     return out
 
 
+def _flag(monitor: QualityMonitor, stall: DetectedStall) -> DetectedStall:
+    """The seed ``QualityMonitor.flag``: ``stall`` flagged low-confidence
+    if it overlaps an impaired interval of ``monitor``."""
+    if monitor.is_impaired(stall.begin_sample, stall.end_sample):
+        return stall.flagged(True)
+    return stall
+
+
 class ReferenceStreamingEmprof:
     """The seed StreamingEmprof orchestration over reference components.
 
@@ -381,7 +389,7 @@ class ReferenceStreamingEmprof:
         if gap_before > 0:
             new.extend(self._handle_gap(gap_before))
         if len(chunk) == 0:
-            return [self.quality_monitor.flag(s) for s in new]
+            return [_flag(self.quality_monitor, s) for s in new]
         finite = np.isfinite(chunk)
         if finite.all():
             new.extend(self._consume(chunk))
@@ -391,7 +399,7 @@ class ReferenceStreamingEmprof:
                     new.extend(self._handle_gap(bad_run))
                 if len(segment):
                     new.extend(self._consume(segment))
-        return [self.quality_monitor.flag(s) for s in new]
+        return [_flag(self.quality_monitor, s) for s in new]
 
     def _consume(self, chunk) -> List[DetectedStall]:
         self.quality_monitor.observe(chunk, self._n_samples)
@@ -417,7 +425,7 @@ class ReferenceStreamingEmprof:
             self._stalls.extend(self._detector.push(tail))
             self._stalls.extend(self._detector.finish())
             self._finished = True
-        stalls = [self.quality_monitor.flag(s) for s in self._stalls]
+        stalls = [_flag(self.quality_monitor, s) for s in self._stalls]
         quality = self.quality_monitor.summary()
         return ProfileReport(
             stalls=stalls,

@@ -39,11 +39,6 @@ class TestDetectedStall:
         assert s.duration_samples == 15
         assert s.duration_cycles == 300
 
-    def test_with_region(self):
-        s = stall(10, 25).with_region(4)
-        assert s.region == 4
-        assert s.duration_cycles == 300
-
 
 class TestProfileReport:
     def test_miss_count(self):

@@ -2,8 +2,9 @@
 
 A campaign run profiles a capture, saves the report and summarizes it
 for the ledger.  None of that may build a per-stall
-:class:`DetectedStall`: the stalls stay :class:`StallTable` columns, and
-rows are built only when code reads ``report.stalls``.  Every report
+:class:`DetectedStall`: ``report.stalls`` is a :class:`StallTable` on
+every path, and its rows are built only when code iterates or indexes
+it, once.  Nor may a streamed run build one.  Every report
 aggregate read from the columns must equal its per-stall form bit for
 bit, on the four captures the ``campaign-replay`` benchmark replays
 (boot and parser on the Olimex model, at 40 and 160 MHz).
@@ -11,6 +12,7 @@ bit, on the four captures the ``campaign-replay`` benchmark replays
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
 
@@ -19,7 +21,7 @@ import pytest
 
 from repro import io as repro_io
 from repro.acquire import FileSource
-from repro.core.events import DetectedStall, ProfileReport, StallTable
+from repro.core.events import STALL_FIELDS, DetectedStall, ProfileReport, StallTable
 from repro.core.profiler import Emprof
 from repro.core.streaming import StreamingEmprof
 from repro.core.validate import validate_profile
@@ -28,8 +30,14 @@ from repro.devtools.contracts import ContractViolation, check_stall_sequence
 from repro.emsignal.apparatus import Apparatus
 from repro.emsignal.receiver import MHZ
 from repro.experiments.campaign import Campaign, RunSpec, _report_summary
+from repro.faults.quality import QualityMonitor
+from repro.obs.flight import FlightRecorder
 from repro.sim.machine import simulate
 from repro.workloads import BootWorkload, spec_workload
+
+from tests.reference_quality import ReferenceQualityMonitor
+from tests.test_quality_equivalence import CHUNK_SIZES, _pieces, _streamer
+from tests.test_quality_equivalence import STREAMS as QUALITY_STREAMS
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +98,8 @@ class TestNoRowsBuilt:
         report.validate()
         assert summary["miss_count"] == report.miss_count > 0
         assert count_rows == []
-        # Reading the stalls builds each row once.
-        assert len(report.stalls) == report.miss_count
+        # Iterating the stalls builds each row once.
+        assert len(list(report.stalls)) == report.miss_count
         assert len(count_rows) == report.miss_count
 
     def test_loaded_report_builds_no_stall_until_read(self, replay, count_rows, tmp_path):
@@ -123,24 +131,74 @@ class TestNoRowsBuilt:
             assert outcome.report.stalls == Emprof.from_capture(capture).profile().stalls
 
 
-class TestRowCache:
-    def test_stalls_read_twice_is_the_same_list(self, replay):
+def _v1_file(path, report):
+    """``report`` saved as the v1 writer stored it: one object per stall."""
+    payload = repro_io.report_to_dict(report)
+    payload["format"] = "emprof-report-v1"
+    payload["stalls"] = [
+        {name: getattr(s, name) for name in STALL_FIELDS} for s in report.stalls
+    ]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestOneContainer:
+    def test_every_producer_returns_a_table(self, replay, tmp_path):
+        capture = replay[0][1]
+        emprof = Emprof.from_capture(capture)
+        report = emprof.profile()
+        v2 = tmp_path / "v2.json"
+        repro_io.save_report(v2, report)
+        reports = {
+            "profile": report,
+            "profile_window": emprof.profile_window(1000, 20_000),
+            "profile_chunked": emprof.profile_chunked(8192),
+            "profile(flight=)": emprof.profile(flight=FlightRecorder()),
+            "streaming": _streamed(capture),
+            "load_report v1": repro_io.load_report(_v1_file(tmp_path / "v1.json", report)),
+            "load_report v2": repro_io.load_report(v2),
+            "list": ProfileReport([DetectedStall(1.0, 2.0, 20.0, 40.0, 0.1)], 100.0, 1e9, 20.0),
+        }
+        for path, got in reports.items():
+            assert isinstance(got.stalls, StallTable), path
+            assert got.miss_count > 0, path
+        assert reports["list"].stalls.begin_cycle.tolist() == [20.0]
+        for path in ("profile(flight=)", "load_report v1", "load_report v2"):
+            assert reports[path].stalls == report.stalls.rows(), path
+
+    def test_iterating_twice_builds_each_row_once(self, replay, count_rows):
         report = Emprof.from_capture(replay[0][1]).profile()
-        first = report.stalls
-        assert report.stalls is first
-        assert first == report.table.rows()
+        first, second = list(report.stalls), list(report.stalls)
+        assert len(count_rows) == report.miss_count > 0
+        assert all(a is b for a, b in zip(first, second))
+        assert report.stalls[3] is first[3]
+        assert len(count_rows) == report.miss_count
 
-    def test_report_from_a_list_keeps_the_list(self):
-        stalls = [DetectedStall(1.0, 2.0, 20.0, 40.0, 0.1)]
-        report = ProfileReport(stalls, 100.0, 1e9, 20.0)
-        assert report.stalls is stalls
-        assert report.table.begin_cycle.tolist() == [20.0]
+    def test_streamed_run_builds_no_row_until_read(self, replay, count_rows):
+        name, capture, _ = replay[2]
+        assert name == "parser@40"
+        report = _streamed(capture)
+        stalls = report.stalls
+        assert count_rows == []
+        assert len(list(stalls)) == report.miss_count == len(count_rows) > 1000
 
-    def test_streamed_report_reuses_the_rows_it_returned(self, replay, count_rows):
-        report = _streamed(replay[0][1])
-        built = len(count_rows)
-        assert report.stalls
-        assert len(count_rows) == built
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("name", sorted(QUALITY_STREAMS))
+    def test_stalls_so_far_equals_the_reference_streamers(self, name, size):
+        """The per-row ``stalls_so_far`` on the frozen monitor: every
+        stall ``process`` returned, re-flagged by ``flag`` against the
+        intervals known now."""
+        build, quality = QUALITY_STREAMS[name]
+        x, gaps = build()
+        prod = _streamer(QualityMonitor, quality)
+        ref = _streamer(ReferenceQualityMonitor, quality)
+        returned = []
+        for lo, hi, gap_before in _pieces(len(x), size, gaps):
+            prod.process(x[lo:hi], gap_before=gap_before)
+            returned.extend(ref.process(x[lo:hi], gap_before=gap_before))
+            want = [ref.quality_monitor.flag(s) for s in returned]
+            assert prod.stalls_so_far == want, (name, size, lo)
+        assert want
 
 
 class TestAggregatesBitIdentical:

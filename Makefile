@@ -40,10 +40,13 @@ regress:
 # table (report.stalls is a StallTable on every path; a profiled, saved
 # and summarized run, and a streamed run, build no per-stall object
 # until the stalls are iterated, and the column aggregates equal their
-# per-stall sums bit for bit; docs/engine.md) + the supervised-service
-# chaos suite (docs/service.md invariants).
+# per-stall sums bit for bit; docs/engine.md) + the ground truth (its
+# queries on columns equal the frozen record loops in
+# tests/reference_truth.py, value and type; a simulation, save and load
+# build no miss or stall record; docs/simulator.md) + the
+# supervised-service chaos suite (docs/service.md invariants).
 check: lint regress chaos-service
-	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py tests/test_io.py tests/test_stall_table.py -q
+	$(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_engine_flight.py tests/test_streaming.py tests/test_quality_equivalence.py tests/test_sim_equivalence.py tests/test_trace.py tests/test_truth_equivalence.py tests/test_import_boundary.py tests/test_golden_report.py tests/test_io.py tests/test_stall_table.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:

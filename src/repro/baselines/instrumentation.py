@@ -161,15 +161,9 @@ def observer_effect(
     """Quantify what the instrumentation did to the measured program."""
     if clean.total_cycles <= 0:
         raise ValueError("clean run has no execution time")
-    app_misses_clean = sum(
-        1 for m in clean.misses if m.region != INTERRUPT_REGION
-    )
-    app_misses_instr = sum(
-        1 for m in instrumented.misses if m.region != INTERRUPT_REGION
-    )
-    handler_misses = sum(
-        1 for m in instrumented.misses if m.region == INTERRUPT_REGION
-    )
+    app_misses_clean = int(np.count_nonzero(clean.miss_region != INTERRUPT_REGION))
+    handler_misses = int(np.count_nonzero(instrumented.miss_region == INTERRUPT_REGION))
+    app_misses_instr = instrumented.miss_count() - handler_misses
     handler_cycles = instrumented.region_cycles.get(INTERRUPT_REGION, 0)
     return ObserverEffect(
         overhead_fraction=(

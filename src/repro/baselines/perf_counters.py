@@ -136,20 +136,15 @@ class PerfSampler:
 
     def profile(self, truth: GroundTruth) -> SamplerResult:
         """Sampled attribution of a simulated run's misses."""
+        # The interrupt fires on every threshold-th miss.
+        sampled = truth.miss_region[self.threshold - 1 :: self.threshold].tolist()
         misses: Dict[int, float] = {}
-        samples = 0
-        count = 0
-        for miss in truth.misses:
-            count += 1
-            if count >= self.threshold:
-                count = 0
-                samples += 1
-                region = miss.region
-                misses[region] = misses.get(region, 0.0) + self.threshold
+        for region in sampled:
+            misses[region] = misses.get(region, 0.0) + self.threshold
         return SamplerResult(
             misses_by_region=misses,
-            overhead_cycles=samples * self.interrupt_cycles,
-            samples=samples,
+            overhead_cycles=len(sampled) * self.interrupt_cycles,
+            samples=len(sampled),
         )
 
     def attribution_error(self, truth: GroundTruth) -> float:

@@ -231,7 +231,8 @@ def validate_profile(
         lo, hi = window_cycles
         keep = (intervals[:, 0] < hi) & (intervals[:, 1] > lo) if len(intervals) else np.array([], dtype=bool)
         intervals = intervals[keep] if len(intervals) else intervals
-        misses = sum(1 for m in truth.misses if lo <= m.detect_cycle < hi)
+        detect = truth.miss_detect
+        misses = int(np.count_nonzero((lo <= detect) & (detect < hi)))
         mid = 0.5 * (stalls.begin_cycle + stalls.end_cycle)
         stalls = stalls.take((lo <= mid) & (mid < hi))
 

@@ -81,8 +81,13 @@ def memory_probe_signal(
 
     # Miss service bursts: DRAM is busy at the tail of each miss's
     # latency window (the front is controller/interconnect transit).
-    for miss in truth.misses:
-        mark(miss.ready_cycle - cfg.service_cycles, miss.ready_cycle)
+    # Every bin some burst covers is marked, as ``mark`` would.
+    ready = truth.miss_ready
+    lo = np.maximum(0, (ready - cfg.service_cycles) // bin_cycles)
+    hi = np.minimum(nbins, np.ceil(ready / bin_cycles).astype(np.int64))
+    edges = np.bincount(lo[hi > lo], minlength=nbins + 1)
+    edges -= np.bincount(hi[hi > lo], minlength=nbins + 1)
+    activity[np.cumsum(edges[:nbins]) > 0] = 1.0
 
     # Periodic refresh bursts.
     mem = memory_config

@@ -168,15 +168,11 @@ def fig2_hit_vs_miss(
     for resident in (True, False):
         run = run_simulator(_pointer_loop(60, resident), config=cfg, seed=seed)
         truth = run.result.ground_truth
-        measure_id = 2
-        stalls = [
-            s for s in truth.memory_stalls() if s.region == measure_id
-        ]
-        brief = [
-            s.duration
-            for s in truth.stalls
-            if not s.is_memory and s.region == measure_id
-        ]
+        durations = truth.stall_end - truth.stall_begin
+        memory = truth.memory_stall_mask()
+        in_measure = truth.stall_region == 2  # the "measure" loop
+        long = durations[memory & in_measure]
+        brief = durations[~memory & in_measure]
         # Excerpt: the tail of the signal (the measure loop runs last).
         tail = run.signal[-min(len(run.signal), 600):]
         figures.append(
@@ -184,15 +180,9 @@ def fig2_hit_vs_miss(
                 signal=tail,
                 sample_rate_hz=run.result.sample_rate_hz,
                 annotations={
-                    "memory_stalls": float(len(stalls)),
-                    "mean_memory_stall_cycles": (
-                        float(np.mean([s.duration for s in stalls]))
-                        if stalls
-                        else 0.0
-                    ),
-                    "mean_brief_stall_cycles": (
-                        float(np.mean(brief)) if brief else 0.0
-                    ),
+                    "memory_stalls": float(len(long)),
+                    "mean_memory_stall_cycles": float(np.mean(long)) if len(long) else 0.0,
+                    "mean_brief_stall_cycles": float(np.mean(brief)) if len(brief) else 0.0,
                 },
             )
         )
@@ -264,12 +254,12 @@ def _fig3_result(name: str, factory, seed: int) -> Fig3Result:
     """Simulate one Fig. 3 stream (region 1, ``name``) and account it."""
     run = run_simulator(StreamWorkload(name, factory, {1: name}), seed=seed)
     truth = run.result.ground_truth
-    mem_stalls = truth.memory_stalls()
+    sizes = np.diff(truth.stall_offsets)[truth.memory_stall_mask()]
     return Fig3Result(
         total_misses=truth.miss_count(),
         hidden_misses=truth.hidden_miss_count(),
-        stalls=len(mem_stalls),
-        max_misses_per_stall=max((len(s.miss_ids) for s in mem_stalls), default=0),
+        stalls=len(sizes),
+        max_misses_per_stall=int(sizes.max(initial=0)),
         detected=run.report.miss_count,
     )
 

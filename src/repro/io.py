@@ -14,7 +14,7 @@ times; these helpers give the repository a stable on-disk format:
   ``jq '.stalls.begin_sample'`` reads one column.  Floats are written
   as ``repr`` and read back bit for bit.  v1 reports (one object per
   stall) are still read,
-* ground-truth traces -> ``.npz`` (columnar miss/stall records),
+* ground-truth traces -> ``.npz`` (the miss and stall columns),
 * flight recordings -> ``.flight`` (NDJSON decision-event sidecars,
   see :mod:`repro.obs.flight`).
 
@@ -33,6 +33,7 @@ unchanged: ``np.load`` reads stored and deflated members alike.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import zipfile
@@ -46,7 +47,7 @@ from .core.events import STALL_FIELDS, ProfileReport, QualitySummary, StallTable
 from .emsignal.receiver import Capture
 from .errors import CorruptCaptureError
 from .obs.flight import FlightRecorder, ReportEvidence, read_flight
-from .sim.trace import GroundTruth, MissRecord, StallRecord
+from .sim.trace import MISS_COLUMNS, STALL_COLUMNS, GroundTruth
 
 _CAPTURE_FORMAT = "emprof-capture-v2"
 _CAPTURE_FORMAT_V1 = "emprof-capture-v1"
@@ -300,46 +301,43 @@ def load_flight(path: PathLike):
 
 
 def save_ground_truth(path: PathLike, truth: GroundTruth) -> None:
-    """Write a ground-truth trace to ``path`` (.npz, columnar, v2)."""
-    misses = truth.misses
-    stalls = truth.stalls
-    miss_addr = np.array([m.addr for m in misses], dtype=np.int64)
-    miss_detect = np.array([m.detect_cycle for m in misses], dtype=np.int64)
-    stall_begin = np.array([s.begin_cycle for s in stalls], dtype=np.int64)
-    stall_end = np.array([s.end_cycle for s in stalls], dtype=np.int64)
+    """Write a ground-truth trace to ``path`` (.npz, v2).
+
+    The file holds the truth's miss and stall columns, each stall's
+    contributing miss ids as one JSON list per stall
+    (``stall_misses``), the miss and stall counts and a CRC-32 over the
+    address and cycle columns.
+    """
+    columns = {name: getattr(truth, name) for name in (*MISS_COLUMNS, *STALL_COLUMNS)}
+    columns["miss_kind"] = truth.miss_kind.astype("U8")
+    columns["stall_cause"] = truth.stall_cause.astype("U16")
+    ids = truth.stall_misses.tolist()
+    at = truth.stall_offsets.tolist()
     np.savez_compressed(
         path,
         format=_TRUTH_FORMAT,
         total_cycles=truth.total_cycles,
         total_instructions=truth.total_instructions,
-        n_misses=len(misses),
-        n_stalls=len(stalls),
-        checksum=_checksum(miss_addr, miss_detect, stall_begin, stall_end),
+        n_misses=truth.miss_count(),
+        n_stalls=len(truth.stall_begin),
+        checksum=_checksum(truth.miss_addr, truth.miss_detect, truth.stall_begin, truth.stall_end),
         region_names=json.dumps({str(k): v for k, v in truth.region_names.items()}),
         region_cycles=json.dumps({str(k): v for k, v in truth.region_cycles.items()}),
-        miss_kind=np.array([m.kind for m in misses], dtype="U8"),
-        miss_addr=miss_addr,
-        miss_detect=miss_detect,
-        miss_ready=np.array([m.ready_cycle for m in misses], dtype=np.int64),
-        miss_stall=np.array(
-            [-1 if m.stall_id is None else m.stall_id for m in misses], dtype=np.int64
-        ),
-        miss_refresh=np.array([m.refresh_blocked for m in misses], dtype=bool),
-        miss_region=np.array([m.region for m in misses], dtype=np.int64),
-        stall_begin=stall_begin,
-        stall_end=stall_end,
-        stall_cause=np.array([s.cause for s in stalls], dtype="U16"),
-        stall_refresh=np.array([s.refresh for s in stalls], dtype=bool),
-        stall_region=np.array([s.region for s in stalls], dtype=np.int64),
-        stall_misses=json.dumps([s.miss_ids for s in stalls]),
+        stall_misses=json.dumps([ids[i:j] for i, j in zip(at, at[1:])]),
+        **columns,
     )
 
 
 def load_ground_truth(path: PathLike) -> GroundTruth:
     """Read a trace written by :func:`save_ground_truth` (v1 or v2).
 
+    The stored columns become the :class:`GroundTruth`'s columns; no
+    miss or stall record is built until code reads ``.misses`` or
+    ``.stalls``.  v1 files carry no counts or checksum.
+
     Raises:
-        CorruptCaptureError: wrong format, missing/truncated columns,
+        CorruptCaptureError: wrong format, missing columns, a column of
+            the wrong length, an out-of-range miss or stall id,
             malformed JSON fields, or checksum mismatch.
         FileNotFoundError: the path does not exist.
     """
@@ -371,98 +369,65 @@ def load_ground_truth(path: PathLike) -> GroundTruth:
 
 
 def _decode_ground_truth(data, fmt: str, path: PathLike) -> GroundTruth:
-    """Decode the columnar arrays of one ground-truth npz.
+    """The columns of one ground-truth npz, checked and handed over whole.
 
     Each ``data[key]`` decompresses its whole member again, so every
-    column is read exactly once.
+    column is read exactly once.  Every miss column must hold one entry
+    per miss and every stall column one per stall (the v2 header's
+    counts, else the first column's length), and the stall and miss ids
+    the columns cross-reference must exist.
     """
-    miss_addr = data["miss_addr"]
-    miss_detect = data["miss_detect"]
-    stall_begin = data["stall_begin"]
-    stall_end = data["stall_end"]
-    n_miss = len(miss_addr)
-    n_stall = len(stall_begin)
+    columns = {name: data[name] for name in (*MISS_COLUMNS, *STALL_COLUMNS)}
+    n_miss, n_stall = len(columns["miss_addr"]), len(columns["stall_begin"])
     if fmt == _TRUTH_FORMAT:
-        _verify_lengths_and_checksum(
-            path,
-            expected_n=int(data["n_misses"]),
-            actual_n=n_miss,
-            expected_crc=int(data["checksum"]),
-            arrays=(
-                np.asarray(miss_addr, dtype=np.int64),
-                np.asarray(miss_detect, dtype=np.int64),
-                np.asarray(stall_begin, dtype=np.int64),
-                np.asarray(stall_end, dtype=np.int64),
-            ),
-            what="ground truth",
-        )
-        n_stalls_header = int(data["n_stalls"])
-        if n_stalls_header != n_stall:
-            raise CorruptCaptureError(
-                f"truncated ground truth: header promises "
-                f"{n_stalls_header} stalls, file holds {n_stall}",
-                path=path,
-            )
-    kind = data["miss_kind"].tolist()
-    addr = miss_addr.tolist()
-    detect = miss_detect.tolist()
-    ready = data["miss_ready"].tolist()
-    miss_stall = data["miss_stall"].tolist()
-    miss_refresh = data["miss_refresh"].tolist()
-    miss_region = data["miss_region"].tolist()
-    misses = [
-        MissRecord(
-            miss_id=i,
-            kind=str(kind[i]),
-            addr=int(addr[i]),
-            detect_cycle=int(detect[i]),
-            ready_cycle=int(ready[i]),
-            stall_id=None if int(miss_stall[i]) < 0 else int(miss_stall[i]),
-            refresh_blocked=bool(miss_refresh[i]),
-            region=int(miss_region[i]),
-        )
-        for i in range(n_miss)
-    ]
+        n_miss, n_stall = int(data["n_misses"]), int(data["n_stalls"])
     try:
         miss_lists = json.loads(str(data["stall_misses"]))
-    except json.JSONDecodeError as exc:
+        sizes = np.fromiter(map(len, miss_lists), dtype=np.int64)
+        ids = np.fromiter(itertools.chain.from_iterable(miss_lists), dtype=np.int64)
+    except (ValueError, TypeError) as exc:
         raise CorruptCaptureError(
             f"malformed stall_misses JSON: {exc}", path=path
         ) from exc
-    begin = stall_begin.tolist()
-    end = stall_end.tolist()
-    cause = data["stall_cause"].tolist()
-    stall_refresh = data["stall_refresh"].tolist()
-    stall_region = data["stall_region"].tolist()
-    stalls = [
-        StallRecord(
-            stall_id=i,
-            begin_cycle=int(begin[i]),
-            end_cycle=int(end[i]),
-            cause=str(cause[i]),
-            miss_ids=list(miss_lists[i]),
-            refresh=bool(stall_refresh[i]),
-            region=int(stall_region[i]),
-        )
-        for i in range(n_stall)
-    ]
-    try:
-        region_names = {
-            int(k): v for k, v in json.loads(str(data["region_names"])).items()
-        }
-        region_cycles = {
-            int(k): int(v)
-            for k, v in json.loads(str(data["region_cycles"])).items()
-        }
-    except (json.JSONDecodeError, ValueError, AttributeError) as exc:
+    for name, column in (*columns.items(), ("stall_misses", sizes)):
+        n = n_miss if name.startswith("miss_") else n_stall
+        if np.shape(column) != (n,):
+            raise CorruptCaptureError(
+                f"truncated ground truth: {name} has shape {np.shape(column)}, "
+                f"expected ({n},)",
+                path=path,
+            )
+    stall_of = columns["miss_stall"]
+    if (ids.size and not 0 <= ids.min() <= ids.max() < n_miss) or (
+        stall_of.size and not -1 <= stall_of.min() <= stall_of.max() < n_stall
+    ):
         raise CorruptCaptureError(
-            f"malformed region mapping JSON: {exc}", path=path
+            f"ground truth cross-references a missing record: miss ids must lie "
+            f"in [0, {n_miss}) and stall ids in [-1, {n_stall})",
+            path=path,
+        )
+    if fmt == _TRUTH_FORMAT:
+        crc = _checksum(
+            *(np.asarray(columns[name], dtype=np.int64)
+              for name in ("miss_addr", "miss_detect", "stall_begin", "stall_end"))
+        )
+        if crc != int(data["checksum"]):
+            raise CorruptCaptureError(
+                "ground truth checksum mismatch (bit rot or partial write)", path=path
+            )
+    columns["stall_misses"] = ids
+    columns["stall_offsets"] = np.concatenate(([0], np.cumsum(sizes)))
+    try:
+        cycles = json.loads(str(data["region_cycles"]))
+        region_cycles = {int(k): int(v) for k, v in cycles.items()}
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise CorruptCaptureError(
+            f"malformed region_cycles mapping: {exc}", path=path
         ) from exc
-    return GroundTruth(
-        misses=misses,
-        stalls=stalls,
+    return GroundTruth.from_columns(
+        columns,
         total_cycles=int(data["total_cycles"]),
         total_instructions=int(data["total_instructions"]),
-        region_names=region_names,
+        region_names=_decode_region_names(str(data["region_names"]), path),
         region_cycles=region_cycles,
     )

@@ -40,7 +40,7 @@ class SimulationResult:
         power_trace: per-bin average activity (the side-channel signal
             before the EM channel model is applied).
         sample_rate_hz: sampling rate of ``power_trace``.
-        ground_truth: per-miss and per-stall records.
+        ground_truth: the miss and stall columns (cycle-level truth).
         config: the machine configuration used.
         stats: cache/memory counters for sanity checks.
     """

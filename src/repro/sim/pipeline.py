@@ -80,8 +80,6 @@ from .trace import (
     DSTORE,
     GroundTruth,
     IFETCH,
-    MissRecord,
-    StallRecord,
 )
 
 
@@ -120,6 +118,10 @@ class Pipeline:
         :class:`~repro.sim.power.PowerAccumulator` or any object with
         ``add_issue``, ``add_busy_span`` and ``note_cycle``; the latter
         gets one ``add_issue`` per instruction, in issue order.
+
+        The loop records each miss and stall fact once, as tuples; the
+        returned truth's columns are built from them once, at the end
+        (:func:`_truth_columns`), and no record object is made.
         """
         core = self.core
         width = core.width
@@ -179,8 +181,13 @@ class Pipeline:
         # issue_idx, miss_id]; miss_id is None for LLC hits.
         pending: list = []
         store_q: list = []  # [ready_cycle, miss_id] outstanding store misses
+        # The run's primary facts: one (kind, addr, detect, ready,
+        # refresh_blocked, region) per miss, one (begin, end, cause,
+        # region, n) per stall, and each stall's n contributing miss
+        # ids, one after another.
         misses: list = []
         stalls: list = []
+        stall_misses: list = []
         region_cycles: dict = {}
         cur_region = 0
         region_mark = 0
@@ -270,15 +277,7 @@ class Pipeline:
                     elif lookup_i(pc) is LLC:
                         if llc_front_pen:
                             stalls.append(
-                                StallRecord(
-                                    len(stalls),
-                                    cur,
-                                    cur + llc_front_pen,
-                                    CAUSE_LLC_HIT,
-                                    [],
-                                    False,
-                                    region,
-                                )
+                                (cur, cur + llc_front_pen, CAUSE_LLC_HIT, region, 0)
                             )
                             cur += llc_front_pen
                             slot = 0
@@ -288,16 +287,7 @@ class Pipeline:
                         resp = mem_access(cur, pc)
                         mid = len(misses)
                         misses.append(
-                            MissRecord(
-                                mid,
-                                IFETCH,
-                                pc,
-                                cur,
-                                resp.ready_cycle,
-                                None,
-                                resp.refresh_blocked,
-                                region,
-                            )
+                            (IFETCH, pc, cur, resp.ready_cycle, resp.refresh_blocked, region)
                         )
                         begin = cur + fetch_drain
                         if resp.ready_cycle > begin:
@@ -305,28 +295,13 @@ class Pipeline:
                                 deposit(at)
                             add_busy_span(cur, begin, drain_level)
                             contrib = [mid]
-                            refresh = resp.refresh_blocked
                             for e in pending:
-                                e_mid = e[3]
-                                if e_mid is not None and e[0] > begin:
-                                    contrib.append(e_mid)
-                                    if misses[e_mid].refresh_blocked:
-                                        refresh = True
-                            sid = len(stalls)
+                                if e[3] is not None and e[0] > begin:
+                                    contrib.append(e[3])
                             stalls.append(
-                                StallRecord(
-                                    sid,
-                                    begin,
-                                    resp.ready_cycle,
-                                    CAUSE_IFETCH_MEM,
-                                    contrib,
-                                    refresh,
-                                    region,
-                                )
+                                (begin, resp.ready_cycle, CAUSE_IFETCH_MEM, region, len(contrib))
                             )
-                            for m in contrib:
-                                if misses[m].stall_id is None:
-                                    misses[m].stall_id = sid
+                            stall_misses += contrib
                             cur = resp.ready_cycle
                             slot = 0
                     xi += 1
@@ -364,19 +339,12 @@ class Pipeline:
                             cause = CAUSE_RUNAHEAD
                         if block_end <= cur:
                             break
-                        sid = len(stalls)
                         if cause is CAUSE_LLC_HIT:
                             contrib = []
-                            refresh = False
                         else:
                             contrib = [e[3] for e in pending if e[3] is not None]
-                            refresh = any(misses[m].refresh_blocked for m in contrib)
-                        stalls.append(
-                            StallRecord(sid, cur, block_end, cause, contrib, refresh, region)
-                        )
-                        for m in contrib:
-                            if misses[m].stall_id is None:
-                                misses[m].stall_id = sid
+                        stalls.append((cur, block_end, cause, region, len(contrib)))
+                        stall_misses += contrib
                         cur = block_end
                         slot = 0
                         j = 0
@@ -426,17 +394,10 @@ class Pipeline:
                             if len(mem_entries) < mshr_limit:
                                 break
                             free_at = min(e[0] for e in mem_entries)
-                            contrib = [e[3] for e in mem_entries]
-                            refresh = any(misses[m].refresh_blocked for m in contrib)
-                            sid = len(stalls)
                             stalls.append(
-                                StallRecord(
-                                    sid, cur, free_at, CAUSE_MSHR_FULL, contrib, refresh, region
-                                )
+                                (cur, free_at, CAUSE_MSHR_FULL, region, len(mem_entries))
                             )
-                            for m in contrib:
-                                if misses[m].stall_id is None:
-                                    misses[m].stall_id = sid
+                            stall_misses += [e[3] for e in mem_entries]
                             cur = free_at
                             slot = 0
                             j = 0
@@ -448,16 +409,7 @@ class Pipeline:
                         resp = mem_access(cur + walk, addr)
                         mid = len(misses)
                         misses.append(
-                            MissRecord(
-                                mid,
-                                DLOAD,
-                                addr,
-                                cur,
-                                resp.ready_cycle,
-                                None,
-                                resp.refresh_blocked,
-                                region,
-                            )
+                            (DLOAD, addr, cur, resp.ready_cycle, resp.refresh_blocked, region)
                         )
                         pending.append([resp.ready_cycle, i + 1 + dep, i, mid])
                 elif op == STORE:
@@ -477,32 +429,15 @@ class Pipeline:
                         if len(store_q) >= store_limit:
                             free_at = min(s[0] for s in store_q)
                             contrib = [s[1] for s in store_q if s[0] <= free_at]
-                            refresh = any(misses[m].refresh_blocked for m in contrib)
-                            sid = len(stalls)
-                            stalls.append(
-                                StallRecord(
-                                    sid, cur, free_at, CAUSE_STOREBUF, contrib, refresh, region
-                                )
-                            )
-                            for m in contrib:
-                                if misses[m].stall_id is None:
-                                    misses[m].stall_id = sid
+                            stalls.append((cur, free_at, CAUSE_STOREBUF, region, len(contrib)))
+                            stall_misses += contrib
                             cur = free_at
                             slot = 0
                             store_q = [s for s in store_q if s[0] > cur]
                         resp = mem_access(cur + walk, addr)
                         mid = len(misses)
                         misses.append(
-                            MissRecord(
-                                mid,
-                                DSTORE,
-                                addr,
-                                cur,
-                                resp.ready_cycle,
-                                None,
-                                resp.refresh_blocked,
-                                region,
-                            )
+                            (DSTORE, addr, cur, resp.ready_cycle, resp.refresh_blocked, region)
                         )
                         store_q.append([resp.ready_cycle, mid])
 
@@ -515,10 +450,33 @@ class Pipeline:
         )
         if total_cycles > 0:
             power.note_cycle(total_cycles - 1)
-        return GroundTruth(
-            misses=misses,
-            stalls=stalls,
+        return GroundTruth.from_columns(
+            _truth_columns(misses, stalls, stall_misses),
             total_cycles=total_cycles,
             total_instructions=base,
             region_cycles=region_cycles,
         )
+
+
+def _truth_columns(misses: list, stalls: list, stall_misses: list) -> dict:
+    """The ground-truth columns of one run's facts (see ``Pipeline.run``).
+
+    Two columns are derived here rather than tracked in the core loop:
+    a miss's ``miss_stall`` is the first stall that lists it (-1 for
+    none), and a stall is refresh-blocked when any miss it lists is.
+    """
+    names = ("miss_kind", "miss_addr", "miss_detect", "miss_ready", "miss_refresh", "miss_region")
+    columns = dict(zip(names, zip(*misses) if misses else [()] * 6))
+    names = ("stall_begin", "stall_end", "stall_cause", "stall_region", "sizes")
+    columns.update(zip(names, zip(*stalls) if stalls else [()] * 5))
+    sizes = np.array(columns.pop("sizes"), dtype=np.int64)
+    ids = np.array(stall_misses, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # the stall listing each id
+    listed, first = np.unique(ids, return_index=True)
+    columns["miss_stall"] = np.full(len(misses), -1)
+    columns["miss_stall"][listed] = owner[first]
+    columns["stall_refresh"] = np.zeros(len(sizes), dtype=bool)
+    columns["stall_refresh"][owner[np.array(columns["miss_refresh"], dtype=bool)[ids]]] = True
+    columns["stall_misses"] = ids
+    columns["stall_offsets"] = np.concatenate(([0], np.cumsum(sizes)))
+    return columns

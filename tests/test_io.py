@@ -562,3 +562,143 @@ class TestEndToEndPersistence:
         b = Emprof.from_capture(loaded).profile()
         assert a.miss_count == b.miss_count
         assert a.stall_cycles == pytest.approx(b.stall_cycles)
+
+
+@pytest.fixture(scope="module")
+def parser_truth():
+    from repro.devices import olimex
+    from repro.sim.machine import Machine
+    from repro.workloads import spec_workload
+
+    return Machine(olimex(), seed=0).run(spec_workload("parser", scale=0.25)).ground_truth
+
+
+def _record_columns(truth):
+    """A truth's columns as the record-loop writer built them."""
+    misses, stalls = truth.misses, truth.stalls
+    return dict(
+        total_cycles=truth.total_cycles,
+        total_instructions=truth.total_instructions,
+        region_names=json.dumps({str(k): v for k, v in truth.region_names.items()}),
+        region_cycles=json.dumps({str(k): v for k, v in truth.region_cycles.items()}),
+        miss_kind=np.array([m.kind for m in misses], dtype="U8"),
+        miss_addr=np.array([m.addr for m in misses], dtype=np.int64),
+        miss_detect=np.array([m.detect_cycle for m in misses], dtype=np.int64),
+        miss_ready=np.array([m.ready_cycle for m in misses], dtype=np.int64),
+        miss_stall=np.array(
+            [-1 if m.stall_id is None else m.stall_id for m in misses], dtype=np.int64
+        ),
+        miss_refresh=np.array([m.refresh_blocked for m in misses], dtype=bool),
+        miss_region=np.array([m.region for m in misses], dtype=np.int64),
+        stall_begin=np.array([s.begin_cycle for s in stalls], dtype=np.int64),
+        stall_end=np.array([s.end_cycle for s in stalls], dtype=np.int64),
+        stall_cause=np.array([s.cause for s in stalls], dtype="U16"),
+        stall_refresh=np.array([s.refresh for s in stalls], dtype=bool),
+        stall_region=np.array([s.region for s in stalls], dtype=np.int64),
+        stall_misses=json.dumps([s.miss_ids for s in stalls]),
+    )
+
+
+class TestTruthFilesFromEarlierReleases:
+    """Truth files written by the record-loop writers still load."""
+
+    def assert_same_truth(self, loaded, truth):
+        assert loaded.misses == truth.misses and loaded.stalls == truth.stalls
+        assert loaded.total_cycles == truth.total_cycles
+        assert loaded.total_instructions == truth.total_instructions
+        assert loaded.region_names == truth.region_names
+        assert loaded.region_cycles == truth.region_cycles
+
+    def test_v1_file_loads(self, parser_truth, tmp_path):
+        # v1 had no n_misses, n_stalls or checksum.
+        path = tmp_path / "v1.npz"
+        np.savez_compressed(path, format="emprof-truth-v1", **_record_columns(parser_truth))
+        self.assert_same_truth(repro_io.load_ground_truth(path), parser_truth)
+
+    def test_record_loop_v2_file_loads(self, parser_truth, tmp_path):
+        columns = _record_columns(parser_truth)
+        path = tmp_path / "v2.npz"
+        np.savez_compressed(
+            path,
+            format="emprof-truth-v2",
+            n_misses=len(parser_truth.misses),
+            n_stalls=len(parser_truth.stalls),
+            checksum=zlib.crc32(
+                b"".join(
+                    columns[k].tobytes()
+                    for k in ("miss_addr", "miss_detect", "stall_begin", "stall_end")
+                )
+            ),
+            **columns,
+        )
+        self.assert_same_truth(repro_io.load_ground_truth(path), parser_truth)
+
+    def test_saved_columns_are_the_record_loop_columns(self, parser_truth, tmp_path):
+        path = tmp_path / "truth.npz"
+        repro_io.save_ground_truth(path, parser_truth)
+        with np.load(path, allow_pickle=False) as data:
+            for name, want in _record_columns(parser_truth).items():
+                got = data[name]
+                assert got.dtype == np.asarray(want).dtype, name
+                assert got.tobytes() == np.asarray(want).tobytes(), name
+
+
+class TestTruthColumnChecks:
+    """Every column has one entry per record and every id exists."""
+
+    def saved(self, truth, tmp_path):
+        """The fields of ``truth``'s file, as arrays."""
+        path = tmp_path / "truth.npz"
+        repro_io.save_ground_truth(path, truth)
+        with np.load(path, allow_pickle=False) as data:
+            return {k: data[k] for k in data.files}
+
+    def resave(self, truth, tmp_path, v1=False, **overrides):
+        fields = self.saved(truth, tmp_path)
+        if v1:
+            for key in ("n_misses", "n_stalls", "checksum"):
+                del fields[key]
+            fields["format"] = "emprof-truth-v1"
+        fields.update(overrides)
+        path = tmp_path / "truth.npz"
+        np.savez_compressed(path, **fields)
+        return path
+
+    def stall_lists(self, truth):
+        return [s.miss_ids for s in truth.stalls]
+
+    @pytest.mark.parametrize("v1", [False, True], ids=["v2", "v1"])
+    @pytest.mark.parametrize(
+        "column", ["miss_kind", "miss_detect", "miss_ready", "miss_stall", "miss_refresh",
+                   "miss_region", "stall_end", "stall_cause", "stall_refresh", "stall_region"],
+    )
+    def test_short_column(self, parser_truth, tmp_path, column, v1):
+        short = self.saved(parser_truth, tmp_path)[column][:-1]
+        path = self.resave(parser_truth, tmp_path, v1=v1, **{column: short})
+        with pytest.raises(CorruptCaptureError, match=f"truncated ground truth: {column} "):
+            repro_io.load_ground_truth(path)
+
+    def test_one_stall_list_too_few(self, parser_truth, tmp_path):
+        lists = self.stall_lists(parser_truth)[:-1]
+        path = self.resave(parser_truth, tmp_path, stall_misses=json.dumps(lists))
+        with pytest.raises(CorruptCaptureError, match="truncated ground truth: stall_misses "):
+            repro_io.load_ground_truth(path)
+
+    def test_miss_id_out_of_range(self, parser_truth, tmp_path):
+        lists = self.stall_lists(parser_truth)
+        lists[0] = [10**6]
+        path = self.resave(parser_truth, tmp_path, stall_misses=json.dumps(lists))
+        with pytest.raises(CorruptCaptureError, match="missing record"):
+            repro_io.load_ground_truth(path)
+
+    def test_stall_id_out_of_range(self, parser_truth, tmp_path):
+        stall_of = self.saved(parser_truth, tmp_path)["miss_stall"]
+        stall_of[0] = 10**6
+        path = self.resave(parser_truth, tmp_path, miss_stall=stall_of)
+        with pytest.raises(CorruptCaptureError, match="missing record"):
+            repro_io.load_ground_truth(path)
+
+    def test_stall_lists_not_lists(self, truth, tmp_path):
+        path = self.resave(truth, tmp_path, stall_misses=json.dumps([1]))
+        with pytest.raises(CorruptCaptureError, match="malformed stall_misses"):
+            repro_io.load_ground_truth(path)

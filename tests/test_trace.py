@@ -111,3 +111,40 @@ class TestTimeline:
     def test_timeline_counts_total(self):
         _, counts = make_truth().miss_rate_timeline(100)
         assert counts.sum() == 4
+
+
+class TestRowsBuiltOnRead:
+    """A simulation, a save and a load build no record; reading builds each once."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        counts = {"miss": 0, "stall": 0}
+        for key, cls in (("miss", MissRecord), ("stall", StallRecord)):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _key=key, **kwargs):
+                counts[_key] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def test_simulate_save_load_build_no_rows(self, built, tmp_path):
+        from repro import io as repro_io
+        from repro.core.validate import validate_profile
+        from repro.devices import olimex
+        from repro.experiments.runner import run_simulator
+        from repro.workloads import spec_workload
+
+        run = run_simulator(spec_workload("mcf", scale=0.1), config=olimex())
+        truth = run.result.ground_truth
+        validate_profile(run.report, truth, window_cycles=(0, truth.total_cycles / 2))
+        path = tmp_path / "truth.npz"
+        repro_io.save_ground_truth(path, truth)
+        loaded = repro_io.load_ground_truth(path)
+        for t in (truth, loaded):
+            t.stall_cycles_by_region(), t.misses_by_region(), t.miss_rate_timeline(1000)
+        assert built == {"miss": 0, "stall": 0}
+        assert truth.miss_count() > 0 and truth.memory_stall_count() > 0
+        assert truth.misses is truth.misses and truth.stalls is truth.stalls
+        assert built == {"miss": truth.miss_count(), "stall": len(truth.stall_begin)}
